@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from typing import Optional, Sequence
 
@@ -88,25 +87,6 @@ def _state_aliases(a: Automaton) -> dict[str, int]:
     for i, name in enumerate(a.state_names):
         aliases[name] = i
     return aliases
-
-
-def _parse_word_expr(text: str, a: Automaton) -> GroupWord:
-    aliases = _state_aliases(a)
-    tokens = [t for t in re.split(r"[\s*]+", text.strip()) if t]
-    if tokens in ([], ["e"], ["id"]):
-        return GroupWord.identity()
-    factors: list[tuple[int, int]] = []
-    for tok in tokens:
-        m = re.fullmatch(r"([A-Za-z]\w*)(?:\^(-?\d+))?", tok)
-        if m is None:
-            raise ValueError(f"cannot parse factor {tok!r}")
-        name, exp = m.group(1), int(m.group(2) or 1)
-        if name not in aliases:
-            raise ValueError(
-                f"unknown state {name!r}; states are {', '.join(a.state_names)}"
-            )
-        factors.extend([(aliases[name], 1 if exp > 0 else -1)] * abs(exp))
-    return GroupWord.from_factors(factors)
 
 
 def _parse_letters(text: str) -> tuple[int, ...]:
@@ -196,7 +176,7 @@ def _cmd_act(args):
         ]
         options = {"config": args.config, "state": args.state, "input": args.input}
     else:
-        word = _parse_word_expr(args.word_expr, a)
+        word = GroupWord.parse(args.word_expr, _state_aliases(a))
         out = engine.apply_word(a, word, letters)
         result = {
             "input": list(letters),

@@ -10,10 +10,13 @@ Representation comes in two flavors: explicit eventually periodic table
 lists, and rule-backed tables produced by a level function.  Explicit
 periodic automata support exact decisions downstream; rule-backed ones
 are checked up to a depth unless the construction carries a guarantee.
+Either way every letter is stepped by `LevelTable.step`, which reads the
+table's output rows forward and its cached inverse output rows backward.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -78,9 +81,44 @@ class LevelTable:
         """The output row of one state, as a function of the input letter."""
         return self.output[state]
 
+    @functools.cached_property
+    def inverse_output(self) -> tuple[Optional[tuple[int, ...]], ...]:
+        """Each state's output row inverted; None for a row that is not a
+        permutation.  Computed once per table and not part of its identity."""
+        return tuple(
+            perms.invert(row) if perms.is_permutation(row) else None
+            for row in self.output
+        )
+
+    def step(
+        self, states: Sequence[int], signs: Sequence[int], x: int, level: int
+    ) -> tuple[int, tuple[int, ...]]:
+        """Feed letter `x` through the factors (states[i], signs[i]).
+
+        The rightmost factor reads `x` and each emitted letter feeds the
+        factor to its left; a negative factor acts by its inverse
+        transducer.  Returns the letter the leftmost factor emits and
+        every factor's next state.  `level` only labels the
+        NotInvertibleError raised when a negative factor's row is not a
+        permutation.
+        """
+        new_states = list(states)
+        for i in range(len(states) - 1, -1, -1):
+            q = states[i]
+            if signs[i] > 0:
+                new_states[i] = self.transition[q][x]
+                x = self.output[q][x]
+            else:
+                row = self.inverse_output[q]
+                if row is None:
+                    raise NotInvertibleError(level, q)
+                x = row[x]
+                new_states[i] = self.transition[q][x]
+        return x, tuple(new_states)
+
     def first_noninvertible_state(self) -> Optional[int]:
-        for q, row in enumerate(self.output):
-            if not perms.is_permutation(row):
+        for q, row in enumerate(self.inverse_output):
+            if row is None:
                 return q
         return None
 
@@ -116,7 +154,7 @@ class LevelTable:
         q = self.first_noninvertible_state()
         if q is not None:
             raise ValueError(f"state {q} has a noninvertible labeling")
-        inv_out = tuple(perms.invert(row) for row in self.output)
+        inv_out = self.inverse_output
         trans = tuple(
             tuple(self.transition[q][inv_out[q][x]] for x in range(self.alphabet_size))
             for q in range(self.n_states)
@@ -187,6 +225,13 @@ class Automaton:
 
     Construct through `from_periodic_tables` or `from_rule`.  Levels are
     1-based and tables are cached on first use.
+
+    A phase is a class of levels that share one table and one alphabet
+    size, named by an int: its representative level, or 0 for the
+    trivial tail from `identity_from` on.  Explicit periodic tables fold
+    every level past the prefix onto one period block, so they have
+    finitely many phases; a rule-backed level is its own phase.
+    `phase(level + 1)` is the phase after `phase(level)`.
     """
 
     def __init__(
@@ -343,36 +388,21 @@ class Automaton:
 
     # -- phases ---------------------------------------------------------
 
-    def phase_key(self, level: int):
-        """Canonical key identifying the table situation at a level.
+    def phase(self, level: int) -> int:
+        """The representative level of the phase containing `level`, or 0
+        once the tail acts trivially.
 
         Levels sharing a phase share tables and alphabet sizes, so any
         search keyed on phases instead of levels stays finite whenever
         the representation is eventually periodic or eventually trivial.
         """
         if self.identity_from is not None and level >= self.identity_from:
-            return ("id",)
+            return 0
         if self.periodic_tables is not None:
-            p = len(self.periodic_tables[0])
-            m = len(self.periodic_tables[1])
-            if level <= p:
-                return ("p", level)
-            return ("c", (level - p - 1) % m)
-        return ("d", level)
-
-    def phase_level(self, phase) -> Optional[int]:
-        """A representative level for a phase; None for the trivial phase."""
-        if phase[0] == "id":
-            return None
-        if phase[0] == "p" or phase[0] == "d":
-            return phase[1]
-        p = len(self.periodic_tables[0])
-        return p + 1 + phase[1]
-
-    def phase_after(self, phase):
-        if phase[0] == "id":
-            return phase
-        return self.phase_key(self.phase_level(phase) + 1)
+            p, m = len(self.periodic_tables[0]), len(self.periodic_tables[1])
+            if level > p:
+                return p + 1 + (level - p - 1) % m
+        return level
 
     @property
     def has_finite_phases(self) -> bool:
@@ -386,22 +416,26 @@ class Automaton:
         With `inverse` set, act by the inverse transducer of this one
         without materializing it.
         """
-        q = self.state_index(state)
+        factor = (self.state_index(state), -1 if inverse else 1)
+        out, (q,) = self.run_factors((factor,), word)
+        return out, q
+
+    def run_factors(
+        self, factors: Sequence[tuple[int, int]], word: Sequence[int]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Feed a word through a composite of (state, sign) factors, the
+        rightmost applied first; return (output word, end states).
+
+        The word is stepped letter by letter through all factors at once.
+        """
         word = self.schedule.check_word(word)
+        states = tuple(self.state_index(q) for q, _ in factors)
+        signs = tuple(s for _, s in factors)
         out = []
         for i, x in enumerate(word, start=1):
-            t = self.table_at(i)
-            if inverse:
-                row = t.output[q]
-                if not perms.is_permutation(row):
-                    raise NotInvertibleError(i, q)
-                y = perms.invert(row)[x]
-                out.append(y)
-                q = t.transition[q][y]
-            else:
-                out.append(t.output[q][x])
-                q = t.transition[q][x]
-        return tuple(out), q
+            y, states = self.table_at(i).step(states, signs, x, i)
+            out.append(y)
+        return tuple(out), states
 
     def evaluate(self, state, word: Sequence[int]) -> tuple[int, ...]:
         return self.run(state, word)[0]

@@ -19,7 +19,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from . import perms
 from .core import Automaton, _level_failure
@@ -102,8 +102,19 @@ class GroupWord:
         )
 
     @staticmethod
-    def parse(text: str, names: Sequence[str]) -> "GroupWord":
-        """Parse expressions like 'a b^-1' or 'a^3*b'; 'e' is the identity."""
+    def parse(
+        text: str, names: Union[Sequence[str], Mapping[str, int]]
+    ) -> "GroupWord":
+        """Parse expressions like 'a b^-1' or 'a^3*b'; 'e' is the identity.
+
+        `names` lists the state names by index, or maps every accepted
+        name to its state index.
+        """
+        index = (
+            names
+            if isinstance(names, Mapping)
+            else {name: q for q, name in enumerate(names)}
+        )
         tokens = [t for t in re.split(r"[\s*]+", text.strip()) if t]
         if tokens in ([], ["e"], ["id"]):
             return GroupWord.identity()
@@ -113,21 +124,17 @@ class GroupWord:
             if m is None:
                 raise ValueError(f"cannot parse factor {tok!r}")
             name, exp = m.group(1), int(m.group(2) or 1)
-            if name not in names:
+            if name not in index:
                 raise ValueError(
-                    f"unknown state {name!r}; states are {', '.join(names)}"
+                    f"unknown state {name!r}; states are {', '.join(index)}"
                 )
-            q = list(names).index(name)
-            factors.extend([(q, 1 if exp > 0 else -1)] * abs(exp))
+            factors.extend([(index[name], 1 if exp > 0 else -1)] * abs(exp))
         return GroupWord.from_factors(factors)
 
 
 def apply_word(automaton: Automaton, word: GroupWord, letters: Sequence[int]) -> Word:
     """Act on a tree word by each factor in turn, rightmost first."""
-    out = automaton.schedule.check_word(letters)
-    for q, s in reversed(word.factors):
-        out = automaton.run(q, out, inverse=s < 0)[0]
-    return out
+    return automaton.run_factors(word.factors, letters)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +181,11 @@ def step_section(
     the whole composite and the section active below this node.
     """
     t = automaton.table_at(level)
-    y = letter
-    if not 0 <= y < t.alphabet_size:
+    if not 0 <= letter < t.alphabet_size:
         raise InvalidWordError(f"letter {letter} out of range at level {level}")
-    out: list[tuple[int, int]] = [(0, 0)] * len(section)
-    for i in range(len(section) - 1, -1, -1):
-        q, s = section[i]
-        if s > 0:
-            out[i] = (t.transition[q][y], s)
-            y = t.output[q][y]
-        else:
-            row = t.output[q]
-            if not perms.is_permutation(row):
-                raise NotInvertibleError(level, q)
-            y = perms.invert(row)[y]
-            out[i] = (t.transition[q][y], s)
-    return y, tuple(out)
+    signs = tuple(s for _, s in section)
+    y, states = t.step(tuple(q for q, _ in section), signs, letter, level)
+    return y, tuple(zip(states, signs))
 
 
 def _witness_path(parents: dict, node) -> Word:
@@ -210,9 +206,10 @@ def decide_equal(
     """Decide whether two words act identically on the whole tree.
 
     The test word is g h^-1.  Nodes of the search are pairs (tuple of
-    factor states, phase); factor signs never change while stepping, so
-    the node space is finite whenever the automaton has finitely many
-    phases, and the search is then a complete closure.  Otherwise levels
+    factor states, phase), the phase being the int `Automaton.phase`
+    gives; factor signs never change while stepping, so the node space
+    is finite whenever the automaton has finitely many phases, and the
+    search is then a complete closure.  Otherwise levels
     are explored up to the depth budget and the verdict may be unknown.
 
     A "not_equal" verdict carries a shortest mismatch witness w found by
@@ -224,42 +221,23 @@ def decide_equal(
         return EqualityVerdict("equal", method="periodic_bfs", explored=0)
     signs = tuple(s for _, s in e.factors)
     init = tuple(q for q, _ in e.factors)
-    root = (init, automaton.phase_key(1))
+    finite = automaton.has_finite_phases
+    root = (init, automaton.phase(1))
     parents: dict = {root: None}
     queue = deque([root])
     truncated = False
-    inv_cache: dict = {}
     while queue:
         node = queue.popleft()
-        states, phase = node
-        if phase[0] == "id":
+        states, level = node
+        if level == 0:
             continue
-        if phase[0] == "d" and phase[1] > budget.max_depth:
+        if not finite and level > budget.max_depth:
             truncated = True
             continue
-        level = automaton.phase_level(phase)
         t = automaton.table_at(level)
-        size = t.alphabet_size
-        next_phase = automaton.phase_after(phase)
-        inv_rows = inv_cache.setdefault(phase, {})
-        for x in range(size):
-            y = x
-            new_states = list(states)
-            for i in range(len(states) - 1, -1, -1):
-                q = states[i]
-                if signs[i] > 0:
-                    new_states[i] = t.transition[q][y]
-                    y = t.output[q][y]
-                else:
-                    row = inv_rows.get(q)
-                    if row is None:
-                        orow = t.output[q]
-                        if not perms.is_permutation(orow):
-                            raise NotInvertibleError(level, q)
-                        row = perms.invert(orow)
-                        inv_rows[q] = row
-                    y = row[y]
-                    new_states[i] = t.transition[q][y]
+        next_phase = automaton.phase(level + 1)
+        for x in range(t.alphabet_size):
+            y, new_states = t.step(states, signs, x, level)
             if y != x:
                 raw = _witness_path(parents, node) + (x,)
                 if h is None:
@@ -275,10 +253,10 @@ def decide_equal(
                 return EqualityVerdict(
                     "not_equal",
                     witness=witness,
-                    method="periodic_bfs" if automaton.has_finite_phases else "depth_bounded",
+                    method="periodic_bfs" if finite else "depth_bounded",
                     explored=len(parents),
                 )
-            key = (tuple(new_states), next_phase)
+            key = (new_states, next_phase)
             if key not in parents:
                 parents[key] = (node, x)
                 if len(parents) > budget.max_states:
@@ -411,14 +389,13 @@ class _PortraitContext:
         pid = self._state_memo.get(key)
         if pid is None:
             t = self.automaton.table_at(level)
-            root = t.output[q]
-            if not perms.is_permutation(root):
+            if t.inverse_output[q] is None:
                 raise NotInvertibleError(level, q)
             kids = tuple(
                 self.from_state(level + 1, t.transition[q][x])
                 for x in range(self.sizes[level])
             )
-            pid = self.mk(level, tuple(root), kids)
+            pid = self.mk(level, t.output[q], kids)
             self._state_memo[key] = pid
         return pid
 
@@ -647,7 +624,7 @@ def labeling_twist(automaton: Automaton, level: int) -> tuple[int, ...]:
     """
     kept, flipped = letter_partition(automaton, level)
     t = automaton.table_at(level)
-    twist = perms.compose(perms.invert(t.output[0]), t.output[1])
+    twist = perms.compose(t.inverse_output[0], t.output[1])
     if {twist[x] for x in kept} != set(kept):
         raise VerificationFailedError(
             f"level {level}: twist does not preserve the letter partition"
@@ -707,14 +684,6 @@ def crt_solve(congruences: Sequence[tuple[int, int]]) -> int:
     return x % modulus
 
 
-def cycle_discrete_log(p: Sequence[int], start: int, target: int) -> int:
-    """Smallest e >= 0 with p^e(start) = target along the cycle of `start`."""
-    n = len(p)
-    if not (0 <= start < n and 0 <= target < n):
-        raise ValueError("points must be in the permutation's domain")
-    return perms.discrete_log_on_cycle(p, start, target)
-
-
 @dataclass(frozen=True)
 class _SteeringLevel:
     size: int
@@ -737,7 +706,7 @@ def _steering_level(automaton: Automaton, level: int) -> _SteeringLevel:
         )
     marked = flips[0]
     long_cycle, swap = t.output[0], t.output[1]
-    if not (perms.is_permutation(long_cycle) and perms.is_permutation(swap)):
+    if None in t.inverse_output:
         raise SteeringError(f"level {level}: labelings must be permutations")
     partner = swap[marked]
     if partner == marked or any(
@@ -750,7 +719,7 @@ def _steering_level(automaton: Automaton, level: int) -> _SteeringLevel:
         raise SteeringError(
             f"level {level}: first labeling must cycle all letters, marked to partner"
         )
-    twist = perms.compose(long_cycle, perms.invert(swap))
+    twist = perms.compose(long_cycle, t.inverse_output[1])
     return _SteeringLevel(d, marked, partner, tuple(long_cycle), tuple(swap), twist)
 
 

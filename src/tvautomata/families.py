@@ -263,7 +263,7 @@ def diagonal_automaton(
     def table(lv) -> LevelTable:
         return LevelTable(_diagonal_rows(n, len(lv[0])), lv)
 
-    a = Automaton.from_periodic_tables(
+    return Automaton.from_periodic_tables(
         schedule,
         tuple(table(lv) for lv in levels),
         tuple(table(lv) for lv in block),
@@ -276,8 +276,6 @@ def diagonal_automaton(
             },
         ),
     )
-    a.exact_bireversible = True
-    return a
 
 
 def sym_diagonal_automaton(
@@ -499,12 +497,15 @@ def random_bir22_automaton(
     types = admissible_binary_level_types()
     prefix = tuple(rng.choice(types) for _ in range(prefix_len))
     period = tuple(rng.choice(types) for _ in range(period_len))
-    a = Automaton.from_periodic_tables(AlphabetSchedule.constant(2), prefix, period)
-    a.family = (
-        "random_bir22",
-        {"seed": seed, "prefix_len": prefix_len, "period_len": period_len},
+    return Automaton.from_periodic_tables(
+        AlphabetSchedule.constant(2),
+        prefix,
+        period,
+        family=(
+            "random_bir22",
+            {"seed": seed, "prefix_len": prefix_len, "period_len": period_len},
+        ),
     )
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,12 @@ def cycle_length_through(p: Sequence[int], x: int) -> int:
 def discrete_log_on_cycle(p: Sequence[int], x: int, y: int) -> int:
     """Smallest e >= 0 with p^e(x) = y, both on one cycle of `p`.
 
-    Raises NotOnSameCycleError when `y` never appears on the cycle through `x`.
+    Raises ValueError when a point lies outside range(len(p)), and
+    NotOnSameCycleError when `y` never appears on the cycle through `x`.
     """
+    n = len(p)
+    if not (0 <= x < n and 0 <= y < n):
+        raise ValueError("points must be in the permutation's domain")
     e = 0
     z = x
     while True:
@@ -125,13 +129,3 @@ def discrete_log_on_cycle(p: Sequence[int], x: int, y: int) -> int:
         e += 1
         if z == x:
             raise NotOnSameCycleError(f"{y} is not on the cycle of {x}")
-
-
-def cycle_string(p: Sequence[int]) -> str:
-    """Cycle notation with fixed points dropped; identity prints as 'id'."""
-    parts = [
-        "(" + " ".join(str(x) for x in cyc) + ")"
-        for cyc in cycles(p)
-        if len(cyc) > 1
-    ]
-    return "".join(parts) if parts else "id"

@@ -129,6 +129,55 @@ def test_act_by_word_expression(capsys, config):
     assert report["result"]["output"][0] == 0
 
 
+def test_act_word_expression_takes_state_aliases(capsys, config):
+    dual = {
+        "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 3}},
+        "automaton": {"builtin": "bellaterra_dual", "params": {}},
+    }
+    path = config(dual)
+    reports = [
+        run_json(
+            capsys, "act", "--config", path, "--word-expr", expr, "--input", "2,1,0"
+        )
+        for expr in ("a q2^-1", "d0 d1^-1")
+    ]
+    assert reports[0][0] == reports[1][0] == 0
+    assert reports[0][1]["result"] == reports[1][1]["result"]
+    assert reports[0][1]["result"]["word"] == "d0 d1^-1"
+    code, _, err = run(
+        capsys, "act", "--config", path, "--word-expr", "d0 x1", "--input", "0"
+    )
+    assert code == 2
+    assert "unknown state 'x1'" in err
+
+
+def test_act_rejects_inverting_a_noninvertible_state(capsys, config):
+    doc = {
+        "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},
+        "automaton": {
+            "explicit": {
+                "states": 2,
+                "prefix": [
+                    {"transition": [[0, 1], [1, 0]], "output": [[1, 0], [0, 1]]}
+                ],
+                "period": [
+                    {"transition": [[0, 0], [1, 1]], "output": [[1, 0], [0, 0]]}
+                ],
+            }
+        },
+    }
+    path = config(doc)
+    code, _, err = run(
+        capsys, "act", "--config", path, "--word-expr", "b^-1", "--input", "0,0"
+    )
+    assert code == 2
+    assert "level 2, state 1" in err
+    code, _, _ = run(
+        capsys, "act", "--config", path, "--word-expr", "b", "--input", "0,0"
+    )
+    assert code == 0
+
+
 def test_act_rejects_bad_input(capsys, config):
     code, _, err = run(
         capsys, "act", "--config", config(Z2Z4), "--state", "a", "--input", "0,2"

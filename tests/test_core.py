@@ -309,10 +309,10 @@ def test_dual_of_the_one_state_identity():
 def test_phases():
     z = z2z4_automaton()
     assert z.has_finite_phases
-    assert z.phase_key(1) == z.phase_key(3)
-    assert z.phase_key(1) != z.phase_key(2)
+    assert z.phase(1) == z.phase(3)
+    assert z.phase(1) != z.phase(2)
     z4 = z4_automaton()
-    assert z4.phase_key(3) == z4.phase_key(5)
+    assert z4.phase(3) == z4.phase(5)
     rule = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
     assert not rule.has_finite_phases
 

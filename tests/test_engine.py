@@ -12,6 +12,7 @@ from tvautomata import (
     GroupWord,
     LevelTable,
     NotBiReversibleError,
+    NotInvertibleError,
     NotTwoStateError,
     OrderCapExceededError,
     UnboundedScheduleError,
@@ -19,7 +20,6 @@ from tvautomata import (
     bellaterra_automaton,
     bellaterra_dual_automaton,
     crt_solve,
-    cycle_discrete_log,
     cycle_transposition_automaton,
     decide_equal,
     element_order,
@@ -134,6 +134,30 @@ def test_step_section_on_identity_levels_keeps_the_section():
     y, nxt = step_section(z4, section, 3, 1)
     assert y == 1
     assert nxt == section
+
+
+# Level 1 is bi-reversible; from level 2 on the second state's output
+# row (0, 0) is not a permutation, and state b reaches it on letter 0.
+_GOOD_LEVEL = LevelTable(((0, 1), (1, 0)), ((1, 0), (0, 1)))
+_BROKEN_LEVEL = LevelTable(((0, 0), (1, 1)), ((1, 0), (0, 0)))
+
+
+def test_stepping_backward_through_a_noninvertible_row_names_level_and_state():
+    m = Automaton.from_periodic_tables(
+        AlphabetSchedule.constant(2), (_GOOD_LEVEL,), (_BROKEN_LEVEL,)
+    )
+    calls = [
+        lambda: m.run(1, (0, 0), inverse=True),
+        lambda: step_section(m, ((1, -1),), 2, 0),
+        lambda: apply_word(m, B.inverse(), (0, 0)),
+        lambda: decide_equal(m, B.inverse()),
+        lambda: level_group(m, 2),
+    ]
+    for call in calls:
+        with pytest.raises(NotInvertibleError) as err:
+            call()
+        assert (err.value.level, err.value.state) == (2, 1)
+    assert m.run(1, (0, 0)) == ((0, 0), 1)
 
 
 # -- equality ---------------------------------------------------------
@@ -391,14 +415,6 @@ def test_crt_examples():
         crt_solve([(0, 2), (1, 4)])
     with pytest.raises(ValueError):
         crt_solve([(0, 0)])
-
-
-def test_cycle_discrete_log_wrapper():
-    p = perms.from_cycles(4, [(0, 2, 3)])
-    assert cycle_discrete_log(p, 2, 3) == 1
-    assert cycle_discrete_log(p, 3, 3) == 0
-    with pytest.raises(ValueError):
-        cycle_discrete_log(p, 4, 0)
 
 
 # -- free action of the diagonal word-order machine -------------------

@@ -73,3 +73,11 @@ def test_discrete_log_rejects_unreachable_targets():
         perms.discrete_log_on_cycle(perms.identity(3), 0, 1)
     with pytest.raises(NotOnSameCycleError):
         perms.discrete_log_on_cycle(perms.from_cycles(4, [(0, 1), (2, 3)]), 0, 2)
+
+
+def test_discrete_log_rejects_points_outside_the_domain():
+    p = perms.from_cycles(4, [(0, 2, 3)])
+    assert perms.discrete_log_on_cycle(p, 2, 3) == 1
+    assert perms.discrete_log_on_cycle(p, 3, 3) == 0
+    with pytest.raises(ValueError):
+        perms.discrete_log_on_cycle(p, 4, 0)
