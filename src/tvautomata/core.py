@@ -6,12 +6,14 @@ level; the alphabet at level i is the one given by the schedule.  States
 act on words letter by letter: at level i in state q, input letter x is
 rewritten to output[q][x] and the state moves to transition[q][x].
 
-Representation comes in two flavors: explicit eventually periodic table
-lists, and rule-backed tables produced by a level function.  Explicit
-periodic automata support exact decisions downstream; rule-backed ones
-are checked up to a depth unless the construction carries a guarantee.
-Either way every letter is stepped by `LevelTable.step`, which reads the
-table's output rows forward and its cached inverse output rows backward.
+Every transducer has one representation: a rule giving the table at a
+level, an optional fold saying that levels past p repeat with period m,
+and an optional level from which on every state acts trivially.  A fold
+or an identity tail leaves finitely many distinct levels, so decisions
+downstream are exact; a bare rule is checked up to a depth unless the
+construction carries a guarantee.  Every letter is stepped by
+`LevelTable.step`, which reads the table's output rows forward and its
+cached inverse output rows backward.
 """
 
 from __future__ import annotations
@@ -89,6 +91,18 @@ class LevelTable:
             perms.invert(row) if perms.is_permutation(row) else None
             for row in self.output
         )
+
+    @functools.cached_property
+    def failure(self) -> Optional[str]:
+        """Why this level breaks bi-reversibility, as one of the reason
+        strings, or None when it does not.  Computed once per table."""
+        if self.first_noninvertible_state() is not None:
+            return NOT_INVERTIBLE
+        if not self.is_reversible():
+            return NOT_REVERSIBLE
+        if not self.inverted().is_reversible():
+            return INVERSE_NOT_REVERSIBLE
+        return None
 
     def step(
         self, states: Sequence[int], signs: Sequence[int], x: int, level: int
@@ -203,16 +217,6 @@ class BiReversibilityVerdict:
         return self.holds
 
 
-def _level_failure(table: LevelTable) -> Optional[str]:
-    if not table.is_invertible():
-        return NOT_INVERTIBLE
-    if not table.is_reversible():
-        return NOT_REVERSIBLE
-    if not table.inverted().is_reversible():
-        return INVERSE_NOT_REVERSIBLE
-    return None
-
-
 def _default_names(n: int) -> tuple[str, ...]:
     letters = "abcdefghijklmnopqrstuvwxyz"
     if n <= len(letters):
@@ -223,14 +227,19 @@ def _default_names(n: int) -> tuple[str, ...]:
 class Automaton:
     """A transducer bound to an alphabet schedule.
 
-    Construct through `from_periodic_tables` or `from_rule`.  Levels are
-    1-based and tables are cached on first use.
+    It is given by a rule `table_fn` from levels to tables, an optional
+    `fold=(p, m)` and an optional `identity_from`.  The fold says that
+    every level past p repeats the level m below it; it must line up
+    with the schedule's own prefix and period.  The rule is sampled once
+    at levels 1 .. p + m, which fills `periodic_tables` as a
+    (prefix, period) pair, and never above that.  From `identity_from`
+    on every state acts trivially and the rule is not consulted.
+    Levels are 1-based and tables are cached on first use.
 
     A phase is a class of levels that share one table and one alphabet
     size, named by an int: its representative level, or 0 for the
-    trivial tail from `identity_from` on.  Explicit periodic tables fold
-    every level past the prefix onto one period block, so they have
-    finitely many phases; a rule-backed level is its own phase.
+    trivial tail.  A fold or an identity tail leaves finitely many
+    phases; without either a level is its own phase.
     `phase(level + 1)` is the phase after `phase(level)`.
     """
 
@@ -241,7 +250,7 @@ class Automaton:
         table_fn: Callable[[int], LevelTable],
         *,
         state_names: Optional[Sequence[str]] = None,
-        periodic: Optional[tuple[tuple[LevelTable, ...], tuple[LevelTable, ...]]] = None,
+        fold: Optional[tuple[int, int]] = None,
         exact_bireversible: bool = False,
         identity_from: Optional[int] = None,
         family: Optional[tuple[str, dict]] = None,
@@ -256,26 +265,26 @@ class Automaton:
         if len(self.state_names) != n_states or len(set(self.state_names)) != n_states:
             raise ValueError("state names must be distinct, one per state")
         self._table_fn = table_fn
-        self.periodic_tables = periodic
+        self.fold = fold
         self.exact_bireversible = exact_bireversible
         self.identity_from = identity_from
         self.family = family
         self._cache: dict[int, LevelTable] = {}
-        if periodic is not None:
-            prefix, period = periodic
-            if not period:
-                raise ValueError("periodic table block must be nonempty")
-            # Verify the claimed fold over the prefix plus two period blocks.
-            for i in range(1, len(prefix) + 2 * len(period) + 1):
-                expected = (
-                    prefix[i - 1]
-                    if i <= len(prefix)
-                    else period[(i - len(prefix) - 1) % len(period)]
+        self.periodic_tables = None
+        if fold is not None:
+            p, m = fold
+            if p < 0 or m < 1:
+                raise ValueError("a fold needs p >= 0 and m >= 1")
+            structure = schedule.periodic_structure()
+            if structure is None or p < structure[0] or m % len(structure[1]):
+                raise ScheduleMismatchError(
+                    f"fold {fold} does not line up with the schedule "
+                    f"{schedule.to_config()}"
                 )
-                if self.table_at(i) != expected:
-                    raise ValueError(
-                        f"periodic table metadata disagrees with level {i}"
-                    )
+            self.periodic_tables = (
+                tuple(self.table_at(i) for i in range(1, p + 1)),
+                tuple(self.table_at(i) for i in range(p + 1, p + m + 1)),
+            )
 
     @staticmethod
     def from_periodic_tables(
@@ -312,16 +321,15 @@ class Automaton:
                 return prefix[level - 1]
             return period[(level - len(prefix) - 1) % len(period)]
 
-        p = max(len(prefix), sched_prefix_len)
-        m = math.lcm(len(period), len(sched_period))
-        norm_prefix = tuple(raw(i) for i in range(1, p + 1))
-        norm_period = tuple(raw(i) for i in range(p + 1, p + m + 1))
         return Automaton(
             schedule,
             n,
             raw,
             state_names=state_names,
-            periodic=(norm_prefix, norm_period),
+            fold=(
+                max(len(prefix), sched_prefix_len),
+                math.lcm(len(period), len(sched_period)),
+            ),
             family=family,
         )
 
@@ -347,7 +355,7 @@ class Automaton:
         )
 
     def __repr__(self) -> str:
-        kind = "periodic" if self.periodic_tables else "rule"
+        kind = "periodic" if self.fold else "rule"
         return f"Automaton({self.n_states} states, {kind}, sizes {self.schedule.sizes(4)}...)"
 
     def state_index(self, state) -> int:
@@ -367,8 +375,11 @@ class Automaton:
             raise ValueError(f"levels start at 1, got {level}")
         table = self._cache.get(level)
         if table is None:
-            if self.identity_from is not None and level >= self.identity_from:
+            phase = self.phase(level)
+            if phase == 0:
                 table = LevelTable.identity(self.n_states, self.schedule.size_at(level))
+            elif phase != level:
+                table = self.table_at(phase)
             else:
                 table = self._table_fn(level)
             if table.n_states != self.n_states:
@@ -394,19 +405,19 @@ class Automaton:
 
         Levels sharing a phase share tables and alphabet sizes, so any
         search keyed on phases instead of levels stays finite whenever
-        the representation is eventually periodic or eventually trivial.
+        the representation is folded or eventually trivial.
         """
         if self.identity_from is not None and level >= self.identity_from:
             return 0
-        if self.periodic_tables is not None:
-            p, m = len(self.periodic_tables[0]), len(self.periodic_tables[1])
+        if self.fold is not None:
+            p, m = self.fold
             if level > p:
                 return p + 1 + (level - p - 1) % m
         return level
 
     @property
     def has_finite_phases(self) -> bool:
-        return self.periodic_tables is not None or self.identity_from is not None
+        return self.fold is not None or self.identity_from is not None
 
     # -- actions --------------------------------------------------------
 
@@ -442,9 +453,6 @@ class Automaton:
 
     # -- level predicates ----------------------------------------------
 
-    def is_invertible_at(self, level: int) -> bool:
-        return self.table_at(level).is_invertible()
-
     def is_reversible_at(self, level: int) -> bool:
         return self.table_at(level).is_reversible()
 
@@ -454,36 +462,28 @@ class Automaton:
     def bireversibility(self, up_to: Optional[int] = None) -> BiReversibilityVerdict:
         """Check invertibility, reversibility, and inverse reversibility.
 
-        Explicit periodic representations are checked exactly over one
-        table cycle.  Rule representations are checked up to a depth,
-        unless the construction guarantees the property, in which case a
-        short sanity window is still verified.
+        A folded representation is checked exactly over levels 1 .. p + m,
+        and one with an identity tail over the levels before it.  A bare
+        rule is checked up to a depth, unless the construction guarantees
+        the property, in which case a short sanity window is verified.
         """
-        if self.periodic_tables is not None:
-            span = len(self.periodic_tables[0]) + len(self.periodic_tables[1])
-            for i in range(1, span + 1):
-                reason = _level_failure(self.table_at(i))
-                if reason is not None:
-                    return BiReversibilityVerdict(False, i, reason, exact=True)
-            return BiReversibilityVerdict(True, exact=True)
         depth = up_to if up_to is not None else _DEFAULT_CHECK_DEPTH
-        if self.exact_bireversible:
-            for i in range(1, min(depth, _SANITY_DEPTH) + 1):
-                reason = _level_failure(self.table_at(i))
-                if reason is not None:
-                    return BiReversibilityVerdict(False, i, reason, exact=True)
-            return BiReversibilityVerdict(True, exact=True)
-        if self.identity_from is not None:
-            for i in range(1, self.identity_from):
-                reason = _level_failure(self.table_at(i))
-                if reason is not None:
-                    return BiReversibilityVerdict(False, i, reason, exact=True)
-            return BiReversibilityVerdict(True, exact=True)
-        for i in range(1, depth + 1):
-            reason = _level_failure(self.table_at(i))
+        exact = True
+        if self.fold is not None:
+            last = sum(self.fold)
+        elif self.identity_from is not None:
+            last = self.identity_from - 1
+        elif self.exact_bireversible:
+            last = min(depth, _SANITY_DEPTH)
+        else:
+            last, exact = depth, False
+        for i in range(1, last + 1):
+            reason = self.table_at(i).failure
             if reason is not None:
                 return BiReversibilityVerdict(False, i, reason, exact=True)
-        return BiReversibilityVerdict(True, exact=False, checked_up_to=depth)
+        return BiReversibilityVerdict(
+            True, exact=exact, checked_up_to=None if exact else depth
+        )
 
     def is_bireversible(self, up_to: Optional[int] = None) -> bool:
         return self.bireversibility(up_to).holds
@@ -492,27 +492,12 @@ class Automaton:
 
     def inverse(self) -> "Automaton":
         """The inverse transducer; each state undoes its namesake."""
-        if self.periodic_tables is not None:
-            prefix, period = self.periodic_tables
-            return Automaton(
-                self.schedule,
-                self.n_states,
-                lambda i: self._inverted_table(i),
-                state_names=self.state_names,
-                periodic=(
-                    tuple(self._inverted_table(i) for i in range(1, len(prefix) + 1)),
-                    tuple(
-                        self._inverted_table(i)
-                        for i in range(len(prefix) + 1, len(prefix) + len(period) + 1)
-                    ),
-                ),
-                exact_bireversible=self.exact_bireversible,
-            )
         return Automaton(
             self.schedule,
             self.n_states,
-            lambda i: self._inverted_table(i),
+            self._inverted_table,
             state_names=self.state_names,
+            fold=self.fold,
             exact_bireversible=self.exact_bireversible,
             identity_from=self.identity_from,
         )
@@ -530,14 +515,10 @@ class Automaton:
             raise ValueError("shift count must be nonnegative")
         if count == 0:
             return self
-        periodic = None
-        if self.periodic_tables is not None:
-            prefix, period = self.periodic_tables
-            if count <= len(prefix):
-                periodic = (prefix[count:], period)
-            else:
-                turns = (count - len(prefix)) % len(period)
-                periodic = ((), period[turns:] + period[:turns])
+        fold = None
+        if self.fold is not None:
+            p, m = self.fold
+            fold = (max(p - count, 0), m)
         identity_from = None
         if self.identity_from is not None:
             identity_from = max(1, self.identity_from - count)
@@ -546,7 +527,7 @@ class Automaton:
             self.n_states,
             lambda i: self.table_at(i + count),
             state_names=self.state_names,
-            periodic=periodic,
+            fold=fold,
             exact_bireversible=self.exact_bireversible,
             identity_from=identity_from,
         )
@@ -555,34 +536,19 @@ class Automaton:
         """Keep the first `depth` levels, act trivially beyond them."""
         if depth < 0:
             raise ValueError("restriction depth must be nonnegative")
-
-        def fn(i: int) -> LevelTable:
-            if i <= depth:
-                return self.table_at(i)
-            return LevelTable.identity(self.n_states, self.schedule.size_at(i))
-
-        periodic = None
+        fold = None
         structure = self.schedule.periodic_structure()
         if structure is not None:
-            sp, speriod = structure
-            p = max(depth, sp)
-            periodic = (
-                tuple(fn(i) for i in range(1, p + 1)),
-                tuple(fn(i) for i in range(p + 1, p + len(speriod) + 1)),
-            )
+            fold = (max(depth, structure[0]), len(structure[1]))
         ident = depth + 1
         if self.identity_from is not None:
             ident = min(ident, self.identity_from)
-        exact = self.exact_bireversible or (
-            self.periodic_tables is not None and self.bireversibility().holds
-        )
         return Automaton(
             self.schedule,
             self.n_states,
-            fn,
+            self.table_at,
             state_names=self.state_names,
-            periodic=periodic,
-            exact_bireversible=exact,
+            fold=fold,
             identity_from=ident,
         )
 
@@ -662,28 +628,23 @@ def embed_on_subsequence(
             return t
         return LevelTable.identity(inner.n_states, host.size_at(i))
 
-    periodic = None
+    fold = None
     host_structure = host.periodic_structure()
-    if inner.periodic_tables is not None and host_structure is not None:
+    if inner.fold is not None and host_structure is not None:
         sp, speriod = host_structure
-        pi = len(inner.periodic_tables[0])
-        mi = len(inner.periodic_tables[1])
-        p = max(sp, start - 1 + step * pi)
-        m = math.lcm(step * mi, len(speriod))
-        periodic = (
-            tuple(fn(i) for i in range(1, p + 1)),
-            tuple(fn(i) for i in range(p + 1, p + m + 1)),
-        )
-    exact = inner.exact_bireversible or (
-        inner.periodic_tables is not None and inner.bireversibility().holds
-    )
+        pi, mi = inner.fold
+        fold = (max(sp, start - 1 + step * pi), math.lcm(step * mi, len(speriod)))
+    identity_from = None
+    if inner.identity_from is not None:
+        identity_from = start + (inner.identity_from - 1) * step
     return Automaton(
         host,
         inner.n_states,
         fn,
         state_names=inner.state_names,
-        periodic=periodic,
-        exact_bireversible=exact,
+        fold=fold,
+        exact_bireversible=inner.exact_bireversible,
+        identity_from=identity_from,
         family=family,
     )
 

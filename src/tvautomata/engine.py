@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from . import perms
-from .core import Automaton, _level_failure
+from .core import Automaton
 from .errors import (
     BudgetExceededError,
     InvalidWordError,
@@ -85,10 +85,7 @@ class GroupWord:
 
     def __pow__(self, n: int) -> "GroupWord":
         base = self if n >= 0 else self.inverse()
-        out = GroupWord.identity()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return GroupWord.from_factors(base.factors * abs(n))
 
     @property
     def length(self) -> int:
@@ -559,8 +556,8 @@ def orbit_at_level(
         if len(seed_word) != level:
             raise ValueError(f"seed word must have length {level}")
     for i in range(1, level + 1):
-        if not automaton.is_invertible_at(i):
-            q = automaton.table_at(i).first_noninvertible_state()
+        q = automaton.table_at(i).first_noninvertible_state()
+        if q is not None:
             raise NotInvertibleError(i, q)
     seen = {seed_word}
     queue = deque([seed_word])
@@ -591,7 +588,7 @@ def _require_two_states(automaton: Automaton) -> None:
 
 
 def _check_bireversible_level(automaton: Automaton, level: int) -> None:
-    reason = _level_failure(automaton.table_at(level))
+    reason = automaton.table_at(level).failure
     if reason is not None:
         raise NotBiReversibleError(f"level {level} fails: {reason}")
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 from . import perms
 from .core import Automaton, LevelTable, embed_on_subsequence
 from .errors import ScheduleMismatchError
-from .schedule import AlphabetSchedule, Constant, Periodic
+from .schedule import AlphabetSchedule
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +129,13 @@ def _diagonal_rows(n_states: int, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(q for _ in range(size)) for q in range(n_states))
 
 
-def _rule_periodic(schedule: AlphabetSchedule, fn):
-    """Periodic table metadata for a rule that depends on the level only
-    through the alphabet size; None when the schedule is a ramp."""
+def _size_fold(schedule: AlphabetSchedule) -> Optional[tuple[int, int]]:
+    """Fold for a rule that depends on the level only through the
+    alphabet size; None when the schedule is a ramp."""
     structure = schedule.periodic_structure()
     if structure is None:
         return None
-    p, block = structure
-    return (
-        tuple(fn(i) for i in range(1, p + 1)),
-        tuple(fn(i) for i in range(p + 1, p + len(block) + 1)),
-    )
+    return structure[0], len(structure[1])
 
 
 def _order_preserving_labeling(formula: Callable[[int], int], size: int) -> tuple[int, ...]:
@@ -174,7 +170,7 @@ def word_order_automaton(schedule: AlphabetSchedule) -> Automaton:
         schedule,
         2,
         fn,
-        periodic=_rule_periodic(schedule, fn),
+        fold=_size_fold(schedule),
         exact_bireversible=True,
         family=("example1", {}),
     )
@@ -215,7 +211,7 @@ def cycle_transposition_automaton(
         schedule,
         2,
         fn,
-        periodic=_rule_periodic(schedule, fn),
+        fold=_size_fold(schedule),
         exact_bireversible=True,
         family=("example2", {"x0": x0, "x1": x1}),
     )
@@ -223,14 +219,11 @@ def cycle_transposition_automaton(
 
 def _min_size(schedule: AlphabetSchedule) -> int:
     """Smallest alphabet size over all levels."""
-    tail = schedule.tail
-    if isinstance(tail, Constant):
-        tail_min = tail.value
-    elif isinstance(tail, Periodic):
-        tail_min = min(tail.values)
-    else:
-        tail_min = 1 + tail.offset
-    return min((*schedule.prefix, tail_min))
+    structure = schedule.periodic_structure()
+    if structure is None:
+        # A ramp tail only grows from its first level on.
+        return min(schedule.sizes(len(schedule.prefix) + 1))
+    return min((*schedule.prefix, *structure[1]))
 
 
 def diagonal_automaton(
@@ -330,7 +323,7 @@ def sym_diagonal_automaton(
         schedule,
         2,
         fn,
-        periodic=_rule_periodic(schedule, fn),
+        fold=_size_fold(schedule),
         exact_bireversible=True,
         identity_from=identity_from,
         family=("gi", params),

@@ -313,6 +313,7 @@ def test_phases():
     assert z.phase(1) != z.phase(2)
     z4 = z4_automaton()
     assert z4.phase(3) == z4.phase(5)
+    assert z4.inverse().phase(3) == 0
     rule = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
     assert not rule.has_finite_phases
 
@@ -338,15 +339,65 @@ def test_explicit_tables_must_fit_the_schedule():
         Automaton.from_periodic_tables(AlphabetSchedule.ramp(0), (), (ODD,))
 
 
-def test_periodic_metadata_is_verified():
-    # Claimed period disagrees with the actual rule at level 2.
-    with pytest.raises(ValueError):
-        Automaton(
-            AlphabetSchedule.constant(2),
-            2,
-            lambda i: ODD if i % 2 else EVEN,
-            periodic=((), (ODD,)),
-        )
+def test_a_fold_must_line_up_with_the_schedule():
+    def rule(i):
+        return ODD
+
+    with pytest.raises(ScheduleMismatchError):
+        Automaton(AlphabetSchedule.periodic((2, 2)), 2, rule, fold=(0, 1))
+    with pytest.raises(ScheduleMismatchError):
+        Automaton(AlphabetSchedule.constant(2, prefix=(2,)), 2, rule, fold=(0, 1))
+    with pytest.raises(ScheduleMismatchError):
+        Automaton(AlphabetSchedule.ramp(1), 2, rule, fold=(0, 1))
+    folded = Automaton(AlphabetSchedule.periodic((2, 2)), 2, rule, fold=(0, 2))
+    assert folded.periodic_tables == ((), (ODD, ODD))
+
+
+def test_a_folded_rule_is_never_sampled_past_its_fold():
+    calls = []
+
+    def rule(i):
+        calls.append(i)
+        return ODD if i % 2 else EVEN
+
+    schedule = AlphabetSchedule.periodic((2, 2), prefix=(2,))
+    folded = Automaton(schedule, 2, rule, fold=(1, 2))
+    unfolded = Automaton.from_rule(schedule, 2, lambda i: ODD if i % 2 else EVEN)
+    rng = random.Random(5)
+    for _ in range(10):
+        word = tuple(rng.randrange(2) for _ in range(9))
+        for inverse in (False, True):
+            assert folded.run("b", word, inverse=inverse) == unfolded.run(
+                "b", word, inverse=inverse
+            )
+    assert max(calls) == 3
+
+
+def test_restricting_a_ramp_rule_checks_every_kept_level():
+    collapse = LevelTable(((0,) * 11, (0,) * 11), (tuple(range(11)),) * 2)
+
+    def rule(i):
+        return collapse if i == 10 else LevelTable.identity(2, i + 1)
+
+    machine = Automaton.from_rule(
+        AlphabetSchedule.ramp(1), 2, rule, exact_bireversible=True
+    )
+    verdict = machine.restricted(12).bireversibility()
+    assert not verdict.holds
+    assert verdict.exact
+    assert (verdict.level, verdict.reason) == (10, "not_reversible")
+
+
+def test_tables_repeat_along_phases():
+    for machine in catalog():
+        if not machine.has_finite_phases:
+            continue
+        for k in range(1, 51):
+            phase = machine.phase(k)
+            if phase == 0:
+                assert machine.table_at(k).is_identity()
+            else:
+                assert machine.table_at(k) == machine.table_at(phase)
 
 
 # -- spreading a transducer over a subsequence of levels --------------
@@ -366,6 +417,16 @@ def test_embedding_on_even_levels():
         assert b.table_at(level).is_identity()
     for j in (1, 2, 3):
         assert b.table_at(2 * j) == inner.table_at(j)
+
+
+def test_embedding_keeps_the_inner_identity_tail():
+    inner = cycle_transposition_automaton(AlphabetSchedule.ramp(1)).restricted(3)
+    b = embed_on_subsequence(inner, AlphabetSchedule.ramp(0), 2, 1)
+    assert b.has_finite_phases
+    assert b.phase(5) == 0 and b.phase(4) == 4
+    assert tables_equal(b.shifted(1), inner, 10)
+    verdict = b.bireversibility()
+    assert verdict.holds and verdict.exact
 
 
 def test_embedding_projects_onto_the_inner_action():

@@ -60,6 +60,16 @@ def test_words_reduce_on_composition():
     assert E.inverse() == E
 
 
+def test_powers_equal_repeated_products():
+    for w in (A * B * A.inverse(), A.inverse() * B * A * B, B * B * A.inverse()):
+        for n in range(-7, 8):
+            base = w if n >= 0 else w.inverse()
+            product = E
+            for _ in range(abs(n)):
+                product = product * base
+            assert w**n == product
+
+
 def test_word_inverse_reverses_and_flips():
     w = A * B.inverse() * A
     assert w.inverse().factors == ((0, -1), (1, 1), (0, -1))

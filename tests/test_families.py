@@ -174,6 +174,12 @@ def test_cycle_transposition_needs_two_letters_per_level():
         cycle_transposition_automaton(AlphabetSchedule.constant(4), x0=2, x1=4)
 
 
+def test_cycle_transposition_over_a_ramp_after_a_prefix():
+    e2 = cycle_transposition_automaton(AlphabetSchedule.ramp(0, prefix=(3, 3)))
+    assert e2.schedule.sizes(5) == (3, 3, 3, 4, 5)
+    assert e2.table_at(3).alphabet_size == 3
+
+
 # -- small diagonal families ------------------------------------------
 
 
