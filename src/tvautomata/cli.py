@@ -191,6 +191,8 @@ def _cmd_act(args):
 
 
 def _cmd_levels(args):
+    if args.max_level > engine.MAX_LEVEL:
+        raise ValueError(f"--max-level must be at most {engine.MAX_LEVEL}")
     a = _load_automaton(args)
     rows = []
     capped = None
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("levels", help="orders of the level groups")
     common(sp)
     sp.add_argument("--max-level", type=int, default=6, help="deepest level")
-    sp.add_argument("--order-cap", type=int, default=10**6, help="closure size cap")
+    sp.add_argument("--order-cap", type=int, default=10**6, help="largest group order to report")
     sp.set_defaults(handler=_cmd_levels)
 
     sp = sub.add_parser("classify", help="five-way classification of binary 2-state machines")

@@ -378,19 +378,23 @@ class Automaton:
             phase = self.phase(level)
             if phase == 0:
                 table = LevelTable.identity(self.n_states, self.schedule.size_at(level))
-            elif phase != level:
-                table = self.table_at(phase)
+            elif phase in self._cache:
+                # A level shares its phase's sizes (the fold lines up with
+                # the schedule), so only tables the rule produces are checked.
+                table = self._cache[phase]
             else:
-                table = self._table_fn(level)
-            if table.n_states != self.n_states:
-                raise ScheduleMismatchError(
-                    f"table at level {level} has {table.n_states} states, expected {self.n_states}"
-                )
-            if table.alphabet_size != self.schedule.size_at(level):
-                raise ScheduleMismatchError(
-                    f"table at level {level} has alphabet size {table.alphabet_size}, "
-                    f"schedule says {self.schedule.size_at(level)}"
-                )
+                table = self._table_fn(phase)
+                if table.n_states != self.n_states:
+                    raise ScheduleMismatchError(
+                        f"table at level {phase} has {table.n_states} states, "
+                        f"expected {self.n_states}"
+                    )
+                if table.alphabet_size != self.schedule.size_at(phase):
+                    raise ScheduleMismatchError(
+                        f"table at level {phase} has alphabet size {table.alphabet_size}, "
+                        f"schedule says {self.schedule.size_at(phase)}"
+                    )
+                self._cache[phase] = table
             self._cache[level] = table
         return table
 

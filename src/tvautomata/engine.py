@@ -14,6 +14,7 @@ is applied last.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import deque
@@ -398,8 +399,10 @@ class _PortraitContext:
 
     def compose(self, level: int, u: int, v: int) -> int:
         """Portrait of u applied after v."""
-        if level > self.depth:
-            return 0
+        if level > self.depth or v == self.identity_ids[level]:
+            return u
+        if u == self.identity_ids[level]:
+            return v
         memo = self._compose_memo[level]
         key = (u, v)
         pid = memo.get(key)
@@ -416,8 +419,8 @@ class _PortraitContext:
         return pid
 
     def inverse(self, level: int, u: int) -> int:
-        if level > self.depth:
-            return 0
+        if level > self.depth or u == self.identity_ids[level]:
+            return u
         memo = self._inverse_memo[level]
         pid = memo.get(u)
         if pid is None:
@@ -462,23 +465,157 @@ class _PortraitContext:
 
         return tuple(walk(1, pid))
 
+    def image(self, pid: int, vertex: Word) -> Word:
+        """Where the level-1 portrait `pid` sends a tree vertex (a word of
+        length at most `depth`), read off one path of root permutations."""
+        out = []
+        for level, x in enumerate(vertex, 1):
+            root, kids = self.nodes[level][pid]
+            out.append(root[x])
+            pid = kids[x]
+        return tuple(out)
+
+    def first_moved_vertex(self, pid: int) -> Optional[Word]:
+        """The lexicographically first vertex moved by the level-1
+        portrait `pid` on the shallowest level it moves, or None for the
+        identity."""
+        frontier = [((), pid)]
+        level = 1
+        while frontier:
+            nodes, fixed = self.nodes[level], self.identity_ids[level + 1]
+            deeper = []
+            for vertex, p in frontier:
+                root, kids = nodes[p]
+                for x, y in enumerate(root):
+                    if x != y:
+                        return vertex + (x,)
+                deeper.extend((vertex + (x,), k) for x, k in enumerate(kids) if k != fixed)
+            frontier = deeper
+            level += 1
+        return None
+
+
+class _ChainLevel:
+    """One level of a stabilizer chain: a base vertex, the strong
+    generators fixing every earlier base vertex, and the orbit of the
+    base vertex with a transversal element (and its inverse) per point.
+
+    Orbit and generators only grow, so `tested[k]` records how many
+    generators have already been tried on the k-th orbit point.
+    """
+
+    __slots__ = ("point", "generators", "orbit", "transversal", "tested")
+
+    def __init__(self, point: Word, identity: int):
+        self.point = point
+        self.generators: list[int] = []
+        self.orbit = [point]
+        self.transversal = {point: (identity, identity)}
+        self.tested = [0]
+
+
+def _chain_order(ctx: _PortraitContext, generators: Sequence[int]) -> int:
+    """Order of the group generated by level-1 portraits, as the product
+    of the basic orbit lengths of a deterministic Schreier-Sims chain
+    (Sims 1970; Seress, Permutation Group Algorithms, 2003, ch. 4).
+
+    Points are tree vertices and elements are interned portraits, so the
+    identity test is an id comparison.  A new base vertex is the
+    shallowest one a residue moves.  Levels are completed deepest first;
+    a residue found while completing level i joins levels i+1 .. j, and
+    completion resumes at level j.
+    """
+    identity = ctx.identity_ids[1]
+    chain: list[_ChainLevel] = []
+
+    def sift(h: int, i: int) -> tuple[int, int]:
+        while i < len(chain) and h != identity:
+            u = chain[i].transversal.get(ctx.image(h, chain[i].point))
+            if u is None:
+                break
+            h = ctx.compose(1, u[1], h)
+            i += 1
+        return h, i
+
+    def add(h: int, low: int, high: int) -> None:
+        if high == len(chain):
+            chain.append(_ChainLevel(ctx.first_moved_vertex(h), identity))
+        for lv in chain[low : high + 1]:
+            lv.generators.append(h)
+
+    def residue(i: int) -> Optional[tuple[int, int]]:
+        lv = chain[i]
+        k = 0
+        while k < len(lv.orbit):
+            beta = lv.orbit[k]
+            u = lv.transversal[beta][0]
+            while lv.tested[k] < len(lv.generators):
+                s = lv.generators[lv.tested[k]]
+                lv.tested[k] += 1
+                su = ctx.compose(1, s, u)
+                gamma = ctx.image(s, beta)
+                t = lv.transversal.get(gamma)
+                if t is None:
+                    lv.transversal[gamma] = (su, ctx.inverse(1, su))
+                    lv.orbit.append(gamma)
+                    lv.tested.append(0)
+                elif t[0] != su:
+                    h, j = sift(ctx.compose(1, t[1], su), i + 1)
+                    if h != identity:
+                        return h, j
+            k += 1
+        return None
+
+    for g in generators:
+        h, j = sift(g, 0)
+        if h != identity:
+            add(h, 0, j)
+    i = len(chain) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+        else:
+            add(found[0], i + 1, found[1])
+            i = found[1]
+    return math.prod(len(lv.orbit) for lv in chain)
+
 
 @dataclass
 class LevelGroup:
     """The permutation group induced on one level's words.
 
-    Elements are portrait ids into a private context, listed in
-    discovery order starting from the identity.
+    `order` comes from a stabilizer chain and is exact.  Elements are
+    portrait ids into a private context; `element_ids` enumerates them
+    on first access, in discovery order starting from the identity.
     """
 
     automaton: Automaton
     level: int
     leaf_count: int
     order: int
-    element_ids: tuple[int, ...]
     generator_ids: tuple[int, ...]
     inverse_generator_ids: tuple[int, ...]
     context: _PortraitContext = field(repr=False)
+
+    @functools.cached_property
+    def element_ids(self) -> tuple[int, ...]:
+        """Every element, found breadth-first from the identity."""
+        ctx = self.context
+        steps = self.generator_ids + self.inverse_generator_ids
+        identity = ctx.identity_ids[1]
+        seen = {identity}
+        elements = [identity]
+        queue = deque([identity])
+        while queue:
+            current = queue.popleft()
+            for step in steps:
+                new = ctx.compose(1, current, step)
+                if new not in seen:
+                    seen.add(new)
+                    elements.append(new)
+                    queue.append(new)
+        return tuple(elements)
 
     def leaf_permutation(self, pid: int) -> tuple[int, ...]:
         return self.context.leaf_permutation(pid)
@@ -504,43 +641,42 @@ class LevelGroup:
         return max(self.element_order(e) for e in self.element_ids)
 
 
+# Building and composing portraits recurses two frames per level, so a
+# much deeper level overflows the default interpreter stack (1000 frames).
+# Such levels are refused before any portrait is built.  Under pytest,
+# levels up to about 475 still run; this leaves some headroom.
+MAX_LEVEL = 450
+
+
 def level_group(
     automaton: Automaton, level: int, *, order_cap: int = 10**6
 ) -> LevelGroup:
-    """Close the states' action on all words of one length into a group.
+    """The group the states induce on all words of one length.
 
-    Raises OrderCapExceededError when the closure passes `order_cap`
-    elements, and NotInvertibleError when some state does not act
-    invertibly down to that level.
+    Its order is the product of the basic orbit lengths of a stabilizer
+    chain over tree vertices; elements are enumerated only when
+    `element_ids` is first read.  Raises OrderCapExceededError, carrying
+    the exact order, when that order exceeds `order_cap`;
+    NotInvertibleError when some state does not act invertibly down to
+    that level; and ValueError for a level outside 1 .. MAX_LEVEL.
     """
     if level < 1:
         raise ValueError("levels start at 1")
+    if level > MAX_LEVEL:
+        raise ValueError(f"level {level} is deeper than the supported {MAX_LEVEL}")
     ctx = _PortraitContext(automaton, level)
-    gens = [ctx.from_state(1, q) for q in range(automaton.n_states)]
-    inv_gens = [ctx.inverse(1, g) for g in gens]
-    steps = gens + inv_gens
-    identity = ctx.identity_ids[1]
-    order_index: dict[int, int] = {identity: 0}
-    elements = [identity]
-    queue = deque([identity])
-    while queue:
-        current = queue.popleft()
-        for step in steps:
-            new = ctx.compose(1, current, step)
-            if new not in order_index:
-                order_index[new] = len(elements)
-                elements.append(new)
-                if len(elements) > order_cap:
-                    raise OrderCapExceededError(order_cap, len(elements))
-                queue.append(new)
+    gens = tuple(ctx.from_state(1, q) for q in range(automaton.n_states))
+    inv_gens = tuple(ctx.inverse(1, g) for g in gens)
+    order = _chain_order(ctx, gens)
+    if order > order_cap:
+        raise OrderCapExceededError(order_cap, order)
     return LevelGroup(
         automaton,
         level,
         automaton.schedule.leaf_count(level),
-        len(elements),
-        tuple(elements),
-        tuple(gens),
-        tuple(inv_gens),
+        order,
+        gens,
+        inv_gens,
         ctx,
     )
 

@@ -58,12 +58,12 @@ class BudgetExceededError(AutomatonError):
 
 
 class OrderCapExceededError(AutomatonError):
-    """A closure grew past the configured order cap."""
+    """A group's order is larger than the configured cap."""
 
     def __init__(self, cap: int, reached: int):
         self.cap = cap
         self.reached = reached
-        super().__init__(f"group order exceeds cap {cap} (found {reached} elements)")
+        super().__init__(f"group order {reached} exceeds cap {cap}")
 
 
 class NonCoprimeModuliError(AutomatonError):

@@ -221,6 +221,15 @@ def test_levels_with_a_tight_order_cap(capsys, config):
     assert [row["order"] for row in report["result"]["orders"]] == [2]
 
 
+def test_levels_past_the_recursion_budget_exit_2(capsys, config):
+    code, out, err = run(
+        capsys, "levels", "--config", config(Z2Z4), "--max-level", "1200"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- classify ---------------------------------------------------------
 
 

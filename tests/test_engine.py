@@ -41,6 +41,9 @@ from tvautomata import (
     z4_automaton,
 )
 from tvautomata import perms
+from tvautomata.engine import MAX_LEVEL
+
+from test_core import catalog
 
 A = GroupWord.generator(0)
 B = GroupWord.generator(1)
@@ -324,7 +327,43 @@ def test_level_group_order_cap():
     with pytest.raises(OrderCapExceededError) as err:
         level_group(bellaterra_dual_automaton(), 2, order_cap=10)
     assert err.value.cap == 10
-    assert err.value.reached > 10
+    assert err.value.reached == 48
+    assert str(err.value) == "group order 48 exceeds cap 10"
+
+
+def test_chain_orders_match_element_enumeration():
+    for a in catalog():
+        for k in range(1, 9):
+            try:
+                lg = level_group(a, k, order_cap=5000)
+            except OrderCapExceededError:
+                break
+            assert len(lg.element_ids) == lg.order, (a.family, k)
+
+
+def test_level_orders_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    example2 = cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4)))
+    for a, levels in (
+        (bellaterra_dual_automaton(), range(1, 9)),
+        (lamplighter_automaton(), range(1, 11)),
+        (example2, range(1, 4)),
+    ):
+        for k in levels:
+            leaves = list(a.schedule.words_at_level(k))
+            index = {w: i for i, w in enumerate(leaves)}
+            gens = [
+                combinatorics.Permutation([index[a.evaluate(q, w)] for w in leaves])
+                for q in range(a.n_states)
+            ]
+            expected = combinatorics.PermutationGroup(gens).order()
+            assert level_group(a, k, order_cap=10**13).order == expected, (a.family, k)
+
+
+def test_levels_past_the_recursion_budget_are_refused():
+    assert level_group(z2z4_automaton(), MAX_LEVEL).order == 8
+    with pytest.raises(ValueError, match="deeper than"):
+        level_group(z2z4_automaton(), MAX_LEVEL + 1)
 
 
 # -- orbits -----------------------------------------------------------
