@@ -10,6 +10,7 @@ order sweep), 2 for usage, config, or precondition errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -267,13 +268,13 @@ def _cmd_steer(args):
         "n0": res.n0,
         "n1": res.n1,
         "word": compact,
-        "word_length": res.word.length,
+        "word_length": res.word_length,
         "verified": True,
     }
     lines = [
         f"base word {_fmt_letters(res.base_word)} -> target {_fmt_letters(res.target)}",
         f"n0 = {res.n0}, n1 = {res.n1}",
-        f"g = {compact}  (c = {names[0]} {names[1]}^-1, {res.word.length} factors reduced)",
+        f"g = {compact}  (c = {names[0]} {names[1]}^-1, {res.word_length} factors reduced)",
         "verified: yes",
     ]
     return {"config": args.config, "target": args.target}, result, lines, 0
@@ -385,9 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built on the first `main` call and reused: parse_args returns a new
+    # Namespace each time and the handlers are parser defaults, so no
+    # state carries from one call to the next.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         options, result, lines, code = args.handler(args)
     except _USAGE_ERRORS as exc:

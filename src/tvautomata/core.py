@@ -536,7 +536,9 @@ class Automaton:
             identity_from=identity_from,
         )
 
-    def restricted(self, depth: int) -> "Automaton":
+    def restricted(
+        self, depth: int, *, family: Optional[tuple[str, dict]] = None
+    ) -> "Automaton":
         """Keep the first `depth` levels, act trivially beyond them."""
         if depth < 0:
             raise ValueError("restriction depth must be nonnegative")
@@ -554,6 +556,7 @@ class Automaton:
             state_names=self.state_names,
             fold=fold,
             identity_from=ident,
+            family=family,
         )
 
     def mealy_table(self) -> LevelTable:
@@ -576,7 +579,7 @@ class Automaton:
         except NotMealyError:
             return False
 
-    def dual(self) -> "Automaton":
+    def dual(self, *, family: Optional[tuple[str, dict]] = None) -> "Automaton":
         """Swap the roles of states and letters of a level-independent transducer.
 
         The dual's states are the letters and vice versa; its transition
@@ -592,6 +595,7 @@ class Automaton:
             (),
             (LevelTable(trans, out),),
             state_names=tuple(f"d{x}" for x in range(d)),
+            family=family,
         )
 
 

@@ -41,6 +41,10 @@ from .errors import (
 
 Word = tuple[int, ...]
 
+# Longest word `GroupWord.parse` expands, counted after adjacent powers of
+# one state are summed.
+MAX_WORD_FACTORS = 10**6
+
 
 # ---------------------------------------------------------------------------
 # words in the generators
@@ -116,7 +120,9 @@ class GroupWord:
         tokens = [t for t in re.split(r"[\s*]+", text.strip()) if t]
         if tokens in ([], ["e"], ["id"]):
             return GroupWord.identity()
-        factors: list[tuple[int, int]] = []
+        # Adjacent powers of one state are summed before anything is
+        # expanded, so the cap applies to the word's actual length.
+        powers: list[list[int]] = []
         for tok in tokens:
             m = re.fullmatch(r"([A-Za-z]\w*)(?:\^(-?\d+))?", tok)
             if m is None:
@@ -126,7 +132,19 @@ class GroupWord:
                 raise ValueError(
                     f"unknown state {name!r}; states are {', '.join(index)}"
                 )
-            factors.extend([(index[name], 1 if exp > 0 else -1)] * abs(exp))
+            if powers and powers[-1][0] == index[name]:
+                powers[-1][1] += exp
+            else:
+                powers.append([index[name], exp])
+        total = sum(abs(exp) for _, exp in powers)
+        if total > MAX_WORD_FACTORS:
+            raise ValueError(
+                f"word expression has {total} factors, at most "
+                f"{MAX_WORD_FACTORS} are allowed"
+            )
+        factors: list[tuple[int, int]] = []
+        for q, exp in powers:
+            factors.extend([(q, 1 if exp > 0 else -1)] * abs(exp))
         return GroupWord.from_factors(factors)
 
 
@@ -143,6 +161,9 @@ def apply_word(automaton: Automaton, word: GroupWord, letters: Sequence[int]) ->
 class Budget:
     max_depth: int = 20
     max_states: int = 200_000
+
+
+_DEFAULT_BUDGET = Budget()
 
 
 @dataclass(frozen=True)
@@ -213,7 +234,7 @@ def decide_equal(
     A "not_equal" verdict carries a shortest mismatch witness w found by
     the search, already transformed so that g(w) differs from h(w).
     """
-    budget = budget or Budget()
+    budget = budget or _DEFAULT_BUDGET
     e = g if h is None else g * h.inverse()
     if not e.factors:
         return EqualityVerdict("equal", method="periodic_bfs", explored=0)
@@ -716,6 +737,10 @@ def is_level_transitive_at(automaton: Automaton, level: int) -> bool:
 # two-state exponent calculus
 
 
+_GEN_A = GroupWord.generator(0)
+_GEN_B = GroupWord.generator(1)
+
+
 def _require_two_states(automaton: Automaton) -> None:
     if automaton.n_states != 2:
         raise NotTwoStateError(
@@ -784,6 +809,45 @@ def ratio_power_image(
         out.append(perms.power(twist, exponent % perms.order(twist))[x])
         if x in letter_partition(automaton, i)[1]:
             exponent = -exponent
+    return tuple(out)
+
+
+def _c_power_image(automaton: Automaton, n: int, letters: Sequence[int]) -> Word:
+    """Image of a word under c^n, c = (first state)(second state)^-1,
+    computed positionally in O(length * alphabet) for any integer n.
+
+    At one level let sigma be the root permutation of c.  The section of
+    c at a letter y is (t0[z], +)(t1[z], -) with z the second state's
+    labeling undone at y and t0, t1 the two transition rows, so it is c,
+    e or c^-1: c^eps(y) with eps(y) = t1[z] - t0[z].  Sections of powers
+    of c commute, so c^k sends x to sigma^k(x) with section exponent
+    sum_{j<k} eps(sigma^j x).  For k = q L + r, L the length of the sigma
+    cycle through x and 0 <= r < L, that is q (sum over the cycle) +
+    sum_{j<r} eps(sigma^j x); floor division keeps this true for negative
+    k.  Every labeling must be a permutation; reversibility is not needed.
+    """
+    _require_two_states(automaton)
+    word = automaton.schedule.check_word(letters)
+    out = []
+    k = n
+    for i, x in enumerate(word, start=1):
+        t = automaton.table_at(i)
+        q = t.first_noninvertible_state()
+        if q is not None:
+            raise NotInvertibleError(i, q)
+        undo_b, out_a = t.inverse_output[1], t.output[0]
+        to_a, to_b = t.transition
+        cycle, sums = [x], [0]
+        while True:
+            z = undo_b[cycle[-1]]
+            sums.append(sums[-1] + to_b[z] - to_a[z])
+            y = out_a[z]
+            if y == x:
+                break
+            cycle.append(y)
+        turns, r = divmod(k, len(cycle))
+        out.append(cycle[r])
+        k = turns * sums[-1] + sums[r]
     return tuple(out)
 
 
@@ -858,11 +922,29 @@ def _steering_level(automaton: Automaton, level: int) -> _SteeringLevel:
 
 @dataclass(frozen=True)
 class SteeringResult:
-    word: GroupWord
+    """A steering word c^n1 b^-1 c^n0 b, c = a b^-1, kept as (n0, n1).
+
+    `word` expands it on first access.  `word_length` is its reduced
+    length without expanding: c^n reduces to the 2n factors (a b^-1)^n,
+    and of the three seams only c^n0 b cancels, one b^-1 against b, since
+    c^n1 ends in b^-1 before b^-1 and c^n0 starts with a (n0 >= 1 always,
+    and the count holds for n0 = 0 as well).  That leaves
+    2 n1 + 1 + 2 n0 - 1 = 2 (n0 + n1) factors.
+    """
+
     base_word: Word
     target: Word
     n0: int
     n1: int
+
+    @functools.cached_property
+    def word(self) -> GroupWord:
+        c = _GEN_A * _GEN_B.inverse()
+        return c**self.n1 * _GEN_B.inverse() * c**self.n0 * _GEN_B
+
+    @property
+    def word_length(self) -> int:
+        return 2 * (self.n0 + self.n1)
 
     def display(self, names: Sequence[str]) -> str:
         return self.word.display(names)
@@ -913,16 +995,16 @@ def steer_to_word(automaton: Automaton, target: Sequence[int]) -> SteeringResult
         else:
             sign = -sign
     n1 = crt_solve(congruences)
-    a = GroupWord.generator(0)
-    b = GroupWord.generator(1)
-    c = a * b.inverse()
-    word = c**n1 * b.inverse() * c**n0 * b
-    image = apply_word(automaton, word, base)
+    # Verify c^n1 b^-1 c^n0 b factor by factor, the powers positionally.
+    image = automaton.run(1, base)[0]
+    image = _c_power_image(automaton, n0, image)
+    image = automaton.run(1, image, inverse=True)[0]
+    image = _c_power_image(automaton, n1, image)
     if image != target:
         raise VerificationFailedError(
             f"steering produced {image}, wanted {tuple(target)}"
         )
-    return SteeringResult(word, base, tuple(target), n0, n1)
+    return SteeringResult(base, tuple(target), n0, n1)
 
 
 # ---------------------------------------------------------------------------
@@ -943,6 +1025,13 @@ class GroupKind(Enum):
     @property
     def exponent(self) -> int:
         return {"Trivial": 1, "Z2": 2, "Z2xZ2": 2, "Z4": 4, "Z2xZ4": 4}[self.value]
+
+
+# The query words of `classify_two_state_binary`, built once.
+_AB, _BA = _GEN_A * _GEN_B, _GEN_B * _GEN_A
+_AA, _BB = _GEN_A * _GEN_A, _GEN_B * _GEN_B
+_A4 = _GEN_A**4
+_A_INV_B = _GEN_A.inverse() * _GEN_B
 
 
 def classify_two_state_binary(automaton: Automaton) -> GroupKind:
@@ -972,8 +1061,6 @@ def classify_two_state_binary(automaton: Automaton) -> GroupKind:
         raise NotBiReversibleError(
             f"bi-reversibility fails at level {verdict.level}: {verdict.reason}"
         )
-    a = GroupWord.generator(0)
-    b = GroupWord.generator(1)
 
     def equal(x: GroupWord, y: Optional[GroupWord] = None) -> bool:
         v = decide_equal(automaton, x, y)
@@ -983,11 +1070,11 @@ def classify_two_state_binary(automaton: Automaton) -> GroupKind:
 
     # The three relations every such machine satisfies; a failure here
     # means the preconditions were not really met.
-    if not (equal(a * b, b * a) and equal(a * a, b * b) and equal(a**4)):
+    if not (equal(_AB, _BA) and equal(_AA, _BB) and equal(_A4)):
         raise VerificationFailedError("defining relations failed to hold")
-    c = a.inverse() * b
+    a, c = _GEN_A, _A_INV_B
     if equal(a):
         return GroupKind.TRIVIAL if equal(c) else GroupKind.Z2
-    if equal(a * a):
+    if equal(_AA):
         return GroupKind.Z2 if (equal(c) or equal(c, a)) else GroupKind.Z2xZ2
-    return GroupKind.Z4 if (equal(c) or equal(c, a * a)) else GroupKind.Z2xZ4
+    return GroupKind.Z4 if (equal(c) or equal(c, _AA)) else GroupKind.Z2xZ4

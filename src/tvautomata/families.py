@@ -348,9 +348,7 @@ def z2z4_automaton() -> Automaton:
 def z4_automaton() -> Automaton:
     """The two-level truncation of the period-2 machine: identical tables
     on levels 1 and 2, identity from level 3 on."""
-    a = z2z4_automaton().restricted(2)
-    a.family = ("z4", {})
-    return a
+    return z2z4_automaton().restricted(2, family=("z4", {}))
 
 
 def lamplighter_automaton() -> Automaton:
@@ -383,9 +381,7 @@ def bellaterra_automaton() -> Automaton:
 
 def bellaterra_dual_automaton() -> Automaton:
     """The state-letter dual: two states acting on a ternary alphabet."""
-    a = bellaterra_automaton().dual()
-    a.family = ("bellaterra_dual", {})
-    return a
+    return bellaterra_automaton().dual(family=("bellaterra_dual", {}))
 
 
 def subsequence_embedding_automaton(

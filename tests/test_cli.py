@@ -1,9 +1,11 @@
 """End-to-end runs of the command line front end."""
 
 import json
+import time
 
 import pytest
 
+from tvautomata import cli
 from tvautomata.cli import main
 
 Z2Z4 = {
@@ -190,6 +192,30 @@ def test_act_rejects_bad_input(capsys, config):
     assert code == 2
     with pytest.raises(SystemExit):
         main(["act", "--config", "x.json", "--state", "a", "--word-expr", "b", "--input", "0"])
+
+
+def test_act_refuses_an_oversized_word_expression_at_once(capsys, config):
+    path = config(Z2Z4)
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "act", "--config", path, "--word-expr", "a^30000000", "--input", "0"
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    code, report, _ = run_json(
+        capsys,
+        "act",
+        "--config",
+        path,
+        "--word-expr",
+        "a^30000000 a^-29999999",
+        "--input",
+        "1,0",
+    )
+    assert code == 0
+    assert report["result"]["word"] == "a"
 
 
 # -- levels -----------------------------------------------------------
@@ -418,6 +444,32 @@ def test_explicit_config_document(capsys, config):
     bad["automaton"]["explicit"]["period"][0]["transition"][0][1] = 7
     code, _, err = run(capsys, "classify", "--config", config(bad, "bad.json"))
     assert code == 2
+
+
+def test_a_reused_parser_reports_like_a_fresh_one(capsys, config, monkeypatch):
+    z2z4, e2 = config(Z2Z4), config(E2_34, "e2.json")
+    calls = [
+        ["act", "--config", z2z4, "--word-expr", "a b^-1", "--input", "1,0,1",
+         "--format", "json"],
+        ["steer", "--config", e2, "--target", "2,3"],
+        ["act", "--config", z2z4, "--state", "a", "--word-expr", "a", "--input", "0"],
+        ["classify", "--config", z2z4, "--format", "json"],
+        ["act", "--config", z2z4, "--state", "b", "--input", "0,1"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = [call(argv) for argv in calls]
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]
+    assert [call(argv) for argv in calls] == fresh
 
 
 def test_missing_config_flag_is_a_usage_error():

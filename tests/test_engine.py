@@ -41,7 +41,7 @@ from tvautomata import (
     z4_automaton,
 )
 from tvautomata import perms
-from tvautomata.engine import MAX_LEVEL
+from tvautomata.engine import MAX_LEVEL, MAX_WORD_FACTORS, _c_power_image
 
 from test_core import catalog
 
@@ -91,6 +91,11 @@ def test_word_display_and_parse():
     assert GroupWord.parse("a * a^-1", names) == E
     with pytest.raises(ValueError):
         GroupWord.parse("a c", names)
+    # Adjacent powers are summed first, so only the summed length is capped.
+    assert GroupWord.parse("a^5 a^-2 b", names) == A**3 * B
+    assert GroupWord.parse(f"a^{10 * MAX_WORD_FACTORS} a^{-10 * MAX_WORD_FACTORS}", names) == E
+    with pytest.raises(ValueError, match="factors"):
+        GroupWord.parse(f"a^{MAX_WORD_FACTORS} b", names)
 
 
 def test_apply_word_is_right_to_left():
@@ -165,6 +170,7 @@ def test_stepping_backward_through_a_noninvertible_row_names_level_and_state():
         lambda: apply_word(m, B.inverse(), (0, 0)),
         lambda: decide_equal(m, B.inverse()),
         lambda: level_group(m, 2),
+        lambda: _c_power_image(m, 1, (0, 0)),
     ]
     for call in calls:
         with pytest.raises(NotInvertibleError) as err:

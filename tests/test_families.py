@@ -377,6 +377,21 @@ def test_every_builtin_config_round_trips():
         assert tables_equal(rebuilt, again, 40)
 
 
+def test_restricted_and_dual_machines_carry_their_family():
+    for build, family in (
+        (z4_automaton, "z4"),
+        (bellaterra_dual_automaton, "bellaterra_dual"),
+    ):
+        a = build()
+        doc = config_of(a)
+        assert doc["automaton"] == {"builtin": family, "params": {}}
+        rebuilt = build_from_config(doc)
+        assert rebuilt.family == (family, {})
+        assert tables_equal(rebuilt, a, 12)
+    assert z2z4_automaton().restricted(2).family is None
+    assert bellaterra_automaton().dual().family is None
+
+
 def test_explicit_config_round_trip():
     a = random_bir22_automaton(4, prefix_len=1, period_len=2)
     a.family = None

@@ -1,6 +1,8 @@
 """Constructive transitivity: reaching chosen words from the base word."""
 
+import itertools
 import random
+import time
 
 import pytest
 
@@ -9,10 +11,12 @@ from tvautomata import (
     GroupWord,
     NonCoprimeModuliError,
     SteeringError,
+    VerificationFailedError,
     apply_word,
     cycle_transposition_automaton,
     steer_to_word,
 )
+from tvautomata import engine
 
 A = GroupWord.generator(0)
 B = GroupWord.generator(1)
@@ -81,3 +85,41 @@ def test_steering_respects_nondefault_letters():
     res = steer_to_word(a, (3, 0))
     assert res.base_word == (2, 2)
     assert apply_word(a, res.word, (2, 2)) == (3, 0)
+
+
+def test_every_short_target_gets_a_word_of_the_stated_length():
+    sizes = (3, 4, 6, 8)
+    a = machine(*sizes)
+    targets = [
+        target
+        for length in range(1, len(sizes) + 1)
+        for target in itertools.product(*(range(d) for d in sizes[:length]))
+    ]
+    assert len(targets) == 663
+    for target in targets:
+        res = steer_to_word(a, target)
+        assert res.word_length == res.word.length
+        assert apply_word(a, res.word, res.base_word) == target
+
+
+def test_seven_coprime_levels_steer_without_expanding_the_word():
+    a = machine(3, 4, 6, 8, 12, 14, 18)
+    start = time.perf_counter()
+    res = steer_to_word(a, (2, 3, 5, 7, 11, 13, 17))
+    assert time.perf_counter() - start < 1.0
+    assert "word" not in res.__dict__
+    assert res.word_length == 2 * (res.n0 + res.n1)
+
+
+def test_a_wrong_exponent_fails_verification(monkeypatch):
+    solve, calls = engine.crt_solve, []
+
+    def off_by_one_n1(congruences):
+        calls.append(congruences)
+        n = solve(congruences)
+        return n + 1 if len(calls) == 2 else n
+
+    monkeypatch.setattr(engine, "crt_solve", off_by_one_n1)
+    with pytest.raises(VerificationFailedError):
+        steer_to_word(machine(3, 4), (2, 3))
+    assert len(calls) == 2

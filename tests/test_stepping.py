@@ -14,6 +14,7 @@ from tvautomata import (  # noqa: E402
     cycle_transposition_automaton,
     step_section,
 )
+from tvautomata.engine import _c_power_image  # noqa: E402
 
 
 def _reference_image(automaton, factors, word):
@@ -35,10 +36,10 @@ def _reference_image(automaton, factors, word):
 
 
 @st.composite
-def explicit_machines(draw):
+def explicit_machines(draw, states=st.integers(2, 3)):
     """Explicit periodic machines with 2-3 states over sizes 2-4 and
     permutational output rows, so every state can be run backward."""
-    n = draw(st.integers(2, 3))
+    n = draw(states)
     size = st.integers(2, 4)
     prefix_sizes = draw(st.lists(size, max_size=2))
     period_sizes = draw(st.lists(size, min_size=1, max_size=2))
@@ -92,3 +93,18 @@ def test_kernel_agrees_with_the_reference_fold(case):
         y, section = step_section(automaton, section, level, x)
         stepped.append(y)
     assert tuple(stepped) == image
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(
+    st.one_of(explicit_machines(states=st.just(2)), ramp_machines),
+    st.integers(-40, 40),
+    st.data(),
+)
+def test_positional_powers_of_c_match_the_expanded_word(automaton, n, data):
+    # Transitions are drawn freely, so most machines are not reversible.
+    length = data.draw(st.integers(0, 7))
+    sizes = automaton.schedule.sizes(length)
+    letters = tuple(data.draw(st.integers(0, d - 1)) for d in sizes)
+    c = GroupWord.generator(0) * GroupWord.generator(1).inverse()
+    assert _c_power_image(automaton, n, letters) == apply_word(automaton, c**n, letters)
