@@ -26,7 +26,6 @@ from .errors import (
     NotBiReversibleError,
     NotInvertibleError,
     NotMealyError,
-    NotOnSameCycleError,
     NotTwoStateError,
     OrderCapExceededError,
     ScheduleMismatchError,
@@ -46,7 +45,6 @@ _USAGE_ERRORS = (
     NotBiReversibleError,
     NotInvertibleError,
     NotMealyError,
-    NotOnSameCycleError,
     NotTwoStateError,
     ScheduleMismatchError,
     SteeringError,

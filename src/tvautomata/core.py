@@ -344,6 +344,12 @@ class Automaton:
         identity_from: Optional[int] = None,
         family: Optional[tuple[str, dict]] = None,
     ) -> "Automaton":
+        """A machine given by a bare rule, with no fold.
+
+        `exact_bireversible=True` is the caller's claim that every level
+        is bi-reversible; `bireversibility()` then checks only levels
+        1 .. `_SANITY_DEPTH` (8) and reports the verdict as exact.
+        """
         return Automaton(
             schedule,
             n_states,

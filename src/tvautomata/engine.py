@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from . import perms
-from .core import Automaton
+from .core import Automaton, LevelTable
 from .errors import (
     BudgetExceededError,
     InvalidWordError,
@@ -389,7 +389,6 @@ class _PortraitContext:
         self._compose_memo: list[dict] = [{} for _ in range(depth + 2)]
         self._inverse_memo: list[dict] = [{} for _ in range(depth + 2)]
         self._state_memo: dict = {}
-        self._tree_memo: dict = {}
 
     def mk(self, level: int, root: tuple[int, ...], kids: tuple[int, ...]) -> int:
         key = (root, kids)
@@ -453,38 +452,6 @@ class _PortraitContext:
             pid = self.mk(level, root, kids)
             memo[u] = pid
         return pid
-
-    def tree(self, level: int, pid: int, depth_cap: Optional[int] = None):
-        """Canonical nested-tuple form, truncated at `depth_cap` levels."""
-        if level > self.depth or depth_cap == 0:
-            return None
-        cap = None if depth_cap is None else depth_cap - 1
-        key = (level, pid, depth_cap)
-        out = self._tree_memo.get(key)
-        if out is None:
-            root, kids = self.nodes[level][pid]
-            out = (root, tuple(self.tree(level + 1, k, cap) for k in kids))
-            self._tree_memo[key] = out
-        return out
-
-    def leaf_permutation(self, pid: int) -> tuple[int, ...]:
-        """The action on leaves of the truncated tree, leaves ordered
-        lexicographically by word."""
-        blocks = [1] * (self.depth + 2)
-        for level in range(self.depth, 0, -1):
-            blocks[level] = blocks[level + 1] * self.sizes[level]
-
-        def walk(level: int, p: int) -> list[int]:
-            if level > self.depth:
-                return [0]
-            root, kids = self.nodes[level][p]
-            out = []
-            for x in range(self.sizes[level]):
-                base = root[x] * blocks[level + 1]
-                out.extend(base + v for v in walk(level + 1, kids[x]))
-            return out
-
-        return tuple(walk(1, pid))
 
     def image(self, pid: int, vertex: Word) -> Word:
         """Where the level-1 portrait `pid` sends a tree vertex (a word of
@@ -616,14 +583,13 @@ class LevelGroup:
     leaf_count: int
     order: int
     generator_ids: tuple[int, ...]
-    inverse_generator_ids: tuple[int, ...]
     context: _PortraitContext = field(repr=False)
 
     @functools.cached_property
     def element_ids(self) -> tuple[int, ...]:
         """Every element, found breadth-first from the identity."""
-        ctx = self.context
-        steps = self.generator_ids + self.inverse_generator_ids
+        ctx, gens = self.context, self.generator_ids
+        steps = gens + tuple(ctx.inverse(1, g) for g in gens)
         identity = ctx.identity_ids[1]
         seen = {identity}
         elements = [identity]
@@ -638,14 +604,18 @@ class LevelGroup:
                     queue.append(new)
         return tuple(elements)
 
+    @functools.cached_property
+    def _leaf_index(self) -> dict[Word, int]:
+        words = self.automaton.schedule.words_at_level(self.level)
+        return {w: i for i, w in enumerate(words)}
+
     def leaf_permutation(self, pid: int) -> tuple[int, ...]:
-        return self.context.leaf_permutation(pid)
+        """The action on the level's words, numbered lexicographically."""
+        index = self._leaf_index
+        return tuple(index[self.context.image(pid, w)] for w in index)
 
     def element_leaf_permutations(self) -> list[tuple[int, ...]]:
         return [self.leaf_permutation(e) for e in self.element_ids]
-
-    def element_trees(self, depth: Optional[int] = None) -> set:
-        return {self.context.tree(1, e, depth) for e in self.element_ids}
 
     def element_order(self, pid: int) -> int:
         ctx = self.context
@@ -687,7 +657,6 @@ def level_group(
         raise ValueError(f"level {level} is deeper than the supported {MAX_LEVEL}")
     ctx = _PortraitContext(automaton, level)
     gens = tuple(ctx.from_state(1, q) for q in range(automaton.n_states))
-    inv_gens = tuple(ctx.inverse(1, g) for g in gens)
     order = _chain_order(ctx, gens)
     if order > order_cap:
         raise OrderCapExceededError(order_cap, order)
@@ -697,7 +666,6 @@ def level_group(
         automaton.schedule.leaf_count(level),
         order,
         gens,
-        inv_gens,
         ctx,
     )
 
@@ -796,33 +764,47 @@ def ratio_power_image(
     """Image of a word under the n-th power of (first state)^-1 (second state),
     computed positionally.
 
-    Each position applies a power of the labeling twist; the exponent
-    sign flips after every state-swapping input letter.  Valid for
-    two-state bi-reversible transducers.
+    With c = (first state)(second state)^-1, the ratio is a^-1 c^-1 a, so
+    its n-th power is a^-1 c^-n a: the word is fed through the first
+    state, moved by c^-n as `_c_power_image` does, and fed back through
+    the first state undone.  Every labeling must be a permutation.
     """
     _require_two_states(automaton)
-    word = automaton.schedule.check_word(letters)
-    out = []
-    exponent = n
-    for i, x in enumerate(word, start=1):
-        twist = labeling_twist(automaton, i)
-        out.append(perms.power(twist, exponent % perms.order(twist))[x])
-        if x in letter_partition(automaton, i)[1]:
-            exponent = -exponent
-    return tuple(out)
+    image = automaton.run(0, letters)[0]
+    image = _c_power_image(automaton, -n, image)
+    return automaton.run(0, image, inverse=True)[0]
+
+
+def _c_cycle(t: LevelTable, x: int) -> tuple[list[int], list[int]]:
+    """The cycle of c's root permutation through `x` at one level, from
+    `x` on, and the running sums of the section exponents along it (one
+    entry longer than the cycle: the last is the sum over the cycle).
+
+    c = (first state)(second state)^-1 moves y to a[z] with z the second
+    state's labeling undone at y, and its section there is
+    (t0[z], +)(t1[z], -), which is c, e or c^-1: c^eps with
+    eps = t1[z] - t0[z], t0 and t1 being the two transition rows.
+    """
+    undo_b, out_a = t.inverse_output[1], t.output[0]
+    to_a, to_b = t.transition
+    cycle, sums = [x], [0]
+    while True:
+        z = undo_b[cycle[-1]]
+        sums.append(sums[-1] + to_b[z] - to_a[z])
+        y = out_a[z]
+        if y == x:
+            return cycle, sums
+        cycle.append(y)
 
 
 def _c_power_image(automaton: Automaton, n: int, letters: Sequence[int]) -> Word:
     """Image of a word under c^n, c = (first state)(second state)^-1,
     computed positionally in O(length * alphabet) for any integer n.
 
-    At one level let sigma be the root permutation of c.  The section of
-    c at a letter y is (t0[z], +)(t1[z], -) with z the second state's
-    labeling undone at y and t0, t1 the two transition rows, so it is c,
-    e or c^-1: c^eps(y) with eps(y) = t1[z] - t0[z].  Sections of powers
-    of c commute, so c^k sends x to sigma^k(x) with section exponent
-    sum_{j<k} eps(sigma^j x).  For k = q L + r, L the length of the sigma
-    cycle through x and 0 <= r < L, that is q (sum over the cycle) +
+    Sections of powers of c commute, so c^k sends x to sigma^k(x), sigma
+    being c's root permutation, with section c^(sum_{j<k} eps(sigma^j x))
+    (see `_c_cycle`).  For k = q L + r, L the length of the sigma cycle
+    through x and 0 <= r < L, that exponent is q (sum over the cycle) +
     sum_{j<r} eps(sigma^j x); floor division keeps this true for negative
     k.  Every labeling must be a permutation; reversibility is not needed.
     """
@@ -835,16 +817,7 @@ def _c_power_image(automaton: Automaton, n: int, letters: Sequence[int]) -> Word
         q = t.first_noninvertible_state()
         if q is not None:
             raise NotInvertibleError(i, q)
-        undo_b, out_a = t.inverse_output[1], t.output[0]
-        to_a, to_b = t.transition
-        cycle, sums = [x], [0]
-        while True:
-            z = undo_b[cycle[-1]]
-            sums.append(sums[-1] + to_b[z] - to_a[z])
-            y = out_a[z]
-            if y == x:
-                break
-            cycle.append(y)
+        cycle, sums = _c_cycle(t, x)
         turns, r = divmod(k, len(cycle))
         out.append(cycle[r])
         k = turns * sums[-1] + sums[r]
@@ -886,9 +859,8 @@ class _SteeringLevel:
     size: int
     marked: int            # letter both states swap on
     partner: int           # image of the marked letter under both labelings
-    long_cycle: tuple[int, ...]
     swap: tuple[int, ...]
-    twist: tuple[int, ...]  # long cycle after undoing the swap
+    cycle: list[int]       # c's root cycle from the marked letter on
 
 
 def _steering_level(automaton: Automaton, level: int) -> _SteeringLevel:
@@ -916,8 +888,7 @@ def _steering_level(automaton: Automaton, level: int) -> _SteeringLevel:
         raise SteeringError(
             f"level {level}: first labeling must cycle all letters, marked to partner"
         )
-    twist = perms.compose(long_cycle, t.inverse_output[1])
-    return _SteeringLevel(d, marked, partner, tuple(long_cycle), tuple(swap), twist)
+    return _SteeringLevel(d, marked, partner, tuple(swap), _c_cycle(t, marked)[0])
 
 
 @dataclass(frozen=True)
@@ -988,9 +959,9 @@ def steer_to_word(automaton: Automaton, target: Sequence[int]) -> SteeringResult
     for i, lv in enumerate(levels):
         if target[i] != lv.partner:
             # After undoing the second state, this position holds the marked
-            # letter twisted n0 times and swapped; walk the twist cycle on.
-            reached = lv.swap[perms.power(lv.twist, n0 % moduli[i])[lv.marked]]
-            e = perms.discrete_log_on_cycle(lv.twist, reached, target[i])
+            # letter moved n0 times by c's root and swapped; walk c's cycle on.
+            reached = lv.swap[lv.cycle[n0 % moduli[i]]]
+            e = lv.cycle.index(target[i]) - lv.cycle.index(reached)
             congruences.append((sign * e % moduli[i], moduli[i]))
         else:
             sign = -sign

@@ -70,10 +70,6 @@ class NonCoprimeModuliError(AutomatonError):
     """Simultaneous congruences need pairwise coprime moduli."""
 
 
-class NotOnSameCycleError(AutomatonError):
-    """Discrete log asked for two points on different cycles."""
-
-
 class SteeringError(AutomatonError):
     """Steering preconditions failed for the requested target."""
 

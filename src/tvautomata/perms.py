@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .errors import NotOnSameCycleError
-
 
 def is_permutation(p: Sequence[int]) -> bool:
     n = len(p)
@@ -46,15 +44,6 @@ def invert(p: Sequence[int]) -> tuple[int, ...]:
     for x, y in enumerate(p):
         out[y] = x
     return tuple(out)
-
-
-def power(p: Sequence[int], n: int) -> tuple[int, ...]:
-    """`p` composed with itself `n` times; negative `n` uses the inverse."""
-    base = tuple(p) if n >= 0 else invert(p)
-    result = identity(len(p))
-    for _ in range(abs(n)):
-        result = compose(base, result)
-    return result
 
 
 def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:
@@ -109,23 +98,3 @@ def cycle_length_through(p: Sequence[int], x: int) -> int:
         length += 1
         y = p[y]
     return length
-
-
-def discrete_log_on_cycle(p: Sequence[int], x: int, y: int) -> int:
-    """Smallest e >= 0 with p^e(x) = y, both on one cycle of `p`.
-
-    Raises ValueError when a point lies outside range(len(p)), and
-    NotOnSameCycleError when `y` never appears on the cycle through `x`.
-    """
-    n = len(p)
-    if not (0 <= x < n and 0 <= y < n):
-        raise ValueError("points must be in the permutation's domain")
-    e = 0
-    z = x
-    while True:
-        if z == y:
-            return e
-        z = p[z]
-        e += 1
-        if z == x:
-            raise NotOnSameCycleError(f"{y} is not on the cycle of {x}")

@@ -171,6 +171,7 @@ def test_stepping_backward_through_a_noninvertible_row_names_level_and_state():
         lambda: decide_equal(m, B.inverse()),
         lambda: level_group(m, 2),
         lambda: _c_power_image(m, 1, (0, 0)),
+        lambda: ratio_power_image(m, 1, (0, 0)),
     ]
     for call in calls:
         with pytest.raises(NotInvertibleError) as err:
@@ -326,7 +327,12 @@ def test_truncation_maps_level_groups_onto_shallower_ones():
         for k in (1, 2):
             shallow = level_group(a, k)
             deep = level_group(a, k + 1)
-            assert deep.element_trees(k) == shallow.element_trees(k)
+            block = a.schedule.size_at(k + 1)
+            projected = {
+                tuple(p[i * block] // block for i in range(shallow.leaf_count))
+                for p in deep.element_leaf_permutations()
+            }
+            assert projected == set(shallow.element_leaf_permutations())
 
 
 def test_level_group_order_cap():
@@ -438,6 +444,18 @@ def test_ratio_powers_match_word_application():
                 rng.randrange(a.schedule.size_at(i)) for i in range(1, depth + 1)
             )
             assert ratio_power_image(a, n, word) == apply_word(a, c**n, word)
+
+
+def test_ratio_powers_need_only_invertible_labelings():
+    # The lamplighter's labelings are permutations, but it is not
+    # bi-reversible.
+    lamp = lamplighter_automaton()
+    c = A.inverse() * B
+    rng = random.Random(5)
+    for n in range(-12, 13):
+        for _ in range(4):
+            word = tuple(rng.randrange(2) for _ in range(rng.randrange(12)))
+            assert ratio_power_image(lamp, n, word) == apply_word(lamp, c**n, word)
 
 
 def test_torsion_exponent_bound():

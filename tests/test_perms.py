@@ -1,6 +1,5 @@
 import pytest
 
-from tvautomata import NotOnSameCycleError
 from tvautomata import perms
 
 
@@ -15,13 +14,6 @@ def test_invert():
     rot = perms.rotation(4)
     assert perms.compose(perms.invert(rot), rot) == perms.identity(4)
     assert perms.invert((2, 0, 1)) == (1, 2, 0)
-
-
-def test_power_handles_negative_exponents():
-    rot = perms.rotation(5)
-    assert perms.power(rot, 0) == perms.identity(5)
-    assert perms.power(rot, 7) == perms.power(rot, 2)
-    assert perms.power(rot, -1) == perms.invert(rot)
 
 
 def test_order():
@@ -57,27 +49,3 @@ def test_cycle_length_through():
     assert perms.cycle_length_through(p, 2) == 3
     assert perms.cycle_length_through(p, 1) == 2
     assert perms.cycle_length_through(p, 4) == 1
-
-
-def test_discrete_log_walks_the_cycle():
-    p = perms.from_cycles(4, [(0, 2, 3)])
-    assert perms.discrete_log_on_cycle(p, 2, 3) == 1
-    assert perms.discrete_log_on_cycle(p, 2, 2) == 0
-    assert perms.discrete_log_on_cycle(p, 0, 3) == 2
-    swap = perms.transposition(3, 0, 2)
-    assert perms.discrete_log_on_cycle(swap, 0, 2) == 1
-
-
-def test_discrete_log_rejects_unreachable_targets():
-    with pytest.raises(NotOnSameCycleError):
-        perms.discrete_log_on_cycle(perms.identity(3), 0, 1)
-    with pytest.raises(NotOnSameCycleError):
-        perms.discrete_log_on_cycle(perms.from_cycles(4, [(0, 1), (2, 3)]), 0, 2)
-
-
-def test_discrete_log_rejects_points_outside_the_domain():
-    p = perms.from_cycles(4, [(0, 2, 3)])
-    assert perms.discrete_log_on_cycle(p, 2, 3) == 1
-    assert perms.discrete_log_on_cycle(p, 3, 3) == 0
-    with pytest.raises(ValueError):
-        perms.discrete_log_on_cycle(p, 4, 0)
