@@ -27,6 +27,7 @@ from .errors import (
     NotInvertibleError,
     NotMealyError,
     NotTwoStateError,
+    OrbitTooLargeError,
     OrderCapExceededError,
     ScheduleMismatchError,
     SteeringError,
@@ -46,6 +47,7 @@ _USAGE_ERRORS = (
     NotInvertibleError,
     NotMealyError,
     NotTwoStateError,
+    OrbitTooLargeError,
     ScheduleMismatchError,
     SteeringError,
     UnboundedScheduleError,

@@ -12,8 +12,8 @@ and an optional level from which on every state acts trivially.  A fold
 or an identity tail leaves finitely many distinct levels, so decisions
 downstream are exact; a bare rule is checked up to a depth unless the
 construction carries a guarantee.  Every letter is stepped by
-`LevelTable.step`, which reads the table's output rows forward and its
-cached inverse output rows backward.
+`LevelTable.step`, which reads the table's cached signed rows: its own
+rows forward and the inverse transducer's rows backward.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     NotMealyError,
     ScheduleMismatchError,
 )
-from .schedule import AlphabetSchedule
+from .schedule import AlphabetSchedule, is_config_int
 
 NOT_INVERTIBLE = "not_invertible"
 NOT_REVERSIBLE = "not_reversible"
@@ -83,14 +83,11 @@ class LevelTable:
         """The output row of one state, as a function of the input letter."""
         return self.output[state]
 
-    @functools.cached_property
-    def inverse_output(self) -> tuple[Optional[tuple[int, ...]], ...]:
-        """Each state's output row inverted; None for a row that is not a
-        permutation.  Computed once per table and not part of its identity."""
-        return tuple(
-            perms.invert(row) if perms.is_permutation(row) else None
-            for row in self.output
-        )
+    def inverse_labeling(self, state: int) -> Optional[tuple[int, ...]]:
+        """The output row of one state inverted, or None when it is not a
+        permutation."""
+        row = self.signed_rows[-1][state]
+        return None if row is None else row[0]
 
     @functools.cached_property
     def failure(self) -> Optional[str]:
@@ -104,6 +101,35 @@ class LevelTable:
             return INVERSE_NOT_REVERSIBLE
         return None
 
+    @functools.cached_property
+    def signed_rows(
+        self,
+    ) -> dict[int, tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]], ...]]:
+        """Per sign, then per state, the pair (output row, next-state row),
+        both indexed by the input letter: sign 1 reads the table forward
+        and sign -1 acts by the inverse transducer, which undoes the
+        output row first and then follows the transition on the undone
+        letter.  An inverse entry is None when the state's output row is
+        not a permutation.  Computed once per table and not part of its
+        identity."""
+        backward = []
+        for out, trans in zip(self.output, self.transition):
+            if perms.is_permutation(out):
+                inv = perms.invert(out)
+                backward.append((inv, tuple(map(trans.__getitem__, inv))))
+            else:
+                backward.append(None)
+        return {1: tuple(zip(self.output, self.transition)), -1: tuple(backward)}
+
+    @functools.cached_property
+    def proven_rows(self) -> dict[tuple[int, ...], dict[tuple[int, ...], tuple]]:
+        """Rows the equality search proved, keyed by factor signs and then
+        by factor states: each row lists the next states per input letter
+        of a node whose every letter is emitted unchanged.  Filled only by
+        `engine.decide_equal` closures that end "equal", and shared by
+        every machine that uses this table object."""
+        return {}
+
     def step(
         self, states: Sequence[int], signs: Sequence[int], x: int, level: int
     ) -> tuple[int, tuple[int, ...]]:
@@ -116,22 +142,48 @@ class LevelTable:
         NotInvertibleError raised when a negative factor's row is not a
         permutation.
         """
+        rows = self.signed_rows
         new_states = list(states)
         for i in range(len(states) - 1, -1, -1):
-            q = states[i]
-            if signs[i] > 0:
-                new_states[i] = self.transition[q][x]
-                x = self.output[q][x]
-            else:
-                row = self.inverse_output[q]
-                if row is None:
-                    raise NotInvertibleError(level, q)
-                x = row[x]
-                new_states[i] = self.transition[q][x]
+            row = rows[signs[i]][states[i]]
+            if row is None:
+                raise NotInvertibleError(level, states[i])
+            out, nxt = row
+            new_states[i] = nxt[x]
+            x = out[x]
         return x, tuple(new_states)
 
+    def step_row(
+        self, states: Sequence[int], signs: Sequence[int], level: int
+    ) -> tuple[tuple[tuple[int, ...], ...], Optional[int]]:
+        """`step` for each input letter in turn, up to the first letter
+        the factors do not give back unchanged.
+
+        Returns the next states for every letter before that one, and
+        that letter, or None when every letter comes back unchanged.
+        Which factor fails does not depend on the letter, so this raises
+        exactly the NotInvertibleError that `step` raises for any letter.
+        """
+        rows = self.signed_rows
+        picked = [rows[s][q] for s, q in zip(signs, states)]
+        if None in picked:
+            i = len(picked) - 1 - picked[::-1].index(None)
+            raise NotInvertibleError(level, states[i])
+        picked.reverse()  # the rightmost factor reads the letter first
+        nexts = []
+        for x in range(self.alphabet_size):
+            y, new_states = x, []
+            for out, nxt in picked:
+                new_states.append(nxt[y])
+                y = out[y]
+            if y != x:
+                return tuple(nexts), x
+            new_states.reverse()
+            nexts.append(tuple(new_states))
+        return tuple(nexts), None
+
     def first_noninvertible_state(self) -> Optional[int]:
-        for q, row in enumerate(self.inverse_output):
+        for q, row in enumerate(self.signed_rows[-1]):
             if row is None:
                 return q
         return None
@@ -168,12 +220,10 @@ class LevelTable:
         q = self.first_noninvertible_state()
         if q is not None:
             raise ValueError(f"state {q} has a noninvertible labeling")
-        inv_out = self.inverse_output
-        trans = tuple(
-            tuple(self.transition[q][inv_out[q][x]] for x in range(self.alphabet_size))
-            for q in range(self.n_states)
+        backward = self.signed_rows[-1]
+        return LevelTable(
+            tuple(nxt for _, nxt in backward), tuple(inv for inv, _ in backward)
         )
-        return LevelTable(trans, inv_out)
 
     def to_config(self) -> dict:
         return {
@@ -190,7 +240,7 @@ class LevelTable:
 
         def rows(obj, what):
             if not isinstance(obj, list) or not all(
-                isinstance(r, list) and all(isinstance(v, int) for v in r) for r in obj
+                isinstance(r, list) and all(is_config_int(v) for v in r) for r in obj
             ):
                 raise ValueError(f"{what} must be a list of integer rows")
             return tuple(tuple(r) for r in obj)
@@ -234,7 +284,7 @@ class Automaton:
     at levels 1 .. p + m, which fills `periodic_tables` as a
     (prefix, period) pair, and never above that.  From `identity_from`
     on every state acts trivially and the rule is not consulted.
-    Levels are 1-based and tables are cached on first use.
+    Levels are 1-based; tables are cached per phase on first use.
 
     A phase is a class of levels that share one table and one alphabet
     size, named by an int: its representative level, or 0 for the
@@ -270,6 +320,8 @@ class Automaton:
         self.identity_from = identity_from
         self.family = family
         self._cache: dict[int, LevelTable] = {}
+        # Identity tail tables by alphabet size, made on first use.
+        self._identity_tables: Optional[dict[int, LevelTable]] = None
         self.periodic_tables = None
         if fold is not None:
             p, m = fold
@@ -377,31 +429,42 @@ class Automaton:
             ) from None
 
     def table_at(self, level: int) -> LevelTable:
-        if level < 1:
-            raise ValueError(f"levels start at 1, got {level}")
+        # Only phases are cached: a folded level past p + m reads its
+        # phase's entry, and the identity tail one table per alphabet size.
         table = self._cache.get(level)
         if table is None:
+            if level < 1:
+                raise ValueError(f"levels start at 1, got {level}")
             phase = self.phase(level)
-            if phase == 0:
-                table = LevelTable.identity(self.n_states, self.schedule.size_at(level))
-            elif phase in self._cache:
-                # A level shares its phase's sizes (the fold lines up with
-                # the schedule), so only tables the rule produces are checked.
-                table = self._cache[phase]
-            else:
-                table = self._table_fn(phase)
-                if table.n_states != self.n_states:
-                    raise ScheduleMismatchError(
-                        f"table at level {phase} has {table.n_states} states, "
-                        f"expected {self.n_states}"
-                    )
-                if table.alphabet_size != self.schedule.size_at(phase):
-                    raise ScheduleMismatchError(
-                        f"table at level {phase} has alphabet size {table.alphabet_size}, "
-                        f"schedule says {self.schedule.size_at(phase)}"
-                    )
-                self._cache[phase] = table
-            self._cache[level] = table
+            table = self._cache.get(phase)
+            if table is None:
+                table = self._first_table_of_phase(phase, level)
+        return table
+
+    def _first_table_of_phase(self, phase: int, level: int) -> LevelTable:
+        if phase == 0:
+            size = self.schedule.size_at(level)
+            if self._identity_tables is None:
+                self._identity_tables = {}
+            table = self._identity_tables.get(size)
+            if table is None:
+                table = LevelTable.identity(self.n_states, size)
+                self._identity_tables[size] = table
+            return table
+        table = self._table_fn(phase)
+        if table.n_states != self.n_states:
+            raise ScheduleMismatchError(
+                f"table at level {phase} has {table.n_states} states, "
+                f"expected {self.n_states}"
+            )
+        # A level shares its phase's sizes (the fold lines up with the
+        # schedule), so only tables the rule produces are checked.
+        if table.alphabet_size != self.schedule.size_at(phase):
+            raise ScheduleMismatchError(
+                f"table at level {phase} has alphabet size {table.alphabet_size}, "
+                f"schedule says {self.schedule.size_at(phase)}"
+            )
+        self._cache[phase] = table
         return table
 
     def labeling_at(self, level: int, state) -> tuple[int, ...]:

@@ -32,6 +32,7 @@ from .errors import (
     NotBiReversibleError,
     NotInvertibleError,
     NotTwoStateError,
+    OrbitTooLargeError,
     OrderCapExceededError,
     SteeringError,
     UndecidableRepresentationError,
@@ -44,6 +45,9 @@ Word = tuple[int, ...]
 # Longest word `GroupWord.parse` expands, counted after adjacent powers of
 # one state are summed.
 MAX_WORD_FACTORS = 10**6
+
+# Most words `orbit_at_level` collects before it gives up.
+MAX_ORBIT_WORDS = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +235,16 @@ def decide_equal(
     search is then a complete closure.  Otherwise levels
     are explored up to the depth budget and the verdict may be unknown.
 
+    The search is level-synchronous: every node of one breadth-first
+    layer sits at the same phase, so each layer reads one table, and
+    nodes are visited in the order of a plain breadth-first search.  A
+    node's row (its next states per letter) is read from the table's
+    `proven_rows` when an earlier closure stored it there, and is
+    stepped otherwise.  Only a closure that ends "equal" stores the rows
+    it stepped, on each table it used, so the stored rows are exactly
+    rows of proven identities; a machine without finitely many phases
+    never closes "equal" and keeps nothing.
+
     A "not_equal" verdict carries a shortest mismatch witness w found by
     the search, already transformed so that g(w) differs from h(w).
     """
@@ -239,56 +253,67 @@ def decide_equal(
     if not e.factors:
         return EqualityVerdict("equal", method="periodic_bfs", explored=0)
     signs = tuple(s for _, s in e.factors)
-    init = tuple(q for q, _ in e.factors)
     finite = automaton.has_finite_phases
-    root = (init, automaton.phase(1))
+    phase = automaton.phase(1)
+    root = (tuple(q for q, _ in e.factors), phase)
     parents: dict = {root: None}
-    queue = deque([root])
-    truncated = False
-    while queue:
-        node = queue.popleft()
-        states, level = node
-        if level == 0:
-            continue
-        if not finite and level > budget.max_depth:
-            truncated = True
-            continue
-        t = automaton.table_at(level)
-        next_phase = automaton.phase(level + 1)
-        for x in range(t.alphabet_size):
-            y, new_states = t.step(states, signs, x, level)
-            if y != x:
-                raw = _witness_path(parents, node) + (x,)
-                if h is None:
-                    witness = raw
-                else:
-                    witness = apply_word(automaton, h.inverse(), raw)
-                    left = apply_word(automaton, g, witness)
-                    right = apply_word(automaton, h, witness)
-                    if left == right:
-                        raise VerificationFailedError(
-                            "mismatch witness failed its check"
-                        )
+    layer = [root]
+    stepped: list[tuple[LevelTable, tuple[int, ...], tuple]] = []
+    max_states = budget.max_states
+    while layer and phase != 0:
+        if not finite and phase > budget.max_depth:
+            return EqualityVerdict(
+                "unknown",
+                method="depth_bounded",
+                explored=len(parents),
+                exhausted_depth=budget.max_depth,
+            )
+        t = automaton.table_at(phase)
+        next_phase = automaton.phase(phase + 1)
+        # Only a machine with finitely many phases can close "equal", so
+        # only its searches read or keep proven rows.
+        proven = t.proven_rows.get(signs) if finite else None
+        next_layer = []
+        for node in layer:
+            row = proven.get(node[0]) if proven else None
+            mismatch = None
+            if row is None:
+                row, mismatch = t.step_row(node[0], signs, phase)
+                if mismatch is None and finite:
+                    stepped.append((t, node[0], row))
+            for x, new_states in enumerate(row):
+                key = (new_states, next_phase)
+                if key not in parents:
+                    parents[key] = (node, x)
+                    if len(parents) > max_states:
+                        raise BudgetExceededError("states", max_states)
+                    next_layer.append(key)
+            if mismatch is not None:
                 return EqualityVerdict(
                     "not_equal",
-                    witness=witness,
+                    witness=_mismatch_witness(
+                        automaton, g, h, _witness_path(parents, node) + (mismatch,)
+                    ),
                     method="periodic_bfs" if finite else "depth_bounded",
                     explored=len(parents),
                 )
-            key = (new_states, next_phase)
-            if key not in parents:
-                parents[key] = (node, x)
-                if len(parents) > budget.max_states:
-                    raise BudgetExceededError("states", budget.max_states)
-                queue.append(key)
-    if truncated:
-        return EqualityVerdict(
-            "unknown",
-            method="depth_bounded",
-            explored=len(parents),
-            exhausted_depth=budget.max_depth,
-        )
+        layer, phase = next_layer, next_phase
+    for t, states, row in stepped:
+        t.proven_rows.setdefault(signs, {})[states] = row
     return EqualityVerdict("equal", method="periodic_bfs", explored=len(parents))
+
+
+def _mismatch_witness(
+    automaton: Automaton, g: GroupWord, h: Optional[GroupWord], raw: Word
+) -> Word:
+    # `raw` tells g h^-1 from the identity; h^-1 moves it to a word that
+    # tells g from h, which is checked before it is returned.
+    if h is None:
+        return raw
+    witness = apply_word(automaton, h.inverse(), raw)
+    if apply_word(automaton, g, witness) == apply_word(automaton, h, witness):
+        raise VerificationFailedError("mismatch witness failed its check")
+    return witness
 
 
 def element_order(
@@ -389,6 +414,10 @@ class _PortraitContext:
         self._compose_memo: list[dict] = [{} for _ in range(depth + 2)]
         self._inverse_memo: list[dict] = [{} for _ in range(depth + 2)]
         self._state_memo: dict = {}
+        # Each level's table, kept from its first read: the automaton
+        # caches only phases, and levels past its fold come up once per
+        # state here.
+        self._tables: list[Optional[LevelTable]] = [None] * (depth + 1)
 
     def mk(self, level: int, root: tuple[int, ...], kids: tuple[int, ...]) -> int:
         key = (root, kids)
@@ -406,8 +435,10 @@ class _PortraitContext:
         key = (level, q)
         pid = self._state_memo.get(key)
         if pid is None:
-            t = self.automaton.table_at(level)
-            if t.inverse_output[q] is None:
+            t = self._tables[level]
+            if t is None:
+                t = self._tables[level] = self.automaton.table_at(level)
+            if t.signed_rows[-1][q] is None:
                 raise NotInvertibleError(level, q)
             kids = tuple(
                 self.from_state(level + 1, t.transition[q][x])
@@ -673,26 +704,40 @@ def level_group(
 def orbit_at_level(
     automaton: Automaton, level: int, seed: Optional[Sequence[int]] = None
 ) -> frozenset:
-    """Orbit of one word of the given length under the generated group."""
+    """Orbit of one word of the given length under the generated group.
+
+    Raises OrbitTooLargeError once more than MAX_ORBIT_WORDS words are
+    reached.
+    """
     if seed is None:
         seed_word: Word = (0,) * level
     else:
         seed_word = automaton.schedule.check_word(seed)
         if len(seed_word) != level:
             raise ValueError(f"seed word must have length {level}")
+    rows = []
     for i in range(1, level + 1):
-        q = automaton.table_at(i).first_noninvertible_state()
+        t = automaton.table_at(i)
+        q = t.first_noninvertible_state()
         if q is not None:
             raise NotInvertibleError(i, q)
+        rows.append(t.signed_rows)
     seen = {seed_word}
     queue = deque([seed_word])
-    moves = [(q, inv) for q in range(automaton.n_states) for inv in (False, True)]
+    moves = [(q, sign) for q in range(automaton.n_states) for sign in (1, -1)]
     while queue:
         word = queue.popleft()
-        for q, inv in moves:
-            image = automaton.run(q, word, inverse=inv)[0]
+        for q0, sign in moves:
+            image, q = [], q0
+            for level_rows, x in zip(rows, word):
+                out, nxt = level_rows[sign][q]
+                image.append(out[x])
+                q = nxt[x]
+            image = tuple(image)
             if image not in seen:
                 seen.add(image)
+                if len(seen) > MAX_ORBIT_WORDS:
+                    raise OrbitTooLargeError(level, MAX_ORBIT_WORDS)
                 queue.append(image)
     return frozenset(seen)
 
@@ -750,7 +795,7 @@ def labeling_twist(automaton: Automaton, level: int) -> tuple[int, ...]:
     """
     kept, flipped = letter_partition(automaton, level)
     t = automaton.table_at(level)
-    twist = perms.compose(t.inverse_output[0], t.output[1])
+    twist = perms.compose(t.inverse_labeling(0), t.output[1])
     if {twist[x] for x in kept} != set(kept):
         raise VerificationFailedError(
             f"level {level}: twist does not preserve the letter partition"
@@ -785,7 +830,7 @@ def _c_cycle(t: LevelTable, x: int) -> tuple[list[int], list[int]]:
     (t0[z], +)(t1[z], -), which is c, e or c^-1: c^eps with
     eps = t1[z] - t0[z], t0 and t1 being the two transition rows.
     """
-    undo_b, out_a = t.inverse_output[1], t.output[0]
+    undo_b, out_a = t.inverse_labeling(1), t.output[0]
     to_a, to_b = t.transition
     cycle, sums = [x], [0]
     while True:
@@ -875,7 +920,7 @@ def _steering_level(automaton: Automaton, level: int) -> _SteeringLevel:
         )
     marked = flips[0]
     long_cycle, swap = t.output[0], t.output[1]
-    if None in t.inverse_output:
+    if None in t.signed_rows[-1]:
         raise SteeringError(f"level {level}: labelings must be permutations")
     partner = swap[marked]
     if partner == marked or any(

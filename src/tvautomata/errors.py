@@ -57,6 +57,15 @@ class BudgetExceededError(AutomatonError):
         super().__init__(f"search budget exceeded: {kind} limit {limit}")
 
 
+class OrbitTooLargeError(AutomatonError):
+    """An orbit grew past the word budget of `engine.orbit_at_level`."""
+
+    def __init__(self, level: int, limit: int):
+        self.level = level
+        self.limit = limit
+        super().__init__(f"orbit at level {level} has more than {limit} words")
+
+
 class OrderCapExceededError(AutomatonError):
     """A group's order is larger than the configured cap."""
 

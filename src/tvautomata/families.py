@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 from . import perms
 from .core import Automaton, LevelTable, embed_on_subsequence
 from .errors import ScheduleMismatchError
-from .schedule import AlphabetSchedule
+from .schedule import AlphabetSchedule, is_config_int
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +520,7 @@ def _check_owned_schedule(given: AlphabetSchedule, built: Automaton, family: str
 
 def _int_param(params: dict, key: str, default=None):
     value = params.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_config_int(value):
         raise ValueError(f"parameter {key!r} must be an integer")
     return value
 
@@ -539,6 +539,16 @@ def _build_example2(schedule, params):
 
 def _build_diagonal(schedule, params):
     _check_params(params, {"prefix", "period"}, "diagonal", {"prefix", "period"})
+    for key in ("prefix", "period"):
+        block = params[key]
+        if not isinstance(block, list) or not all(
+            isinstance(lv, list)
+            and all(isinstance(row, list) and all(is_config_int(v) for v in row) for row in lv)
+            for lv in block
+        ):
+            raise ValueError(
+                f"parameter {key!r} must be a list of levels of integer rows"
+            )
     return diagonal_automaton(schedule, params["prefix"], params["period"])
 
 
@@ -546,7 +556,7 @@ def _build_gi(schedule, params):
     _check_params(params, {"indices", "start", "step"}, "gi")
     indices = params.get("indices")
     if indices is not None and (
-        not isinstance(indices, list) or not all(isinstance(i, int) for i in indices)
+        not isinstance(indices, list) or not all(is_config_int(i) for i in indices)
     ):
         raise ValueError("parameter 'indices' must be a list of integers")
     start = _int_param(params, "start") if "start" in params else None
@@ -651,7 +661,7 @@ def _explicit_from_config(schedule: AlphabetSchedule, doc: object) -> Automaton:
             "'states', 'prefix' and 'period'"
         )
     states = doc["states"]
-    if not isinstance(states, int) or states < 1:
+    if not is_config_int(states) or states < 1:
         raise ValueError("'states' must be a positive integer")
     for part in ("prefix", "period"):
         if not isinstance(doc[part], list):

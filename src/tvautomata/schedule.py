@@ -14,6 +14,11 @@ from typing import Iterator, Sequence, Union
 from .errors import InvalidWordError
 
 
+def is_config_int(value: object) -> bool:
+    """An integer read from a JSON config; true and false do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Constant:
     value: int
@@ -167,25 +172,25 @@ class AlphabetSchedule:
         if not isinstance(doc, dict) or set(doc) != {"prefix", "tail"}:
             raise ValueError("schedule config needs exactly the keys 'prefix' and 'tail'")
         prefix = doc["prefix"]
-        if not isinstance(prefix, list) or not all(isinstance(v, int) for v in prefix):
+        if not isinstance(prefix, list) or not all(is_config_int(v) for v in prefix):
             raise ValueError("schedule prefix must be a list of integers")
         tail_doc = doc["tail"]
         if not isinstance(tail_doc, dict) or set(tail_doc) != {"kind", "value"}:
             raise ValueError("schedule tail needs exactly the keys 'kind' and 'value'")
         kind, value = tail_doc["kind"], tail_doc["value"]
         if kind == "constant":
-            if not isinstance(value, int):
+            if not is_config_int(value):
                 raise ValueError("constant tail value must be an integer")
             tail: Tail = Constant(value)
         elif kind == "periodic":
-            if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+            if not isinstance(value, list) or not all(is_config_int(v) for v in value):
                 raise ValueError("periodic tail value must be a list of integers")
             tail = Periodic(tuple(value))
         elif kind == "ramp":
             if (
                 not isinstance(value, dict)
                 or set(value) != {"offset"}
-                or not isinstance(value["offset"], int)
+                or not is_config_int(value["offset"])
             ):
                 raise ValueError("ramp tail value must be an object {'offset': int}")
             tail = Ramp(value["offset"])

@@ -351,6 +351,15 @@ def test_orbit_at_the_root(capsys, config):
     assert report["result"]["orbit_size"] == 1
 
 
+def test_orbit_past_the_word_budget_exits_2_at_once(capsys, config):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orbit", "--config", config(E2_34), "--level", "13")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err == "error: orbit at level 13 has more than 200000 words\n"
+
+
 # -- list-builtins ----------------------------------------------------
 
 
@@ -420,6 +429,55 @@ def test_malformed_config_files(capsys, tmp_path):
     )
     code, _, err = run(capsys, "check", "--config", str(unknown))
     assert code == 2
+
+
+_C2 = {"prefix": [], "tail": {"kind": "constant", "value": 2}}
+_FLIP = {"transition": [[0, 0]], "output": [[1, 0]]}
+
+
+def _one_state(schedule=_C2, states=1, prefix=(), period=(_FLIP,)):
+    return {
+        "schedule": schedule,
+        "automaton": {
+            "explicit": {"states": states, "prefix": list(prefix), "period": list(period)}
+        },
+    }
+
+
+def _builtin(name, schedule, params=None):
+    return {"schedule": schedule, "automaton": {"builtin": name, "params": params or {}}}
+
+
+# Each document would load if `true` were read as 1 or `false` as 0.
+_BOOLEAN_FIELDS = {
+    "schedule_prefix": _one_state(
+        {"prefix": [True], "tail": {"kind": "constant", "value": 2}},
+        prefix=[{"transition": [[0]], "output": [[0]]}],
+    ),
+    "constant_tail": _builtin(
+        "example1", {"prefix": [], "tail": {"kind": "constant", "value": True}}
+    ),
+    "periodic_tail": _builtin(
+        "example1", {"prefix": [], "tail": {"kind": "periodic", "value": [2, True]}}
+    ),
+    "ramp_offset": _builtin(
+        "example2", {"prefix": [], "tail": {"kind": "ramp", "value": {"offset": True}}}
+    ),
+    "explicit_states": _one_state(states=True),
+    "table_rows": _one_state(period=[{"transition": [[0, 0]], "output": [[True, False]]}]),
+    "diagonal_labelings": _builtin(
+        "diagonal", _C2, {"prefix": [], "period": [[[True, False]]]}
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_BOOLEAN_FIELDS))
+def test_a_boolean_where_an_integer_belongs_exits_2(capsys, config, field):
+    code, out, err = run(capsys, "check", "--config", config(_BOOLEAN_FIELDS[field]))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "int" in err
 
 
 def test_explicit_config_document(capsys, config):

@@ -373,6 +373,28 @@ def test_a_folded_rule_is_never_sampled_past_its_fold():
     assert max(calls) == 3
 
 
+def test_only_phases_are_cached():
+    dual = bellaterra_dual_automaton()
+    rng = random.Random(11)
+    word = tuple(rng.randrange(3) for _ in range(300_000))
+    out, _ = dual.run(0, word)
+    assert dual.run(0, out, inverse=True)[0] == word
+    assert len(dual._cache) <= sum(dual.fold)
+    assert dual.table_at(299_999) is dual.table_at(1)
+
+    # An identity tail keeps one table per alphabet size.
+    ramp = word_order_automaton(AlphabetSchedule.ramp(1)).restricted(3)
+    tables = [ramp.table_at(i) for i in range(1, 40)]
+    tail = tables[3:]
+    assert all(t.is_identity() for t in tail)
+    assert ramp.table_at(39) is tail[-1]
+    assert len(ramp._cache) == 3 and len(ramp._identity_tables) == len(tail)
+
+    periodic = z2z4_automaton().restricted(2)
+    assert periodic.table_at(500) is periodic.table_at(3)
+    assert len(periodic._identity_tables) == 1
+
+
 def test_restricting_a_ramp_rule_checks_every_kept_level():
     collapse = LevelTable(((0,) * 11, (0,) * 11), (tuple(range(11)),) * 2)
 

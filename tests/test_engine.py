@@ -13,6 +13,7 @@ from tvautomata import (
     LevelTable,
     NotBiReversibleError,
     NotInvertibleError,
+    OrbitTooLargeError,
     NotTwoStateError,
     OrderCapExceededError,
     UnboundedScheduleError,
@@ -40,7 +41,7 @@ from tvautomata import (
     z2z4_automaton,
     z4_automaton,
 )
-from tvautomata import perms
+from tvautomata import engine, perms
 from tvautomata.engine import MAX_LEVEL, MAX_WORD_FACTORS, _c_power_image
 
 from test_core import catalog
@@ -394,6 +395,17 @@ def test_orbits_of_the_cycle_transposition_machine():
 def test_orbit_from_a_seed_word():
     wide = cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4)))
     assert orbit_at_level(wide, 2, seed=(2, 3)) == orbit_at_level(wide, 2)
+
+
+def test_orbits_past_the_word_budget_are_refused(monkeypatch):
+    wide = cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4)))
+    monkeypatch.setattr(engine, "MAX_ORBIT_WORDS", 100)
+    assert len(orbit_at_level(wide, 3)) == 36
+    with pytest.raises(OrbitTooLargeError) as info:
+        orbit_at_level(wide, 4)
+    assert (info.value.level, info.value.limit) == (4, 100)
+    # Deep intransitive orbits stay small and still answer.
+    assert len(orbit_at_level(bellaterra_dual_automaton(), 16)) == 3
 
 
 # -- two-state structure, twist, and torsion --------------------------

@@ -1,0 +1,255 @@
+"""Property check of the equality search against a plain breadth-first
+search over raw table rows.
+
+Machines share level table objects, so one machine's search reads the
+rows another machine's closure stored on those tables.
+"""
+
+from collections import deque
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from tvautomata import (  # noqa: E402
+    AlphabetSchedule,
+    Automaton,
+    AutomatonError,
+    Budget,
+    GroupWord,
+    LevelTable,
+    NotInvertibleError,
+    admissible_binary_level_types,
+    cycle_transposition_automaton,
+    decide_equal,
+    word_order_automaton,
+)
+
+
+def _reference_step(table, states, signs, x, level):
+    new_states = list(states)
+    for i in range(len(states) - 1, -1, -1):
+        q, row = states[i], table.output[states[i]]
+        if signs[i] > 0:
+            new_states[i] = table.transition[q][x]
+            x = row[x]
+        else:
+            if sorted(row) != list(range(len(row))):
+                raise NotInvertibleError(level, q)
+            x = row.index(x)
+            new_states[i] = table.transition[q][x]
+    return x, tuple(new_states)
+
+
+def _reference_image(automaton, word, letters):
+    states, signs = [q for q, _ in word.factors], [s for _, s in word.factors]
+    out = []
+    for level, x in enumerate(letters, start=1):
+        y, states = _reference_step(automaton.table_at(level), states, signs, x, level)
+        out.append(y)
+    return tuple(out)
+
+
+def _reference_decide(automaton, g, h, budget):
+    # One node at a time in first-in first-out order, every letter
+    # stepped from the raw rows, nothing kept between calls.
+    e = g if h is None else g * h.inverse()
+    if not e.factors:
+        return ("equal", None, "periodic_bfs", 0, None)
+    signs = [s for _, s in e.factors]
+    finite = automaton.has_finite_phases
+    root = (tuple(q for q, _ in e.factors), automaton.phase(1))
+    parents = {root: None}
+    queue = deque([root])
+    truncated = False
+    while queue:
+        node = queue.popleft()
+        states, phase = node
+        if phase == 0:
+            continue
+        if not finite and phase > budget.max_depth:
+            truncated = True
+            continue
+        table = automaton.table_at(phase)
+        for x in range(table.alphabet_size):
+            y, new_states = _reference_step(table, states, signs, x, phase)
+            if y != x:
+                path, at = [x], node
+                while parents[at] is not None:
+                    at, letter = parents[at]
+                    path.append(letter)
+                witness = tuple(reversed(path))
+                if h is not None:
+                    witness = _reference_image(automaton, h.inverse(), witness)
+                    left = _reference_image(automaton, g, witness)
+                    assert left != _reference_image(automaton, h, witness)
+                method = "periodic_bfs" if finite else "depth_bounded"
+                return ("not_equal", witness, method, len(parents), None)
+            key = (new_states, automaton.phase(phase + 1))
+            if key not in parents:
+                parents[key] = (node, x)
+                if len(parents) > budget.max_states:
+                    return ("BudgetExceededError", budget.max_states)
+                queue.append(key)
+    if truncated:
+        return ("unknown", None, "depth_bounded", len(parents), budget.max_depth)
+    return ("equal", None, "periodic_bfs", len(parents), None)
+
+
+def _outcome(automaton, g, h, budget):
+    try:
+        v = decide_equal(automaton, g, h, budget=budget)
+    except NotInvertibleError as exc:
+        return ("NotInvertibleError", exc.level, exc.state)
+    except AutomatonError as exc:
+        return (type(exc).__name__, getattr(exc, "limit", None))
+    return (v.status, v.witness, v.method, v.explored, v.exhausted_depth)
+
+
+def _expected(automaton, g, h, budget):
+    try:
+        return _reference_decide(automaton, g, h, budget)
+    except NotInvertibleError as exc:
+        return ("NotInvertibleError", exc.level, exc.state)
+
+
+_BINARY_TYPES = admissible_binary_level_types()
+
+
+@st.composite
+def shared_table_machines(draw):
+    """Two or three explicit folded machines over sizes 2-3 whose level
+    tables come from one pool, so they share table objects.  About one
+    output row in six is not a permutation.  Two-state binary tables are
+    often bi-reversible ones, whose groups are abelian, so that many
+    queries close "equal" and store rows."""
+    n = draw(st.sampled_from((1, 2, 2, 3)))
+    pools = {}
+
+    def table(d):
+        pool = pools.setdefault(d, [])
+        if pool and draw(st.booleans()):
+            return pool[draw(st.integers(0, len(pool) - 1))]
+        if n == 2 and d == 2 and draw(st.booleans()):
+            # A fresh object, so no rows carry over between examples.
+            kind = draw(st.sampled_from(_BINARY_TYPES))
+            t = LevelTable(kind.transition, kind.output)
+            pool.append(t)
+            return t
+        def output_row():
+            if draw(st.integers(0, 5)) == 0:
+                return draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+            return draw(st.permutations(range(d)))
+
+        row = st.lists(st.integers(0, n - 1), min_size=d, max_size=d)
+        t = LevelTable([draw(row) for _ in range(n)], [output_row() for _ in range(n)])
+        pool.append(t)
+        return t
+
+    size = st.integers(2, 3)
+    machines = []
+    for _ in range(draw(st.integers(2, 3))):
+        prefix = draw(st.lists(size, max_size=2))
+        period = draw(st.lists(size, min_size=1, max_size=2))
+        machines.append(
+            Automaton.from_periodic_tables(
+                AlphabetSchedule.periodic(period, prefix),
+                [table(d) for d in prefix],
+                [table(d) for d in period],
+            )
+        )
+    return machines
+
+
+def _words(n_states, max_size):
+    factor = st.tuples(st.integers(0, n_states - 1), st.sampled_from((1, -1)))
+    return st.lists(factor, max_size=max_size).map(GroupWord.from_factors)
+
+
+_RAMP_MACHINES = [
+    word_order_automaton(AlphabetSchedule.ramp(1)),
+    cycle_transposition_automaton(AlphabetSchedule.ramp(1)),
+]
+
+
+_a, _b = GroupWord.generator(0), GroupWord.generator(1)
+# The queries `classify_two_state_binary` asks.
+_CLASSIFY_QUERIES = [
+    (_a * _b, _b * _a),
+    (_a * _a, _b * _b),
+    (_a**4, None),
+    (_a, None),
+    (_a * _a, None),
+    (_a.inverse() * _b, None),
+    (_a.inverse() * _b, _a),
+    (_a.inverse() * _b, _a * _a),
+]
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(shared_table_machines(), st.data())
+def test_search_on_shared_tables_matches_the_reference(machines, data):
+    n = machines[0].n_states
+    budget = data.draw(
+        st.sampled_from((Budget(), Budget(), Budget(), Budget(max_states=12)))
+    )
+    pair = st.tuples(_words(n, 6), st.one_of(st.none(), _words(n, 4)))
+    queries = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, len(machines) - 1), pair),
+            min_size=4,
+            max_size=12,
+        )
+    )
+    if n == 2:
+        # The classification queries, on every machine, close "equal" on
+        # bi-reversible tables with mixed signs over shared states.
+        queries = [(i, q) for i in range(len(machines)) for q in _CLASSIFY_QUERIES] + queries
+    # Every query runs twice, so the second run reads what the first stored.
+    for i, (g, h) in queries + queries:
+        m = machines[i]
+        assert _outcome(m, g, h, budget) == _expected(m, g, h, budget)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    st.sampled_from(_RAMP_MACHINES),
+    _words(2, 6),
+    st.one_of(st.none(), _words(2, 3)),
+    st.integers(1, 6),
+)
+def test_depth_bounded_search_matches_the_reference(machine, g, h, depth):
+    budget = Budget(max_depth=depth)
+    assert _outcome(machine, g, h, budget) == _expected(machine, g, h, budget)
+    tables = [machine.table_at(i) for i in range(1, depth + 2)]
+    assert not any(t.__dict__.get("proven_rows") for t in tables)
+
+
+def test_only_closures_that_end_equal_store_rows(monkeypatch):
+    a, b = GroupWord.generator(0), GroupWord.generator(1)
+    # a flips every letter and b fixes it, level after level.
+    flip = LevelTable([[0, 0], [1, 1]], [[1, 0], [0, 1]])
+    m = Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (), (flip,))
+    assert decide_equal(m, a, b).status == "not_equal"
+    assert decide_equal(m, a * b).status == "not_equal"
+    assert flip.proven_rows == {}
+    assert decide_equal(m, a * b, b * a).status == "equal"
+    assert set(flip.proven_rows) == {(1, 1, -1, -1)}
+
+    # A machine sharing the table reads those rows instead of stepping.
+    stepped = []
+    step_row = LevelTable.step_row
+
+    def counting_step_row(table, *args):
+        stepped.append(table)
+        return step_row(table, *args)
+
+    monkeypatch.setattr(LevelTable, "step_row", counting_step_row)
+    prefix = LevelTable.identity(2, 2)
+    shared = Automaton.from_periodic_tables(
+        AlphabetSchedule.constant(2), (prefix,), (flip,)
+    )
+    assert decide_equal(shared, a * b, b * a).status == "equal"
+    assert stepped and flip not in stepped
+    assert set(prefix.proven_rows) == {(1, 1, -1, -1)}
