@@ -130,6 +130,18 @@ class LevelTable:
         every machine that uses this table object."""
         return {}
 
+    @functools.cached_property
+    def period_closures(self) -> dict[tuple, tuple]:
+        """Outcomes of the equality search's period stage on folds whose
+        period starts with this table, keyed by (the period's other
+        tables, factor signs, ordered factor states of the layer that
+        enters the period).  An outcome is (node count,) for a closure
+        that ends "equal", or (node count, index of an entering node,
+        letters from it to the first mismatch).  Filled only by
+        `engine.decide_equal` searches that do not raise, and shared by
+        every machine whose period starts with this table object."""
+        return {}
+
     def step(
         self, states: Sequence[int], signs: Sequence[int], x: int, level: int
     ) -> tuple[int, tuple[int, ...]]:

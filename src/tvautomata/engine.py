@@ -20,7 +20,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import perms
 from .core import Automaton, LevelTable
@@ -75,16 +75,8 @@ class GroupWord:
         return GroupWord(((state, sign),))
 
     @staticmethod
-    def from_factors(factors: Sequence[tuple[int, int]]) -> "GroupWord":
-        stack: list[tuple[int, int]] = []
-        for q, s in factors:
-            if s not in (1, -1):
-                raise ValueError("sign must be +1 or -1")
-            if stack and stack[-1][0] == q and stack[-1][1] == -s:
-                stack.pop()
-            else:
-                stack.append((q, s))
-        return GroupWord(tuple(stack))
+    def from_factors(factors: Iterable[tuple[int, int]]) -> "GroupWord":
+        return GroupWord(tuple(_free_reduction(factors)))
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         return GroupWord.from_factors(self.factors + other.factors)
@@ -152,6 +144,19 @@ class GroupWord:
         return GroupWord.from_factors(factors)
 
 
+def _free_reduction(factors: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Cancel adjacent inverse factors, checking every sign on the way."""
+    stack: list[tuple[int, int]] = []
+    for q, s in factors:
+        if s not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        if stack and stack[-1][0] == q and stack[-1][1] == -s:
+            stack.pop()
+        else:
+            stack.append((q, s))
+    return stack
+
+
 def apply_word(automaton: Automaton, word: GroupWord, letters: Sequence[int]) -> Word:
     """Act on a tree word by each factor in turn, rightmost first."""
     return automaton.run_factors(word.factors, letters)[0]
@@ -211,11 +216,30 @@ def step_section(
     return y, tuple(zip(states, signs))
 
 
-def _witness_path(parents: dict, node) -> Word:
-    letters: list[int] = []
-    while parents[node] is not None:
-        node, x = parents[node]
-        letters.append(x)
+def _split(factors: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The states and the signs of (state, sign) factors."""
+    return tuple(zip(*factors)) or ((), ())
+
+
+def _test_word(
+    g: GroupWord, h: Optional[GroupWord]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """States and signs of the test word: g itself when h is None, else
+    g h^-1 reduced exactly as `g * h.inverse()` reduces it, without
+    forming either word."""
+    if h is None:
+        return _split(g.factors)
+    return _split(
+        _free_reduction(g.factors + tuple([(q, -s) for q, s in reversed(h.factors)]))
+    )
+
+
+def _path(node: tuple) -> Word:
+    """Letters from the root down to a search node (states, parent, letter)."""
+    letters = []
+    while node[1] is not None:
+        letters.append(node[2])
+        node = node[1]
     return tuple(reversed(letters))
 
 
@@ -245,19 +269,39 @@ def decide_equal(
     rows of proven identities; a machine without finitely many phases
     never closes "equal" and keeps nothing.
 
+    On a fold (p, m) with p >= 1 and no identity tail, the period's
+    phases are first reached by one layer, at phase p + 1, when no node
+    of theirs has been seen.  What the search does from there on depends
+    only on the period's tables, the signs and that layer's ordered
+    states, so its outcome is kept in the first period table's
+    `period_closures` and recalled by any machine with the same period,
+    whatever its prefix: the verdict, the node count it adds and the
+    letters from an entering node down to the first mismatch.
+
     A "not_equal" verdict carries a shortest mismatch witness w found by
-    the search, already transformed so that g(w) differs from h(w).
+    the search, already transformed so that g(w) differs from h(w).  It
+    is checked before it is returned; one that fails raises
+    VerificationFailedError.
     """
     budget = budget or _DEFAULT_BUDGET
-    e = g if h is None else g * h.inverse()
-    if not e.factors:
+    states, signs = _test_word(g, h)
+    if not states:
         return EqualityVerdict("equal", method="periodic_bfs", explored=0)
-    signs = tuple(s for _, s in e.factors)
     finite = automaton.has_finite_phases
+    fold = automaton.fold
+    entry = (
+        fold[0] + 1
+        if fold is not None and fold[0] and automaton.identity_from is None
+        else None
+    )
+    closure = None  # (memo, key, nodes before the period, entering layer)
     phase = automaton.phase(1)
-    root = (tuple(q for q, _ in e.factors), phase)
-    parents: dict = {root: None}
+    # A node is (states, parent node, letter from the parent); each phase
+    # keeps its own dict of the nodes found at it, keyed by states.
+    root = (states, None, None)
+    found_at = {phase: {states: root}}
     layer = [root]
+    explored = 1
     stepped: list[tuple[LevelTable, tuple[int, ...], tuple]] = []
     max_states = budget.max_states
     while layer and phase != 0:
@@ -265,11 +309,38 @@ def decide_equal(
             return EqualityVerdict(
                 "unknown",
                 method="depth_bounded",
-                explored=len(parents),
+                explored=explored,
                 exhausted_depth=budget.max_depth,
             )
         t = automaton.table_at(phase)
+        if phase == entry:
+            entry = None
+            memo = t.period_closures
+            key = (
+                automaton.periodic_tables[1][1:],
+                signs,
+                tuple([node[0] for node in layer]),
+            )
+            outcome = memo.get(key)
+            if outcome is not None:
+                # The node count only grows, so the search would have
+                # raised exactly when its total passes the budget.
+                explored += outcome[0]
+                if explored > max_states:
+                    raise BudgetExceededError("states", max_states)
+                if len(outcome) == 1:
+                    break
+                raw = _path(layer[outcome[1]]) + outcome[2]
+                return EqualityVerdict(
+                    "not_equal",
+                    witness=_mismatch_witness(automaton, g, h, states, signs, raw),
+                    explored=explored,
+                )
+            closure = (memo, key, explored, layer)
         next_phase = automaton.phase(phase + 1)
+        found = found_at.get(next_phase)
+        if found is None:
+            found = found_at[next_phase] = {}
         # Only a machine with finitely many phases can close "equal", so
         # only its searches read or keep proven rows.
         proven = t.proven_rows.get(signs) if finite else None
@@ -282,38 +353,68 @@ def decide_equal(
                 if mismatch is None and finite:
                     stepped.append((t, node[0], row))
             for x, new_states in enumerate(row):
-                key = (new_states, next_phase)
-                if key not in parents:
-                    parents[key] = (node, x)
-                    if len(parents) > max_states:
+                if new_states not in found:
+                    child = found[new_states] = (new_states, node, x)
+                    explored += 1
+                    if explored > max_states:
                         raise BudgetExceededError("states", max_states)
-                    next_layer.append(key)
+                    next_layer.append(child)
             if mismatch is not None:
+                raw = _path(node) + (mismatch,)
+                if closure is not None:
+                    # The entering node on this path sits p levels down.
+                    memo, key, before, entering = closure
+                    for _ in range(len(raw) - 1 - fold[0]):
+                        node = node[1]
+                    memo[key] = (explored - before, entering.index(node), raw[fold[0] :])
                 return EqualityVerdict(
                     "not_equal",
-                    witness=_mismatch_witness(
-                        automaton, g, h, _witness_path(parents, node) + (mismatch,)
-                    ),
+                    witness=_mismatch_witness(automaton, g, h, states, signs, raw),
                     method="periodic_bfs" if finite else "depth_bounded",
-                    explored=len(parents),
+                    explored=explored,
                 )
         layer, phase = next_layer, next_phase
-    for t, states, row in stepped:
-        t.proven_rows.setdefault(signs, {})[states] = row
-    return EqualityVerdict("equal", method="periodic_bfs", explored=len(parents))
+    for t, row_states, row in stepped:
+        t.proven_rows.setdefault(signs, {})[row_states] = row
+    if closure is not None:
+        memo, key, before, _ = closure
+        memo[key] = (explored - before,)
+    return EqualityVerdict("equal", method="periodic_bfs", explored=explored)
 
 
 def _mismatch_witness(
-    automaton: Automaton, g: GroupWord, h: Optional[GroupWord], raw: Word
+    automaton: Automaton,
+    g: GroupWord,
+    h: Optional[GroupWord],
+    states: tuple[int, ...],
+    signs: tuple[int, ...],
+    raw: Word,
 ) -> Word:
-    # `raw` tells g h^-1 from the identity; h^-1 moves it to a word that
-    # tells g from h, which is checked before it is returned.
+    # `raw` tells the test word (states, signs) from the identity.  With
+    # one word that is checked, up to the first letter it moves; with
+    # two, h^-1 moves it to a word that tells g from h, and that is
+    # checked instead.  Both run level by level through `LevelTable.step`,
+    # the kernel `apply_word` uses.
     if h is None:
-        return raw
-    witness = apply_word(automaton, h.inverse(), raw)
-    if apply_word(automaton, g, witness) == apply_word(automaton, h, witness):
-        raise VerificationFailedError("mismatch witness failed its check")
-    return witness
+        for level, x in enumerate(raw, start=1):
+            y, states = automaton.table_at(level).step(states, signs, x, level)
+            if y != x:
+                return raw
+    else:
+        back_states, back_signs = _split([(q, -s) for q, s in reversed(h.factors)])
+        g_states, g_signs = _split(g.factors)
+        h_states, h_signs = _split(h.factors)
+        witness, differs = [], False
+        for level, x in enumerate(raw, start=1):
+            t = automaton.table_at(level)
+            w, back_states = t.step(back_states, back_signs, x, level)
+            y, g_states = t.step(g_states, g_signs, w, level)
+            z, h_states = t.step(h_states, h_signs, w, level)
+            witness.append(w)
+            differs = differs or y != z
+        if differs:
+            return tuple(witness)
+    raise VerificationFailedError("mismatch witness failed its check")
 
 
 def element_order(
@@ -1043,11 +1144,16 @@ class GroupKind(Enum):
         return {"Trivial": 1, "Z2": 2, "Z2xZ2": 2, "Z4": 4, "Z2xZ4": 4}[self.value]
 
 
-# The query words of `classify_two_state_binary`, built once.
-_AB, _BA = _GEN_A * _GEN_B, _GEN_B * _GEN_A
-_AA, _BB = _GEN_A * _GEN_A, _GEN_B * _GEN_B
-_A4 = _GEN_A**4
+# The query words of `classify_two_state_binary`, built once.  Each asks
+# whether one word acts trivially: "does g equal h" is asked of the test
+# word g h^-1 itself, so no query forms a product.
+_AA = _GEN_A * _GEN_A
 _A_INV_B = _GEN_A.inverse() * _GEN_B
+_COMMUTATOR = _GEN_A * _GEN_B * (_GEN_B * _GEN_A).inverse()
+_SQUARES = _AA * (_GEN_B * _GEN_B).inverse()
+_A4 = _GEN_A**4
+_C_A = _A_INV_B * _GEN_A.inverse()
+_C_AA = _A_INV_B * _AA.inverse()
 
 
 def classify_two_state_binary(automaton: Automaton) -> GroupKind:
@@ -1078,19 +1184,22 @@ def classify_two_state_binary(automaton: Automaton) -> GroupKind:
             f"bi-reversibility fails at level {verdict.level}: {verdict.reason}"
         )
 
-    def equal(x: GroupWord, y: Optional[GroupWord] = None) -> bool:
-        v = decide_equal(automaton, x, y)
+    def trivial(word: GroupWord) -> bool:
+        v = decide_equal(automaton, word)
         if v.status == "unknown":
             raise UndecidableRepresentationError("equality query did not close")
         return v.is_equal
 
-    # The three relations every such machine satisfies; a failure here
-    # means the preconditions were not really met.
-    if not (equal(_AB, _BA) and equal(_AA, _BB) and equal(_A4)):
+    # The three relations every such machine satisfies (ab = ba,
+    # a^2 = b^2, a^4 = e); a failure here means the preconditions were
+    # not really met.
+    if not (trivial(_COMMUTATOR) and trivial(_SQUARES) and trivial(_A4)):
         raise VerificationFailedError("defining relations failed to hold")
-    a, c = _GEN_A, _A_INV_B
-    if equal(a):
-        return GroupKind.TRIVIAL if equal(c) else GroupKind.Z2
-    if equal(_AA):
-        return GroupKind.Z2 if (equal(c) or equal(c, a)) else GroupKind.Z2xZ2
-    return GroupKind.Z4 if (equal(c) or equal(c, _AA)) else GroupKind.Z2xZ4
+    # With c = a^-1 b: is a trivial, is a^2, is c, and is c equal to a
+    # or to a^2?
+    c = _A_INV_B
+    if trivial(_GEN_A):
+        return GroupKind.TRIVIAL if trivial(c) else GroupKind.Z2
+    if trivial(_AA):
+        return GroupKind.Z2 if (trivial(c) or trivial(_C_A)) else GroupKind.Z2xZ2
+    return GroupKind.Z4 if (trivial(c) or trivial(_C_AA)) else GroupKind.Z2xZ4

@@ -638,6 +638,8 @@ def build_from_config(doc: object) -> Automaton:
         raise ValueError("'automaton' must be an object")
     if set(auto) <= {"builtin", "params"} and "builtin" in auto:
         family = auto["builtin"]
+        if not isinstance(family, str):
+            raise ValueError("'builtin' must be a family name string")
         if family not in FAMILIES:
             raise ValueError(
                 f"unknown builtin {family!r}; known: {sorted(FAMILIES)}"

@@ -13,6 +13,11 @@ from typing import Iterator, Sequence, Union
 
 from .errors import InvalidWordError
 
+# Largest alphabet size, or ramp offset, a schedule config may give.
+# Tables and level words are built letter by letter, so a larger size
+# would only exhaust memory.
+MAX_ALPHABET_SIZE = 10_000
+
 
 def is_config_int(value: object) -> bool:
     """An integer read from a JSON config; true and false do not count."""
@@ -169,11 +174,24 @@ class AlphabetSchedule:
 
     @staticmethod
     def from_config(doc: object) -> "AlphabetSchedule":
+        """Read a schedule config; every size and the ramp offset must be
+        at most MAX_ALPHABET_SIZE."""
+
+        def within_budget(value: int, what: str) -> int:
+            if value > MAX_ALPHABET_SIZE:
+                raise ValueError(
+                    f"{what} {value} is past the alphabet-size budget of "
+                    f"{MAX_ALPHABET_SIZE}"
+                )
+            return value
+
         if not isinstance(doc, dict) or set(doc) != {"prefix", "tail"}:
             raise ValueError("schedule config needs exactly the keys 'prefix' and 'tail'")
         prefix = doc["prefix"]
         if not isinstance(prefix, list) or not all(is_config_int(v) for v in prefix):
             raise ValueError("schedule prefix must be a list of integers")
+        for v in prefix:
+            within_budget(v, "schedule prefix size")
         tail_doc = doc["tail"]
         if not isinstance(tail_doc, dict) or set(tail_doc) != {"kind", "value"}:
             raise ValueError("schedule tail needs exactly the keys 'kind' and 'value'")
@@ -181,11 +199,11 @@ class AlphabetSchedule:
         if kind == "constant":
             if not is_config_int(value):
                 raise ValueError("constant tail value must be an integer")
-            tail: Tail = Constant(value)
+            tail: Tail = Constant(within_budget(value, "constant tail size"))
         elif kind == "periodic":
             if not isinstance(value, list) or not all(is_config_int(v) for v in value):
                 raise ValueError("periodic tail value must be a list of integers")
-            tail = Periodic(tuple(value))
+            tail = Periodic(tuple(within_budget(v, "periodic tail size") for v in value))
         elif kind == "ramp":
             if (
                 not isinstance(value, dict)
@@ -193,7 +211,7 @@ class AlphabetSchedule:
                 or not is_config_int(value["offset"])
             ):
                 raise ValueError("ramp tail value must be an object {'offset': int}")
-            tail = Ramp(value["offset"])
+            tail = Ramp(within_budget(value["offset"], "ramp offset"))
         else:
             raise ValueError(f"unknown tail kind {kind!r}")
         return AlphabetSchedule(tuple(prefix), tail)

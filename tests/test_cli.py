@@ -1,12 +1,18 @@
 """End-to-end runs of the command line front end."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
+import tvautomata
 from tvautomata import cli
 from tvautomata.cli import main
+from tvautomata.schedule import MAX_ALPHABET_SIZE
 
 Z2Z4 = {
     "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},
@@ -478,6 +484,57 @@ def test_a_boolean_where_an_integer_belongs_exits_2(capsys, config, field):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "int" in err
+
+
+def test_a_builtin_name_that_is_not_a_string_exits_2(capsys, config):
+    doc = {"schedule": _C2, "automaton": {"builtin": [[0, 1]]}}
+    code, out, err = run(capsys, "check", "--config", config(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_HUGE = 10**9
+_OVERSIZED = {
+    "prefix": {"prefix": [_HUGE], "tail": {"kind": "constant", "value": 3}},
+    "constant": {"prefix": [], "tail": {"kind": "constant", "value": _HUGE}},
+    "periodic": {"prefix": [], "tail": {"kind": "periodic", "value": [3, _HUGE]}},
+    "ramp_offset": {"prefix": [], "tail": {"kind": "ramp", "value": {"offset": _HUGE}}},
+}
+
+
+def _limited_memory():
+    limit = 1_500_000_000
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("field", sorted(_OVERSIZED))
+def test_an_alphabet_past_the_size_budget_exits_2(config, field):
+    # Run apart, under a 1.5 GB address-space limit: a build that does
+    # allocate such an alphabet then ends in MemoryError instead of
+    # filling the machine's memory.
+    path = config(_builtin("example2", _OVERSIZED[field]))
+    src = os.path.dirname(os.path.dirname(tvautomata.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tvautomata.cli", "orbit", "--config", path, "--level", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limited_memory,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(MAX_ALPHABET_SIZE) in proc.stderr
+
+
+def test_an_alphabet_at_the_size_budget_loads(capsys, config):
+    sizes = {"prefix": [MAX_ALPHABET_SIZE], "tail": {"kind": "constant", "value": 2}}
+    code, report, _ = run_json(
+        capsys, "orbit", "--config", config(_builtin("example2", sizes)), "--level", "1"
+    )
+    assert code == 0
+    assert report["result"]["words"] == MAX_ALPHABET_SIZE
 
 
 def test_explicit_config_document(capsys, config):

@@ -20,6 +20,7 @@ from tvautomata import (  # noqa: E402
     GroupWord,
     LevelTable,
     NotInvertibleError,
+    VerificationFailedError,
     admissible_binary_level_types,
     cycle_transposition_automaton,
     decide_equal,
@@ -123,7 +124,10 @@ def shared_table_machines(draw):
     tables come from one pool, so they share table objects.  About one
     output row in six is not a permutation.  Two-state binary tables are
     often bi-reversible ones, whose groups are abelian, so that many
-    queries close "equal" and store rows."""
+    queries close "equal" and store rows.  A machine often repeats an
+    earlier machine's period behind its own prefix, some prefix levels
+    fix every letter and keep every state, and about one machine in four
+    is restricted to its first 0-3 levels: a fold plus an identity tail."""
     n = draw(st.sampled_from((1, 2, 2, 3)))
     pools = {}
 
@@ -148,17 +152,30 @@ def shared_table_machines(draw):
         return t
 
     size = st.integers(2, 3)
-    machines = []
+    machines, periods = [], []
     for _ in range(draw(st.integers(2, 3))):
         prefix = draw(st.lists(size, max_size=2))
-        period = draw(st.lists(size, min_size=1, max_size=2))
-        machines.append(
-            Automaton.from_periodic_tables(
-                AlphabetSchedule.periodic(period, prefix),
-                [table(d) for d in prefix],
-                [table(d) for d in period],
-            )
+        if periods and draw(st.booleans()):
+            # An earlier machine's period behind this prefix, so that
+            # searches recall what the earlier machine's searches kept.
+            period, period_tables = draw(st.sampled_from(periods))
+        else:
+            period = draw(st.lists(size, min_size=1, max_size=2))
+            period_tables = [table(d) for d in period]
+            periods.append((period, period_tables))
+        # A prefix level that fixes every letter and keeps every state
+        # hands the period the query's own states, so that queries that
+        # differ only in signs meet at the same period entry.
+        prefix_tables = [
+            LevelTable.identity(n, d) if draw(st.integers(0, 2)) == 0 else table(d)
+            for d in prefix
+        ]
+        machine = Automaton.from_periodic_tables(
+            AlphabetSchedule.periodic(period, prefix), prefix_tables, period_tables
         )
+        if draw(st.integers(0, 3)) == 0:
+            machine = machine.restricted(draw(st.integers(0, 3)))
+        machines.append(machine)
     return machines
 
 
@@ -174,7 +191,8 @@ _RAMP_MACHINES = [
 
 
 _a, _b = GroupWord.generator(0), GroupWord.generator(1)
-# The queries `classify_two_state_binary` asks.
+# The queries `classify_two_state_binary` asks, written as pairs g, h; it
+# asks each as the one word g h^-1, which runs the same search.
 _CLASSIFY_QUERIES = [
     (_a * _b, _b * _a),
     (_a * _a, _b * _b),
@@ -253,3 +271,108 @@ def test_only_closures_that_end_equal_store_rows(monkeypatch):
     assert decide_equal(shared, a * b, b * a).status == "equal"
     assert stepped and flip not in stepped
     assert set(prefix.proven_rows) == {(1, 1, -1, -1)}
+
+
+def _binary_fold(prefix, period):
+    return Automaton.from_periodic_tables(AlphabetSchedule.constant(2), prefix, period)
+
+
+def _counting_step_row(monkeypatch):
+    stepped = []
+    step_row = LevelTable.step_row
+
+    def counting(table, *args):
+        stepped.append(table)
+        return step_row(table, *args)
+
+    monkeypatch.setattr(LevelTable, "step_row", counting)
+    return stepped
+
+
+def test_a_shared_period_is_searched_once(monkeypatch):
+    a, b = GroupWord.generator(0), GroupWord.generator(1)
+    types = admissible_binary_level_types()
+    period = [types[5], types[8]]
+    first = _binary_fold([types[1]], period)
+    queries = [(a * b, b * a), (a, None)]
+    outcomes = [_outcome(first, g, h, Budget()) for g, h in queries]
+    assert [o[0] for o in outcomes] == ["equal", "not_equal"]
+    assert len(types[5].period_closures) == 2
+    # Without its rows, the period could only be read from the memo.
+    types[5].proven_rows.clear()
+    types[8].proven_rows.clear()
+
+    stepped = _counting_step_row(monkeypatch)
+    second = _binary_fold([types[0], types[1]], period)
+    again = [_outcome(second, g, h, Budget()) for g, h in queries]
+    assert again == [_expected(second, g, h, Budget()) for g, h in queries]
+    assert stepped and not set(map(id, stepped)) & set(map(id, period))
+    # One more prefix level that fixes a and keeps its states: one more
+    # node and one more letter in front of the recalled mismatch.
+    assert again[1][3] == outcomes[1][3] + 1
+    assert again[1][1] == (0,) + outcomes[1][1]
+
+
+def test_a_recalled_node_count_still_meets_the_budget(monkeypatch):
+    a, b = GroupWord.generator(0), GroupWord.generator(1)
+    types = admissible_binary_level_types()
+    period = [types[4], types[9]]
+    assert decide_equal(_binary_fold([types[1]], period), a * b, b * a).explored == 9
+    ((stored,),) = types[4].period_closures.values()
+    assert stored == 7
+
+    stepped = _counting_step_row(monkeypatch)
+    second = _binary_fold([types[0], types[1]], period)
+    tight, short = Budget(max_states=10), Budget(max_states=9)
+    assert _outcome(second, a * b, b * a, tight) == ("equal", None, "periodic_bfs", 10, None)
+    assert _outcome(second, a * b, b * a, short) == ("BudgetExceededError", 9)
+    assert _expected(second, a * b, b * a, short) == ("BudgetExceededError", 9)
+    assert not set(map(id, stepped)) & set(map(id, period))
+
+
+def _false_mismatch(monkeypatch):
+    # Every node claims that letter 0 comes back moved.
+    monkeypatch.setattr(LevelTable, "step_row", lambda table, *args: ((), 0))
+
+
+@pytest.mark.parametrize("two_words", [False, True])
+def test_a_false_mismatch_fails_its_check(monkeypatch, two_words):
+    a, b = GroupWord.generator(0), GroupWord.generator(1)
+    fixed = LevelTable.identity(2, 2)
+    m = _binary_fold([fixed], [fixed])
+    _false_mismatch(monkeypatch)
+    with pytest.raises(VerificationFailedError):
+        decide_equal(m, a, b if two_words else None)
+
+
+def test_a_false_recalled_mismatch_fails_its_check():
+    a = GroupWord.generator(0)
+    types = admissible_binary_level_types()
+    period = [types[2]]  # a moves every letter here
+    assert decide_equal(_binary_fold([types[0]], period), a).witness == (0, 0)
+    ((key, (count, index, letters)),) = types[2].period_closures.items()
+    assert (count, index, letters) == (0, 0, (0,))
+    # Recalled without its last letter, the witness stops above the
+    # level where a moves.
+    types[2].period_closures[key] = (count, index, ())
+    with pytest.raises(VerificationFailedError):
+        decide_equal(_binary_fold([types[1]], period), a)
+
+
+def test_recalled_outcomes_are_told_apart_by_signs_and_entering_states():
+    a, b = GroupWord.generator(0), GroupWord.generator(1)
+    period = [
+        LevelTable([[0, 0], [0, 1]], [[1, 0], [1, 0]]),
+        LevelTable([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+    ]
+    # Behind levels that fix every letter and keep every state, a b and
+    # a b^-1 enter the period with equal states and other signs, a b and
+    # b a with equal signs and other states, and a b ends apart from both.
+    words = [a * b, a * b.inverse(), b * a]
+    fixed = LevelTable.identity(2, 2)
+    for prefix in ([fixed], [fixed, fixed]):
+        m = _binary_fold(prefix, period)
+        outcomes = [_outcome(m, w, None, Budget()) for w in words]
+        assert outcomes == [_expected(m, w, None, Budget()) for w in words]
+        assert outcomes[0] not in outcomes[1:]
+    assert len(period[0].period_closures) == 3

@@ -14,7 +14,7 @@ from tvautomata import (  # noqa: E402
     cycle_transposition_automaton,
     step_section,
 )
-from tvautomata.engine import _c_power_image  # noqa: E402
+from tvautomata.engine import _c_power_image, _test_word  # noqa: E402
 
 
 def _reference_image(automaton, factors, word):
@@ -108,3 +108,27 @@ def test_positional_powers_of_c_match_the_expanded_word(automaton, n, data):
     letters = tuple(data.draw(st.integers(0, d - 1)) for d in sizes)
     c = GroupWord.generator(0) * GroupWord.generator(1).inverse()
     assert _c_power_image(automaton, n, letters) == apply_word(automaton, c**n, letters)
+
+
+def _made(build):
+    """What a word construction returns, or the type and text it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+# Words built directly, so neither reduced nor always well signed.
+_raw_words = st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from((1, -1, 1, -1, 2))), max_size=6
+).map(lambda factors: GroupWord(tuple(factors)))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(_raw_words, st.one_of(st.none(), _raw_words))
+def test_the_search_word_is_the_product_with_the_inverse(g, h):
+    def product():
+        e = g if h is None else g * h.inverse()
+        return tuple(q for q, _ in e.factors), tuple(s for _, s in e.factors)
+
+    assert _made(lambda: _test_word(g, h)) == _made(product)
