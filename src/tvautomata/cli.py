@@ -4,7 +4,10 @@ Reads a JSON config describing a schedule and an automaton, runs one
 analysis subcommand, and prints a text or JSON report.  Exit codes: 0
 for a positive outcome, 1 when the analysis itself comes back negative
 (a failed check, relations found, an intransitive orbit, a partial
-order sweep), 2 for usage, config, or precondition errors.
+order sweep, an exhausted search budget, a certificate that failed its
+check), 2 for usage, config, or precondition errors: every other
+AutomatonError, ValueError or OSError.  An error prints one `error:`
+line.
 """
 
 from __future__ import annotations
@@ -16,43 +19,15 @@ import sys
 from typing import Optional, Sequence
 
 from . import engine
-from .core import Automaton
+from .core import Automaton, _check_count
 from .engine import Budget, GroupWord
 from .errors import (
+    AutomatonError,
     BudgetExceededError,
-    InvalidWordError,
-    NonCoprimeModuliError,
-    NotBinaryError,
-    NotBiReversibleError,
-    NotInvertibleError,
-    NotMealyError,
-    NotTwoStateError,
-    OrbitTooLargeError,
     OrderCapExceededError,
-    ScheduleMismatchError,
-    SteeringError,
-    UnboundedScheduleError,
-    UndecidableRepresentationError,
     VerificationFailedError,
 )
 from .families import FAMILIES, FAMILY_SUMMARIES, build_from_config
-
-_USAGE_ERRORS = (
-    ValueError,
-    OSError,
-    InvalidWordError,
-    NonCoprimeModuliError,
-    NotBinaryError,
-    NotBiReversibleError,
-    NotInvertibleError,
-    NotMealyError,
-    NotTwoStateError,
-    OrbitTooLargeError,
-    ScheduleMismatchError,
-    SteeringError,
-    UnboundedScheduleError,
-    UndecidableRepresentationError,
-)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -192,8 +167,9 @@ def _cmd_act(args):
 
 
 def _cmd_levels(args):
-    if args.max_level > engine.MAX_LEVEL:
-        raise ValueError(f"--max-level must be at most {engine.MAX_LEVEL}")
+    # Checked before the sweep: level_group would refuse only the first
+    # level past the budget, after building every level above it.
+    _check_count(args.max_level, "--max-level", level=True)
     a = _load_automaton(args)
     rows = []
     capped = None
@@ -233,8 +209,8 @@ def _cmd_classify(args):
 
 
 def _cmd_relations(args):
-    a = _load_automaton(args)
     budget = Budget(max_depth=args.depth)
+    a = _load_automaton(args)
     found = engine.relation_search(a, args.max_len, budget=budget)
     names = a.state_names
     relations = [w.display(names) for w in found.equal]
@@ -282,8 +258,6 @@ def _cmd_steer(args):
 
 def _cmd_orbit(args):
     a = _load_automaton(args)
-    if args.level < 0:
-        raise ValueError("level must be nonnegative")
     orbit = engine.orbit_at_level(a, args.level)
     leaves = a.schedule.leaf_count(args.level)
     transitive = len(orbit) == leaves
@@ -398,12 +372,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         options, result, lines, code = args.handler(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (BudgetExceededError, VerificationFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (AutomatonError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         report = {"command": args.command, "options": options, "result": result}
         print(json.dumps(report, indent=2, sort_keys=True))

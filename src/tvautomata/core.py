@@ -19,7 +19,6 @@ rows forward and the inverse transducer's rows backward.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -37,6 +36,23 @@ INVERSE_NOT_REVERSIBLE = "inverse_not_reversible"
 
 _DEFAULT_CHECK_DEPTH = 20
 _SANITY_DEPTH = 8
+_EMBED_CHECK_DEPTH = 64
+
+# The level budget: the deepest level a check depth, an orbit level, an
+# equality search's depth budget or a level group may name.  Portraits
+# recurse two frames per level, so a much deeper level overflows the
+# default interpreter stack (under pytest, levels up to about 475 run);
+# over a ramp, tables this deep already hold hundreds of letters.
+MAX_LEVEL = 450
+
+
+def _check_count(value: int, what: str, least: int = 1, level: bool = False) -> None:
+    """Refuse a count below `least` and, when it names a level, one past
+    MAX_LEVEL, with a ValueError."""
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    if level and value > MAX_LEVEL:
+        raise ValueError(f"{what} {value} is deeper than the supported {MAX_LEVEL}")
 
 
 @dataclass(frozen=True)
@@ -339,8 +355,7 @@ class Automaton:
             p, m = fold
             if p < 0 or m < 1:
                 raise ValueError("a fold needs p >= 0 and m >= 1")
-            structure = schedule.periodic_structure()
-            if structure is None or p < structure[0] or m % len(structure[1]):
+            if schedule.aligned_fold(p, m) != (p, m):
                 raise ScheduleMismatchError(
                     f"fold {fold} does not line up with the schedule "
                     f"{schedule.to_config()}"
@@ -366,19 +381,18 @@ class Automaton:
         two period lengths.  Ramp schedules are rejected since no finite
         table block can match ever-growing alphabets.
         """
-        structure = schedule.periodic_structure()
-        if structure is None:
+        prefix = tuple(prefix)
+        period = tuple(period)
+        fold = schedule.aligned_fold(len(prefix), len(period))
+        if fold is None:
             raise ScheduleMismatchError(
                 "explicit periodic tables need a constant or periodic schedule tail"
             )
-        prefix = tuple(prefix)
-        period = tuple(period)
         if not period:
             raise ValueError("periodic table block must be nonempty")
         n = period[0].n_states
         if any(t.n_states != n for t in prefix + period):
             raise ValueError("all level tables must share one state count")
-        sched_prefix_len, sched_period = structure
 
         def raw(level: int) -> LevelTable:
             if level <= len(prefix):
@@ -390,10 +404,7 @@ class Automaton:
             n,
             raw,
             state_names=state_names,
-            fold=(
-                max(len(prefix), sched_prefix_len),
-                math.lcm(len(period), len(sched_period)),
-            ),
+            fold=fold,
             family=family,
         )
 
@@ -551,8 +562,10 @@ class Automaton:
         and one with an identity tail over the levels before it.  A bare
         rule is checked up to a depth, unless the construction guarantees
         the property, in which case a short sanity window is verified.
+        `up_to` counts levels from 1 to MAX_LEVEL.
         """
-        depth = up_to if up_to is not None else _DEFAULT_CHECK_DEPTH
+        depth = _DEFAULT_CHECK_DEPTH if up_to is None else up_to
+        _check_count(depth, "check depth", level=True)
         exact = True
         if self.fold is not None:
             last = sum(self.fold)
@@ -569,9 +582,6 @@ class Automaton:
         return BiReversibilityVerdict(
             True, exact=exact, checked_up_to=None if exact else depth
         )
-
-    def is_bireversible(self, up_to: Optional[int] = None) -> bool:
-        return self.bireversibility(up_to).holds
 
     # -- derived transducers -------------------------------------------
 
@@ -623,10 +633,6 @@ class Automaton:
         """Keep the first `depth` levels, act trivially beyond them."""
         if depth < 0:
             raise ValueError("restriction depth must be nonnegative")
-        fold = None
-        structure = self.schedule.periodic_structure()
-        if structure is not None:
-            fold = (max(depth, structure[0]), len(structure[1]))
         ident = depth + 1
         if self.identity_from is not None:
             ident = min(ident, self.identity_from)
@@ -635,7 +641,7 @@ class Automaton:
             self.n_states,
             self.table_at,
             state_names=self.state_names,
-            fold=fold,
+            fold=self.schedule.aligned_fold(depth, 1),
             identity_from=ident,
             family=family,
         )
@@ -687,18 +693,17 @@ def embed_on_subsequence(
     step: int = 1,
     *,
     family: Optional[tuple[str, dict]] = None,
-    check_depth: int = 64,
 ) -> Automaton:
     """Spread a transducer over the host levels start, start+step, ....
 
     Level start + (j-1)*step of the result carries level j of `inner`;
     all other levels act trivially.  The inner schedule must match the
     host schedule along those positions.  The match is verified eagerly
-    for the first `check_depth` inner levels and lazily afterwards.
+    for the first `_EMBED_CHECK_DEPTH` inner levels and lazily afterwards.
     """
     if start < 1 or step < 1:
         raise ValueError("start and step must be at least 1")
-    for j in range(1, check_depth + 1):
+    for j in range(1, _EMBED_CHECK_DEPTH + 1):
         if inner.schedule.size_at(j) != host.size_at(start + (j - 1) * step):
             raise ScheduleMismatchError(
                 f"inner level {j} has size {inner.schedule.size_at(j)} but host "
@@ -718,11 +723,9 @@ def embed_on_subsequence(
         return LevelTable.identity(inner.n_states, host.size_at(i))
 
     fold = None
-    host_structure = host.periodic_structure()
-    if inner.fold is not None and host_structure is not None:
-        sp, speriod = host_structure
+    if inner.fold is not None:
         pi, mi = inner.fold
-        fold = (max(sp, start - 1 + step * pi), math.lcm(step * mi, len(speriod)))
+        fold = host.aligned_fold(start - 1 + step * pi, step * mi)
     identity_from = None
     if inner.identity_from is not None:
         identity_from = start + (inner.identity_from - 1) * step

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import perms
-from .core import Automaton, LevelTable
+from .core import Automaton, LevelTable, _check_count
 from .errors import (
     BudgetExceededError,
     InvalidWordError,
@@ -58,11 +58,17 @@ MAX_ORBIT_WORDS = 200_000
 class GroupWord:
     """A freely reduced word in transducer states and their inverses.
 
-    Factors are (state index, sign) pairs with sign +1 or -1.  The
-    leftmost factor is applied last when the word acts on tree words.
+    Factors are (state index, sign) pairs with a nonnegative state index
+    and sign +1 or -1.  The constructor takes any such factors and keeps
+    them freely reduced, so equal reduced words compare equal; a bad
+    sign or a negative index raises ValueError.  The leftmost factor is
+    applied last when the word acts on tree words.
     """
 
     factors: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", _free_reduction(self.factors))
 
     @staticmethod
     def identity() -> "GroupWord":
@@ -70,23 +76,17 @@ class GroupWord:
 
     @staticmethod
     def generator(state: int, sign: int = 1) -> "GroupWord":
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         return GroupWord(((state, sign),))
 
-    @staticmethod
-    def from_factors(factors: Iterable[tuple[int, int]]) -> "GroupWord":
-        return GroupWord(tuple(_free_reduction(factors)))
-
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        return GroupWord.from_factors(self.factors + other.factors)
+        return GroupWord(self.factors + other.factors)
 
     def inverse(self) -> "GroupWord":
         return GroupWord(tuple((q, -s) for q, s in reversed(self.factors)))
 
     def __pow__(self, n: int) -> "GroupWord":
         base = self if n >= 0 else self.inverse()
-        return GroupWord.from_factors(base.factors * abs(n))
+        return GroupWord(base.factors * abs(n))
 
     @property
     def length(self) -> int:
@@ -141,20 +141,22 @@ class GroupWord:
         factors: list[tuple[int, int]] = []
         for q, exp in powers:
             factors.extend([(q, 1 if exp > 0 else -1)] * abs(exp))
-        return GroupWord.from_factors(factors)
+        return GroupWord(factors)
 
 
-def _free_reduction(factors: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Cancel adjacent inverse factors, checking every sign on the way."""
+def _free_reduction(factors: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Cancel adjacent inverse factors, checking every factor on the way."""
     stack: list[tuple[int, int]] = []
     for q, s in factors:
         if s not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if stack and stack[-1][0] == q and stack[-1][1] == -s:
+        if q < 0:
+            raise ValueError(f"state index {q} is negative")
+        if stack and stack[-1] == (q, -s):
             stack.pop()
         else:
             stack.append((q, s))
-    return stack
+    return tuple(stack)
 
 
 def apply_word(automaton: Automaton, word: GroupWord, letters: Sequence[int]) -> Word:
@@ -168,8 +170,16 @@ def apply_word(automaton: Automaton, word: GroupWord, letters: Sequence[int]) ->
 
 @dataclass(frozen=True)
 class Budget:
+    """Limits of one equality search: the deepest level it steps to on a
+    machine without finitely many phases (1 .. MAX_LEVEL), and the most
+    nodes it keeps (at least 1)."""
+
     max_depth: int = 20
     max_states: int = 200_000
+
+    def __post_init__(self):
+        _check_count(self.max_depth, "depth budget", level=True)
+        _check_count(self.max_states, "state budget")
 
 
 _DEFAULT_BUDGET = Budget()
@@ -281,12 +291,17 @@ def decide_equal(
     A "not_equal" verdict carries a shortest mismatch witness w found by
     the search, already transformed so that g(w) differs from h(w).  It
     is checked before it is returned; one that fails raises
-    VerificationFailedError.
+    VerificationFailedError.  A state index of the test word past the
+    machine's states raises ValueError.
     """
     budget = budget or _DEFAULT_BUDGET
     states, signs = _test_word(g, h)
     if not states:
         return EqualityVerdict("equal", method="periodic_bfs", explored=0)
+    # Words are reduced and signed by construction; only the test word's
+    # largest state index is left to check against this machine.
+    if max(states) >= automaton.n_states:
+        automaton.state_index(max(states))
     finite = automaton.has_finite_phases
     fold = automaton.fold
     entry = (
@@ -474,8 +489,10 @@ def relation_search(
 
     Words proved trivial land in `equal`; words the search could not
     settle land in `unknown`.  Both empty means the states generate a
-    group that is free on them, as far as the scan can see.
+    group that is free on them, as far as the scan can see.  `max_len`
+    may be 0, which scans no word.
     """
+    _check_count(max_len, "word length", least=0)
     result = RelationSearchResult([], [], 0)
     for word in reduced_words(automaton.n_states, max_len):
         result.checked += 1
@@ -764,13 +781,6 @@ class LevelGroup:
         return max(self.element_order(e) for e in self.element_ids)
 
 
-# Building and composing portraits recurses two frames per level, so a
-# much deeper level overflows the default interpreter stack (1000 frames).
-# Such levels are refused before any portrait is built.  Under pytest,
-# levels up to about 475 still run; this leaves some headroom.
-MAX_LEVEL = 450
-
-
 def level_group(
     automaton: Automaton, level: int, *, order_cap: int = 10**6
 ) -> LevelGroup:
@@ -781,12 +791,12 @@ def level_group(
     `element_ids` is first read.  Raises OrderCapExceededError, carrying
     the exact order, when that order exceeds `order_cap`;
     NotInvertibleError when some state does not act invertibly down to
-    that level; and ValueError for a level outside 1 .. MAX_LEVEL.
+    that level; and ValueError for a level outside 1 .. MAX_LEVEL or an
+    order cap below 1.  Levels past MAX_LEVEL are refused before any
+    portrait is built, since portraits recurse two frames per level.
     """
-    if level < 1:
-        raise ValueError("levels start at 1")
-    if level > MAX_LEVEL:
-        raise ValueError(f"level {level} is deeper than the supported {MAX_LEVEL}")
+    _check_count(level, "level", level=True)
+    _check_count(order_cap, "order cap")
     ctx = _PortraitContext(automaton, level)
     gens = tuple(ctx.from_state(1, q) for q in range(automaton.n_states))
     order = _chain_order(ctx, gens)
@@ -807,9 +817,10 @@ def orbit_at_level(
 ) -> frozenset:
     """Orbit of one word of the given length under the generated group.
 
-    Raises OrbitTooLargeError once more than MAX_ORBIT_WORDS words are
-    reached.
+    `level` runs from 0, the root, to MAX_LEVEL.  Raises
+    OrbitTooLargeError once more than MAX_ORBIT_WORDS words are reached.
     """
+    _check_count(level, "level", least=0, level=True)
     if seed is None:
         seed_word: Word = (0,) * level
     else:

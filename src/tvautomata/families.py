@@ -8,7 +8,6 @@ instances, and the config (de)serialization entry points
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Callable, Optional, Sequence
 
@@ -129,15 +128,6 @@ def _diagonal_rows(n_states: int, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(q for _ in range(size)) for q in range(n_states))
 
 
-def _size_fold(schedule: AlphabetSchedule) -> Optional[tuple[int, int]]:
-    """Fold for a rule that depends on the level only through the
-    alphabet size; None when the schedule is a ramp."""
-    structure = schedule.periodic_structure()
-    if structure is None:
-        return None
-    return structure[0], len(structure[1])
-
-
 def _order_preserving_labeling(formula: Callable[[int], int], size: int) -> tuple[int, ...]:
     """Restrict a 1-based integer bijection to {1..size} as a 0-based
     permutation, routing out-of-range images through the order-preserving
@@ -170,7 +160,7 @@ def word_order_automaton(schedule: AlphabetSchedule) -> Automaton:
         schedule,
         2,
         fn,
-        fold=_size_fold(schedule),
+        fold=schedule.aligned_fold(0, 1),
         exact_bireversible=True,
         family=("example1", {}),
     )
@@ -211,7 +201,7 @@ def cycle_transposition_automaton(
         schedule,
         2,
         fn,
-        fold=_size_fold(schedule),
+        fold=schedule.aligned_fold(0, 1),
         exact_bireversible=True,
         family=("example2", {"x0": x0, "x1": x1}),
     )
@@ -323,7 +313,7 @@ def sym_diagonal_automaton(
         schedule,
         2,
         fn,
-        fold=_size_fold(schedule),
+        fold=schedule.aligned_fold(0, 1),
         exact_bireversible=True,
         identity_from=identity_from,
         family=("gi", params),
@@ -462,12 +452,10 @@ def random_bireversible_automaton(
 ) -> Automaton:
     """Random bi-reversible two-state automaton over a bounded schedule,
     with explicit tables drawn level by level."""
-    structure = schedule.periodic_structure()
-    if structure is None:
+    fold = schedule.aligned_fold(prefix_len, period_len)
+    if fold is None:
         raise ScheduleMismatchError("needs a constant or periodic schedule tail")
-    sp, block = structure
-    p = max(prefix_len, sp)
-    m = math.lcm(period_len, len(block))
+    p, m = fold
     prefix = tuple(random_admissible_level(rng, schedule.size_at(i)) for i in range(1, p + 1))
     period = tuple(
         random_admissible_level(rng, schedule.size_at(i)) for i in range(p + 1, p + m + 1)

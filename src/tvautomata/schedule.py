@@ -8,6 +8,7 @@ or a ramp growing by one per level.  Letters of the level-i alphabet are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -117,6 +118,16 @@ class AlphabetSchedule:
         if isinstance(self.tail, Periodic):
             return len(self.prefix), self.tail.values
         return None
+
+    def aligned_fold(self, p: int, m: int) -> tuple[int, int] | None:
+        """The least fold at or past (p, m) that lines up with this
+        schedule: its p covers the schedule's prefix and its period is a
+        multiple of the size block's length.  None for a ramp tail, which
+        no fold lines up with."""
+        structure = self.periodic_structure()
+        if structure is None:
+            return None
+        return max(p, structure[0]), math.lcm(m, len(structure[1]))
 
     def shifted(self, count: int) -> "AlphabetSchedule":
         """The schedule with the first `count` levels dropped."""

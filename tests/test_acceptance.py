@@ -324,7 +324,7 @@ def test_criterion_09_equality_verdicts_match_brute_force():
     rng = random.Random(909)
 
     def random_word(n_states):
-        return GroupWord.from_factors(
+        return GroupWord(
             [
                 (rng.randrange(n_states), rng.choice((1, -1)))
                 for _ in range(rng.randint(0, 4))
@@ -392,7 +392,7 @@ def test_criterion_11_interleaved_machine_acts_only_on_even_levels():
 
     rng = random.Random(1111)
     for _ in range(100):
-        word = GroupWord.from_factors(
+        word = GroupWord(
             [(rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
         )
         letters = tuple(rng.randrange(4) for _ in range(rng.randint(1, 12)))

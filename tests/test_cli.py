@@ -10,8 +10,17 @@ import time
 import pytest
 
 import tvautomata
-from tvautomata import cli
+from tvautomata import cli, errors
 from tvautomata.cli import main
+from tvautomata.core import MAX_LEVEL
+from tvautomata.errors import (
+    AutomatonError,
+    BudgetExceededError,
+    NotInvertibleError,
+    OrbitTooLargeError,
+    OrderCapExceededError,
+    VerificationFailedError,
+)
 from tvautomata.schedule import MAX_ALPHABET_SIZE
 
 Z2Z4 = {
@@ -535,6 +544,87 @@ def test_an_alphabet_at_the_size_budget_loads(capsys, config):
     )
     assert code == 0
     assert report["result"]["words"] == MAX_ALPHABET_SIZE
+
+
+# Counts below their least value or past the level budget, each named in
+# the error line by what it counts.
+_BAD_COUNTS = {
+    "check_depth_negative": ("check", "--depth", "-1", "check depth"),
+    "check_depth_zero": ("check", "--depth", "0", "check depth"),
+    "check_depth_past_budget": ("check", "--depth", str(MAX_LEVEL + 1), "check depth"),
+    "levels_max_level_negative": ("levels", "--max-level", "-3", "--max-level"),
+    "levels_max_level_zero": ("levels", "--max-level", "0", "--max-level"),
+    "levels_order_cap_negative": ("levels", "--order-cap", "-1", "order cap"),
+    "levels_order_cap_zero": ("levels", "--order-cap", "0", "order cap"),
+    "relations_max_len_negative": ("relations", "--max-len", "-1", "word length"),
+    "relations_depth_zero": ("relations", "--depth", "0", "depth budget"),
+    "relations_depth_past_budget": (
+        "relations", "--depth", str(MAX_LEVEL + 1), "depth budget"
+    ),
+    "orbit_level_past_budget": ("orbit", "--level", str(MAX_LEVEL + 1), "level"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COUNTS))
+def test_a_count_out_of_range_exits_2(capsys, config, case):
+    command, option, value, what = _BAD_COUNTS[case]
+    code, out, err = run(capsys, command, "--config", config(Z2Z4), option, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {what} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, option, what", [("check", "--depth", "check depth"), ("orbit", "--level", "level")]
+)
+def test_a_level_past_the_budget_on_a_ramp_exits_2_at_once(config, command, option, what):
+    # Every table down to level 20000 over ramp(1) would end in MemoryError
+    # under this limit, after half a minute.
+    ramp = {"prefix": [], "tail": {"kind": "ramp", "value": {"offset": 1}}}
+    path = config(_builtin("example2", ramp))
+    src = os.path.dirname(os.path.dirname(tvautomata.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "tvautomata.cli", command, "--config", path, option, "20000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limited_memory,
+        timeout=120,
+    )
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {what} 20000 is deeper than the supported {MAX_LEVEL}\n"
+
+
+def _instance(cls):
+    args = {
+        NotInvertibleError: (2, 1),
+        BudgetExceededError: ("states", 9),
+        OrbitTooLargeError: (13, 200_000),
+        OrderCapExceededError: (4, 8),
+    }
+    return cls(*args.get(cls, (f"{cls.__name__} raised",)))
+
+
+_ERROR_TYPES = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, AutomatonError)
+] + [ValueError, OSError]
+
+
+@pytest.mark.parametrize("cls", _ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_every_error_exits_by_its_type_with_one_line(capsys, config, monkeypatch, cls):
+    exc = _instance(cls)
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_load_automaton", fail)
+    code, out, err = run(capsys, "classify", "--config", config(Z2Z4))
+    assert code == (1 if cls in (BudgetExceededError, VerificationFailedError) else 2)
+    assert (out, err) == ("", f"error: {exc}\n")
 
 
 def test_explicit_config_document(capsys, config):

@@ -18,6 +18,7 @@ from tvautomata import (
     diagonal_automaton,
     embed_on_subsequence,
     lamplighter_automaton,
+    random_bireversible_automaton,
     sym_diagonal_automaton,
     tables_equal,
     word_order_automaton,
@@ -25,6 +26,7 @@ from tvautomata import (
     z4_automaton,
 )
 from tvautomata import perms
+from tvautomata.core import MAX_LEVEL
 
 FLIP = (1, 0)
 IDENT = (0, 1)
@@ -351,6 +353,32 @@ def test_a_fold_must_line_up_with_the_schedule():
         Automaton(AlphabetSchedule.ramp(1), 2, rule, fold=(0, 1))
     folded = Automaton(AlphabetSchedule.periodic((2, 2)), 2, rule, fold=(0, 2))
     assert folded.periodic_tables == ((), (ODD, ODD))
+
+
+def test_constructions_take_their_fold_from_the_schedule():
+    periodic = AlphabetSchedule.periodic((3, 4), prefix=(5,))
+    assert cycle_transposition_automaton(periodic).fold == periodic.aligned_fold(0, 1) == (1, 2)
+    assert cycle_transposition_automaton(AlphabetSchedule.ramp(1)).fold is None
+    assert z2z4_automaton().restricted(3).fold == (3, 1)
+    assert cycle_transposition_automaton(AlphabetSchedule.ramp(1)).restricted(3).fold is None
+    binary = AlphabetSchedule.periodic((2, 2))
+    machine = random_bireversible_automaton(random.Random(3), binary, 1, 3)
+    assert machine.fold == binary.aligned_fold(1, 3) == (1, 6)
+    with pytest.raises(ScheduleMismatchError):
+        random_bireversible_automaton(random.Random(3), AlphabetSchedule.ramp(1))
+    spread = embed_on_subsequence(z2z4_automaton(), AlphabetSchedule.constant(2), 2, 3)
+    assert spread.fold == (1, 6)
+
+
+def test_check_depths_run_from_one_to_the_level_budget():
+    z = z2z4_automaton()
+    rule = Automaton(AlphabetSchedule.constant(2), 2, lambda i: ODD)
+    for machine in (z, rule):
+        for depth in (-1, 0, MAX_LEVEL + 1):
+            with pytest.raises(ValueError):
+                machine.bireversibility(depth)
+    assert rule.bireversibility(1).checked_up_to == 1
+    assert rule.bireversibility(MAX_LEVEL).checked_up_to == MAX_LEVEL
 
 
 def test_a_folded_rule_is_never_sampled_past_its_fold():

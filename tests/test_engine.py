@@ -42,7 +42,8 @@ from tvautomata import (
     z4_automaton,
 )
 from tvautomata import engine, perms
-from tvautomata.engine import MAX_LEVEL, MAX_WORD_FACTORS, _c_power_image
+from tvautomata.core import MAX_LEVEL
+from tvautomata.engine import MAX_WORD_FACTORS, _c_power_image
 
 from test_core import catalog
 
@@ -57,11 +58,52 @@ E = GroupWord.identity()
 def test_words_reduce_on_composition():
     assert (A * A.inverse()) == E
     assert (A * B * B.inverse()).factors == A.factors
-    assert GroupWord.from_factors([(0, 1), (0, -1), (1, 1)]).factors == ((1, 1),)
+    assert GroupWord([(0, 1), (0, -1), (1, 1)]).factors == ((1, 1),)
     assert (A**3).factors == ((0, 1),) * 3
     assert (A**-2) == A.inverse() * A.inverse()
     assert A**0 == E
     assert E.inverse() == E
+
+
+def test_words_are_reduced_by_construction():
+    names = ("a", "b")
+    w = GroupWord(((0, 1), (0, -1)))
+    assert w == E and w.length == 0 and w.display(names) == "e"
+    assert GroupWord([(0, 1), (1, 1), (1, -1), (0, -1), (1, -1)]).factors == ((1, -1),)
+    assert GroupWord([[1, 1], [0, -1]]) == B * A.inverse()
+    assert hash(GroupWord(((0, 1), (1, 1), (1, -1)))) == hash(A)
+    assert GroupWord.generator(1, -1) == B.inverse()
+
+
+@pytest.mark.parametrize("factors", [((0, 0),), ((0, 2),), ((1, 1), (0, -2))])
+def test_a_sign_other_than_one_or_minus_one_is_refused(factors):
+    with pytest.raises(ValueError, match="sign"):
+        GroupWord(factors)
+    with pytest.raises(ValueError, match="sign"):
+        GroupWord.generator(*factors[-1])
+
+
+def test_a_negative_state_index_is_refused():
+    with pytest.raises(ValueError, match="negative"):
+        GroupWord(((-1, 1),))
+    with pytest.raises(ValueError, match="negative"):
+        GroupWord.generator(-2)
+    with pytest.raises(ValueError, match="negative"):
+        GroupWord.parse("a b", {"a": 0, "b": -1})
+
+
+def test_equality_queries_check_state_indices():
+    z = z2z4_automaton()
+    # The unreduced form of the empty word explores nothing.
+    assert decide_equal(z, GroupWord(((0, 1), (0, -1)))).explored == 0
+    five = GroupWord(((5, 1),))
+    for g, h in ((five, None), (A, five), (five, A)):
+        with pytest.raises(ValueError, match="state index 5 out of range"):
+            decide_equal(z, g, h)
+    # The test word g h^-1 is empty here, so no state of it acts.
+    assert decide_equal(z, five, five).is_equal
+    with pytest.raises(ValueError, match="state index 5 out of range"):
+        apply_word(z, five, (0,))
 
 
 def test_powers_equal_repeated_products():
@@ -263,6 +305,25 @@ def test_relation_scan_with_zero_length_budget():
     found = relation_search(z2z4_automaton(), 0)
     assert found.checked == 0
     assert found.equal == [] and found.unknown == []
+    with pytest.raises(ValueError, match="word length"):
+        relation_search(z2z4_automaton(), -1)
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [{"max_depth": 0}, {"max_depth": -2}, {"max_depth": MAX_LEVEL + 1}, {"max_states": 0}],
+)
+def test_a_budget_out_of_range_is_refused(limits):
+    with pytest.raises(ValueError):
+        Budget(**limits)
+
+
+def test_a_budget_at_its_limits_answers():
+    ident = Automaton.from_rule(
+        AlphabetSchedule.ramp(1), 2, lambda i: LevelTable.identity(2, i + 1)
+    )
+    assert decide_equal(ident, A, B, budget=Budget(max_depth=1)).exhausted_depth == 1
+    assert decide_equal(z2z4_automaton(), A, budget=Budget(max_states=1)).status == "not_equal"
 
 
 # -- level groups -----------------------------------------------------
@@ -377,6 +438,15 @@ def test_levels_past_the_recursion_budget_are_refused():
     assert level_group(z2z4_automaton(), MAX_LEVEL).order == 8
     with pytest.raises(ValueError, match="deeper than"):
         level_group(z2z4_automaton(), MAX_LEVEL + 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        level_group(z2z4_automaton(), 0)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_an_order_cap_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match="order cap"):
+        level_group(z2z4_automaton(), 1, order_cap=cap)
+    assert level_group(z4_automaton(), 1, order_cap=2).order == 2
 
 
 # -- orbits -----------------------------------------------------------
@@ -406,6 +476,15 @@ def test_orbits_past_the_word_budget_are_refused(monkeypatch):
     assert (info.value.level, info.value.limit) == (4, 100)
     # Deep intransitive orbits stay small and still answer.
     assert len(orbit_at_level(bellaterra_dual_automaton(), 16)) == 3
+
+
+@pytest.mark.parametrize("level", [-3, -1, MAX_LEVEL + 1])
+def test_orbit_levels_run_from_the_root_to_the_level_budget(level):
+    with pytest.raises(ValueError, match="level"):
+        orbit_at_level(z2z4_automaton(), level)
+    with pytest.raises(ValueError, match="level"):
+        is_level_transitive_at(z2z4_automaton(), level)
+    assert len(orbit_at_level(z2z4_automaton(), MAX_LEVEL)) == 8
 
 
 # -- two-state structure, twist, and torsion --------------------------

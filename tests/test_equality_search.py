@@ -181,7 +181,7 @@ def shared_table_machines(draw):
 
 def _words(n_states, max_size):
     factor = st.tuples(st.integers(0, n_states - 1), st.sampled_from((1, -1)))
-    return st.lists(factor, max_size=max_size).map(GroupWord.from_factors)
+    return st.lists(factor, max_size=max_size).map(GroupWord)
 
 
 _RAMP_MACHINES = [

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from tvautomata import AlphabetSchedule, InvalidWordError
@@ -119,6 +121,51 @@ def test_periodic_structure():
     assert AlphabetSchedule.constant(3, prefix=(2,)).periodic_structure() == (1, (3,))
     assert AlphabetSchedule.periodic((3, 4)).periodic_structure() == (0, (3, 4))
     assert AlphabetSchedule.ramp(0).periodic_structure() is None
+
+
+_FOLD_SCHEDULES = {
+    "constant": AlphabetSchedule.constant(2),
+    "prefixed_constant": AlphabetSchedule.constant(3, prefix=(2, 5)),
+    "periodic": AlphabetSchedule.periodic((3, 4)),
+    "prefixed_periodic": AlphabetSchedule.periodic((2, 3, 4), prefix=(5,)),
+    "long_prefixed_periodic": AlphabetSchedule.periodic((2, 2, 3, 3), prefix=(4, 4, 4)),
+    "ramp": AlphabetSchedule.ramp(1),
+    "prefixed_ramp": AlphabetSchedule.ramp(0, prefix=(3,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_SCHEDULES))
+def test_aligned_fold_is_every_construction_s_fold(name):
+    schedule = _FOLD_SCHEDULES[name]
+    structure = schedule.periodic_structure()
+    for p in range(7):
+        for m in range(1, 8):
+            fold = schedule.aligned_fold(p, m)
+            if structure is None:
+                assert fold is None
+                continue
+            sp, block = structure
+            # Explicit and random periodic tables unroll to this fold.
+            assert fold == (max(p, sp), math.lcm(m, len(block)))
+            # A given fold lines up exactly when it is its own aligned fold.
+            assert (fold == (p, m)) == (p >= sp and m % len(block) == 0)
+            # Restriction to depth p.
+            assert schedule.aligned_fold(p, 1) == (max(p, sp), len(block))
+            # An inner fold (p, m) spread over levels start, start + step, ...
+            for start in (1, 2, 4):
+                for step in (1, 2, 3):
+                    assert schedule.aligned_fold(start - 1 + step * p, step * m) == (
+                        max(sp, start - 1 + step * p),
+                        math.lcm(step * m, len(block)),
+                    )
+            # Least: any fold at or past (p, m) that lines up is at or past it.
+            for p2 in range(p, 12):
+                for m2 in range(m, 85, m):
+                    lines_up = p2 >= sp and m2 % len(block) == 0
+                    assert lines_up == (p2 >= fold[0] and m2 % fold[1] == 0)
+    # A rule that reads the level only through its size.
+    expected = None if structure is None else (structure[0], len(structure[1]))
+    assert schedule.aligned_fold(0, 1) == expected
 
 
 def test_config_round_trip():
