@@ -7,7 +7,8 @@ for a positive outcome, 1 when the analysis itself comes back negative
 order sweep, an exhausted search budget, a certificate that failed its
 check), 2 for usage, config, or precondition errors: every other
 AutomatonError, ValueError or OSError.  An error prints one `error:`
-line.
+line.  A report that cannot be written, as on a closed stdout pipe, is
+an OSError too.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -378,13 +380,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (AutomatonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        report = {"command": args.command, "options": options, "result": result}
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.format == "json":
+            report = {"command": args.command, "options": options, "result": result}
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except OSError as exc:
+        _discard_stdout()
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the report
+    still buffered there is dropped at exit instead of failing again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

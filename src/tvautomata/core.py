@@ -57,7 +57,12 @@ def _check_count(value: int, what: str, least: int = 1, level: bool = False) -> 
 
 @dataclass(frozen=True)
 class LevelTable:
-    """Transition and output tables for one level, indexed [state][letter]."""
+    """Transition and output tables for one level, indexed [state][letter].
+
+    Tables compare by value.  The rows are frozen, so a table hashes
+    them once, when it is made: the equality search's period memo hashes
+    tables in every key.
+    """
 
     transition: tuple[tuple[int, ...], ...]
     output: tuple[tuple[int, ...], ...]
@@ -78,6 +83,10 @@ class LevelTable:
         for row in self.output:
             if len(row) != d or any(not 0 <= x < d for x in row):
                 raise ValueError("output entries must be letters")
+        object.__setattr__(self, "_hash", hash((self.transition, self.output)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_states(self) -> int:
@@ -295,6 +304,7 @@ class BiReversibilityVerdict:
         return self.holds
 
 
+@functools.cache
 def _default_names(n: int) -> tuple[str, ...]:
     letters = "abcdefghijklmnopqrstuvwxyz"
     if n <= len(letters):
@@ -320,6 +330,20 @@ class Automaton:
     phases; without either a level is its own phase.
     `phase(level + 1)` is the phase after `phase(level)`.
     """
+
+    __slots__ = (
+        "schedule",
+        "n_states",
+        "state_names",
+        "_table_fn",
+        "fold",
+        "exact_bireversible",
+        "identity_from",
+        "family",
+        "_cache",
+        "_identity_tables",
+        "periodic_tables",
+    )
 
     def __init__(
         self,
@@ -393,16 +417,16 @@ class Automaton:
         n = period[0].n_states
         if any(t.n_states != n for t in prefix + period):
             raise ValueError("all level tables must share one state count")
-
-        def raw(level: int) -> LevelTable:
-            if level <= len(prefix):
-                return prefix[level - 1]
-            return period[(level - len(prefix) - 1) % len(period)]
-
+        # The rule is sampled only at levels 1 .. p + m, so it is a lookup
+        # in one tuple of those levels' tables, indexed from 1.
+        p, m = fold
+        levels = (None,) + prefix + tuple(
+            period[i % len(period)] for i in range(p + m - len(prefix))
+        )
         return Automaton(
             schedule,
             n,
-            raw,
+            levels.__getitem__,
             state_names=state_names,
             fold=fold,
             family=family,

@@ -34,6 +34,7 @@ from .errors import (
     NotTwoStateError,
     OrbitTooLargeError,
     OrderCapExceededError,
+    RelationScanTooLargeError,
     SteeringError,
     UndecidableRepresentationError,
     UnboundedScheduleError,
@@ -48,6 +49,9 @@ MAX_WORD_FACTORS = 10**6
 
 # Most words `orbit_at_level` collects before it gives up.
 MAX_ORBIT_WORDS = 200_000
+
+# Most reduced words `relation_search` checks in one scan.
+MAX_RELATION_WORDS = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +73,11 @@ class GroupWord:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", _free_reduction(self.factors))
+
+    @functools.cached_property
+    def _states_signs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The factors' states and their signs, split on first use."""
+        return tuple(zip(*self.factors)) or ((), ())
 
     @staticmethod
     def identity() -> "GroupWord":
@@ -226,22 +235,16 @@ def step_section(
     return y, tuple(zip(states, signs))
 
 
-def _split(factors: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The states and the signs of (state, sign) factors."""
-    return tuple(zip(*factors)) or ((), ())
-
-
 def _test_word(
     g: GroupWord, h: Optional[GroupWord]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """States and signs of the test word: g itself when h is None, else
-    g h^-1 reduced exactly as `g * h.inverse()` reduces it, without
-    forming either word."""
+    g h^-1 reduced exactly as `g * h.inverse()` reduces it."""
     if h is None:
-        return _split(g.factors)
-    return _split(
-        _free_reduction(g.factors + tuple([(q, -s) for q, s in reversed(h.factors)]))
-    )
+        return g._states_signs
+    return GroupWord(
+        g.factors + tuple([(q, -s) for q, s in reversed(h.factors)])
+    )._states_signs
 
 
 def _path(node: tuple) -> Word:
@@ -251,6 +254,46 @@ def _path(node: tuple) -> Word:
         letters.append(node[2])
         node = node[1]
     return tuple(reversed(letters))
+
+
+class _SearchContext:
+    """What every equality search on one machine reads, worked out once.
+
+    It holds whether the machine has finitely many phases, the phase
+    `entry` = p + 1 at which a fold (p, m) with p >= 1 and no identity
+    tail first reaches its period, the period's other tables (one tuple,
+    the table part of every `period_closures` key), the first phase, and
+    a walk from each phase to its table and the phase after it, filled
+    on first use.  A context belongs to one machine and lives for one
+    public call (a query, a classification, a scan); machines never
+    keep one.
+    """
+
+    __slots__ = ("automaton", "finite", "entry", "period_key", "start", "walk")
+
+    def __init__(self, automaton: Automaton):
+        self.automaton = automaton
+        self.finite = automaton.has_finite_phases
+        fold = automaton.fold
+        if fold is not None and fold[0] and automaton.identity_from is None:
+            self.entry = fold[0] + 1
+            self.period_key = automaton.periodic_tables[1][1:]
+        else:
+            self.entry = self.period_key = None
+        self.start = automaton.phase(1)
+        self.walk: dict[int, tuple[LevelTable, int]] = {}
+
+    def step(self, phase: int) -> tuple[LevelTable, int]:
+        """The table at a phase and the phase after it, kept in `walk`."""
+        automaton = self.automaton
+        out = self.walk[phase] = (automaton.table_at(phase), automaton.phase(phase + 1))
+        return out
+
+
+# A search outcome: the fields of an EqualityVerdict, in order.
+_Outcome = tuple[str, Optional[Word], str, int, Optional[int]]
+
+_TRIVIAL_WORD: _Outcome = ("equal", None, "periodic_bfs", 0, None)
 
 
 def decide_equal(
@@ -294,23 +337,26 @@ def decide_equal(
     VerificationFailedError.  A state index of the test word past the
     machine's states raises ValueError.
     """
-    budget = budget or _DEFAULT_BUDGET
+    return EqualityVerdict(
+        *_search(_SearchContext(automaton), g, h, budget or _DEFAULT_BUDGET)
+    )
+
+
+def _search(
+    ctx: _SearchContext, g: GroupWord, h: Optional[GroupWord], budget: Budget
+) -> _Outcome:
+    """The search `decide_equal` describes, on one machine's context."""
     states, signs = _test_word(g, h)
     if not states:
-        return EqualityVerdict("equal", method="periodic_bfs", explored=0)
+        return _TRIVIAL_WORD
+    automaton = ctx.automaton
     # Words are reduced and signed by construction; only the test word's
     # largest state index is left to check against this machine.
     if max(states) >= automaton.n_states:
         automaton.state_index(max(states))
-    finite = automaton.has_finite_phases
-    fold = automaton.fold
-    entry = (
-        fold[0] + 1
-        if fold is not None and fold[0] and automaton.identity_from is None
-        else None
-    )
+    finite, entry, walk = ctx.finite, ctx.entry, ctx.walk
     closure = None  # (memo, key, nodes before the period, entering layer)
-    phase = automaton.phase(1)
+    phase = ctx.start
     # A node is (states, parent node, letter from the parent); each phase
     # keeps its own dict of the nodes found at it, keyed by states.
     root = (states, None, None)
@@ -321,21 +367,12 @@ def decide_equal(
     max_states = budget.max_states
     while layer and phase != 0:
         if not finite and phase > budget.max_depth:
-            return EqualityVerdict(
-                "unknown",
-                method="depth_bounded",
-                explored=explored,
-                exhausted_depth=budget.max_depth,
-            )
-        t = automaton.table_at(phase)
+            return ("unknown", None, "depth_bounded", explored, budget.max_depth)
+        t, next_phase = walk.get(phase) or ctx.step(phase)
         if phase == entry:
             entry = None
             memo = t.period_closures
-            key = (
-                automaton.periodic_tables[1][1:],
-                signs,
-                tuple([node[0] for node in layer]),
-            )
+            key = (ctx.period_key, signs, tuple([node[0] for node in layer]))
             outcome = memo.get(key)
             if outcome is not None:
                 # The node count only grows, so the search would have
@@ -346,13 +383,9 @@ def decide_equal(
                 if len(outcome) == 1:
                     break
                 raw = _path(layer[outcome[1]]) + outcome[2]
-                return EqualityVerdict(
-                    "not_equal",
-                    witness=_mismatch_witness(automaton, g, h, states, signs, raw),
-                    explored=explored,
-                )
+                witness = _mismatch_witness(automaton, g, h, states, signs, raw)
+                return ("not_equal", witness, "periodic_bfs", explored, None)
             closure = (memo, key, explored, layer)
-        next_phase = automaton.phase(phase + 1)
         found = found_at.get(next_phase)
         if found is None:
             found = found_at[next_phase] = {}
@@ -379,22 +412,20 @@ def decide_equal(
                 if closure is not None:
                     # The entering node on this path sits p levels down.
                     memo, key, before, entering = closure
-                    for _ in range(len(raw) - 1 - fold[0]):
+                    p = ctx.entry - 1
+                    for _ in range(len(raw) - 1 - p):
                         node = node[1]
-                    memo[key] = (explored - before, entering.index(node), raw[fold[0] :])
-                return EqualityVerdict(
-                    "not_equal",
-                    witness=_mismatch_witness(automaton, g, h, states, signs, raw),
-                    method="periodic_bfs" if finite else "depth_bounded",
-                    explored=explored,
-                )
+                    memo[key] = (explored - before, entering.index(node), raw[p:])
+                witness = _mismatch_witness(automaton, g, h, states, signs, raw)
+                method = "periodic_bfs" if finite else "depth_bounded"
+                return ("not_equal", witness, method, explored, None)
         layer, phase = next_layer, next_phase
     for t, row_states, row in stepped:
         t.proven_rows.setdefault(signs, {})[row_states] = row
     if closure is not None:
         memo, key, before, _ = closure
         memo[key] = (explored - before,)
-    return EqualityVerdict("equal", method="periodic_bfs", explored=explored)
+    return ("equal", None, "periodic_bfs", explored, None)
 
 
 def _mismatch_witness(
@@ -416,9 +447,9 @@ def _mismatch_witness(
             if y != x:
                 return raw
     else:
-        back_states, back_signs = _split([(q, -s) for q, s in reversed(h.factors)])
-        g_states, g_signs = _split(g.factors)
-        h_states, h_signs = _split(h.factors)
+        back_states, back_signs = h.inverse()._states_signs
+        g_states, g_signs = g._states_signs
+        h_states, h_signs = h._states_signs
         witness, differs = [], False
         for level, x in enumerate(raw, start=1):
             t = automaton.table_at(level)
@@ -440,11 +471,12 @@ def element_order(
     budget: Optional[Budget] = None,
 ) -> Optional[int]:
     """Smallest n >= 1 with g^n trivial, or None if not established."""
+    ctx, budget = _SearchContext(automaton), budget or _DEFAULT_BUDGET
     for n in range(1, max_order + 1):
-        verdict = decide_equal(automaton, g**n, budget=budget)
-        if verdict.status == "equal":
+        status = _search(ctx, g**n, None, budget)[0]
+        if status == "equal":
             return n
-        if verdict.status == "unknown":
+        if status == "unknown":
             return None
     return None
 
@@ -457,19 +489,37 @@ def reduced_words(n_states: int, max_len: int) -> Iterator[GroupWord]:
     """
     symbols = [(q, s) for q in range(n_states) for s in (1, -1)]
 
-    def of_length(prefix: list[tuple[int, int]], todo: int) -> Iterator[GroupWord]:
-        if todo == 0:
-            yield GroupWord(tuple(prefix))
-            return
-        for sym in symbols:
-            if prefix and prefix[-1][0] == sym[0] and prefix[-1][1] == -sym[1]:
-                continue
-            prefix.append(sym)
-            yield from of_length(prefix, todo - 1)
-            prefix.pop()
+    def of_length(length: int) -> Iterator[GroupWord]:
+        # Depth first without recursion, so any length the relation
+        # budget admits is enumerated: one symbol iterator per position
+        # of the prefix, and one more for the position after it.
+        prefix: list[tuple[int, int]] = []
+        choices = [iter(symbols)]
+        while choices:
+            sym = next(choices[-1], None)
+            if sym is None:
+                choices.pop()
+                if prefix:
+                    prefix.pop()
+            elif not prefix or prefix[-1] != (sym[0], -sym[1]):
+                prefix.append(sym)
+                if len(prefix) == length:
+                    yield GroupWord(tuple(prefix))
+                    prefix.pop()
+                else:
+                    choices.append(iter(symbols))
 
     for length in range(1, max_len + 1):
-        yield from of_length([], length)
+        yield from of_length(length)
+
+
+def _reduced_word_count(n_states: int, max_len: int) -> int:
+    """How many words `reduced_words` yields: sum over k = 1 .. max_len
+    of 2n (2n - 1)^(k - 1), in closed form."""
+    ratio = 2 * n_states - 1
+    if ratio == 1:
+        return 2 * max_len
+    return 2 * n_states * (ratio**max_len - 1) // (ratio - 1)
 
 
 @dataclass
@@ -490,16 +540,24 @@ def relation_search(
     Words proved trivial land in `equal`; words the search could not
     settle land in `unknown`.  Both empty means the states generate a
     group that is free on them, as far as the scan can see.  `max_len`
-    may be 0, which scans no word.
+    may be 0, which scans no word.  A scan of more than
+    MAX_RELATION_WORDS words raises RelationScanTooLargeError before it
+    starts.
     """
     _check_count(max_len, "word length", least=0)
+    # Each length adds at least two words, so a length past the budget
+    # already passes it, and the count never needs a longer one.
+    words = _reduced_word_count(automaton.n_states, min(max_len, MAX_RELATION_WORDS))
+    if words > MAX_RELATION_WORDS:
+        raise RelationScanTooLargeError(max_len, MAX_RELATION_WORDS)
+    ctx, budget = _SearchContext(automaton), budget or _DEFAULT_BUDGET
     result = RelationSearchResult([], [], 0)
     for word in reduced_words(automaton.n_states, max_len):
         result.checked += 1
-        verdict = decide_equal(automaton, word, budget=budget)
-        if verdict.status == "equal":
+        status = _search(ctx, word, None, budget)[0]
+        if status == "equal":
             result.equal.append(word)
-        elif verdict.status == "unknown":
+        elif status == "unknown":
             result.unknown.append(word)
     return result
 
@@ -1195,11 +1253,13 @@ def classify_two_state_binary(automaton: Automaton) -> GroupKind:
             f"bi-reversibility fails at level {verdict.level}: {verdict.reason}"
         )
 
+    ctx = _SearchContext(automaton)
+
     def trivial(word: GroupWord) -> bool:
-        v = decide_equal(automaton, word)
-        if v.status == "unknown":
+        status = _search(ctx, word, None, _DEFAULT_BUDGET)[0]
+        if status == "unknown":
             raise UndecidableRepresentationError("equality query did not close")
-        return v.is_equal
+        return status == "equal"
 
     # The three relations every such machine satisfies (ab = ba,
     # a^2 = b^2, a^4 = e); a failure here means the preconditions were

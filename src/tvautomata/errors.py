@@ -66,6 +66,18 @@ class OrbitTooLargeError(AutomatonError):
         super().__init__(f"orbit at level {level} has more than {limit} words")
 
 
+class RelationScanTooLargeError(AutomatonError):
+    """A relation scan would check more words than the budget of
+    `engine.relation_search` allows."""
+
+    def __init__(self, max_len: int, limit: int):
+        self.max_len = max_len
+        self.limit = limit
+        super().__init__(
+            f"relation scan up to length {max_len} has more than {limit} reduced words"
+        )
+
+
 class OrderCapExceededError(AutomatonError):
     """A group's order is larger than the configured cap."""
 

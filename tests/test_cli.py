@@ -19,6 +19,7 @@ from tvautomata.errors import (
     NotInvertibleError,
     OrbitTooLargeError,
     OrderCapExceededError,
+    RelationScanTooLargeError,
     VerificationFailedError,
 )
 from tvautomata.schedule import MAX_ALPHABET_SIZE
@@ -315,6 +316,42 @@ def test_relations_none_found(capsys, config):
     assert "none found" in out
 
 
+def test_relations_past_the_word_budget_exit_2_at_once(capsys, config):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "relations", "--config", config(E2_34), "--max-len", "11")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: relation scan up to length 11 has more than 200000 reduced words\n"
+
+
+def _src_env():
+    src = os.path.dirname(os.path.dirname(tvautomata.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", [["classify"], ["relations", "--max-len", "8"]])
+def test_a_closed_stdout_exits_2_with_one_error_line(config, command, fmt):
+    # The pipe's read end is closed before the child starts, so its
+    # first write to stdout fails, whether at a print or at the flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tvautomata.cli", *command, "--config", config(Z2Z4),
+             "--format", fmt],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_src_env(),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+
+
 # -- steer ------------------------------------------------------------
 
 
@@ -603,6 +640,7 @@ def _instance(cls):
         BudgetExceededError: ("states", 9),
         OrbitTooLargeError: (13, 200_000),
         OrderCapExceededError: (4, 8),
+        RelationScanTooLargeError: (11, 200_000),
     }
     return cls(*args.get(cls, (f"{cls.__name__} raised",)))
 

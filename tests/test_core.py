@@ -1,5 +1,6 @@
 """Level tables and the transducer calculus built on them."""
 
+import dataclasses
 import random
 
 import pytest
@@ -111,6 +112,24 @@ def test_table_config_round_trip():
         LevelTable.from_config(doc)
     with pytest.raises(ValueError):
         LevelTable.from_config({"transition": [[0]], "output": [[0], [0]]})
+
+
+def test_tables_built_apart_from_equal_rows_are_equal_and_hash_equal():
+    rows = ([[0, 1], [1, 0]], [[1, 0], [1, 0]])
+    built = [
+        ODD,
+        LevelTable(*rows),
+        LevelTable(tuple(map(tuple, rows[0])), tuple(map(tuple, rows[1]))),
+        LevelTable.from_config({"transition": rows[0], "output": rows[1]}),
+    ]
+    assert len({id(t) for t in built}) == len(built)
+    assert all(t == ODD and hash(t) == hash(ODD) for t in built)
+    assert hash(ODD) == hash((ODD.transition, ODD.output))
+    assert {t: None for t in built} == {ODD: None}
+    assert ODD != EVEN and LevelTable(rows[0], [[1, 0], [0, 1]]) != ODD
+    # The hash is kept off the fields, so the table's shape is unchanged.
+    assert [f.name for f in dataclasses.fields(LevelTable)] == ["transition", "output"]
+    assert repr(ODD) == "LevelTable(transition=((0, 1), (1, 0)), output=((1, 0), (1, 0)))"
 
 
 # -- automata ---------------------------------------------------------
@@ -379,6 +398,21 @@ def test_check_depths_run_from_one_to_the_level_budget():
                 machine.bireversibility(depth)
     assert rule.bireversibility(1).checked_up_to == 1
     assert rule.bireversibility(MAX_LEVEL).checked_up_to == MAX_LEVEL
+
+
+def test_explicit_tables_are_read_level_by_level_from_one_tuple():
+    schedule = AlphabetSchedule.periodic((2, 2), prefix=(2,))
+    prefix, period = (EVEN,), (ODD, EVEN, EVEN)
+    machine = Automaton.from_periodic_tables(schedule, prefix, period)
+    assert machine.fold == (1, 6)
+    assert machine.periodic_tables == ((EVEN,), (ODD, EVEN, EVEN, ODD, EVEN, EVEN))
+    for level in range(1, 40):
+        expected = EVEN if level == 1 else period[(level - 2) % 3]
+        assert machine.table_at(level) is expected
+    # Machines carry no per-instance dict, and share their default names.
+    other = Automaton.from_periodic_tables(schedule, (), (ODD,))
+    assert not hasattr(machine, "__dict__")
+    assert machine.state_names is other.state_names == ("a", "b")
 
 
 def test_a_folded_rule_is_never_sampled_past_its_fold():

@@ -16,6 +16,7 @@ from tvautomata import (
     OrbitTooLargeError,
     NotTwoStateError,
     OrderCapExceededError,
+    RelationScanTooLargeError,
     UnboundedScheduleError,
     apply_word,
     bellaterra_automaton,
@@ -307,6 +308,42 @@ def test_relation_scan_with_zero_length_budget():
     assert found.equal == [] and found.unknown == []
     with pytest.raises(ValueError, match="word length"):
         relation_search(z2z4_automaton(), -1)
+
+
+@pytest.mark.parametrize("n_states", [1, 2, 3])
+def test_the_reduced_word_count_is_the_enumeration_s_length(n_states):
+    symbols = [(q, s) for q in range(n_states) for s in (1, -1)]
+    for max_len in range(0, 6):
+        words = list(reduced_words(n_states, max_len))
+        assert engine._reduced_word_count(n_states, max_len) == len(words)
+        assert words == sorted(
+            set(words), key=lambda w: (w.length, [symbols.index(f) for f in w.factors])
+        )
+
+
+def test_reduced_words_longer_than_the_interpreter_stack_are_enumerated():
+    # One state has two reduced words per length, a^k and a^-k.
+    words = reduced_words(1, 1500)
+    assert sum(w.length for w in words) == 1500 * 1501
+
+
+def test_a_relation_scan_past_the_word_budget_is_refused_before_it_starts(monkeypatch):
+    assert engine.MAX_RELATION_WORDS == 200_000
+    assert engine._reduced_word_count(2, 10) == 118_096
+    assert engine._reduced_word_count(2, 11) == 354_292
+    checked = []
+    monkeypatch.setattr(engine, "_search", lambda *args: checked.append(args))
+    e2 = cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4)))
+    for max_len in (11, 12, 10**18):
+        with pytest.raises(RelationScanTooLargeError) as err:
+            relation_search(e2, max_len)
+        assert (err.value.max_len, err.value.limit) == (max_len, 200_000)
+    one_state = Automaton.from_periodic_tables(
+        AlphabetSchedule.constant(2), (), (LevelTable([[0, 0]], [[1, 0]]),)
+    )
+    with pytest.raises(RelationScanTooLargeError):
+        relation_search(one_state, 100_001)
+    assert checked == []
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 search over raw table rows.
 
 Machines share level table objects, so one machine's search reads the
-rows another machine's closure stored on those tables.
+rows another machine's closure stored on those tables.  Scans, order
+searches and classifications run many searches on one machine's search
+context; they are checked against one `decide_equal` call per query.
 """
 
 from collections import deque
@@ -17,13 +19,20 @@ from tvautomata import (  # noqa: E402
     Automaton,
     AutomatonError,
     Budget,
+    GroupKind,
     GroupWord,
     LevelTable,
     NotInvertibleError,
     VerificationFailedError,
+    RelationSearchResult,
     admissible_binary_level_types,
+    classify_two_state_binary,
     cycle_transposition_automaton,
     decide_equal,
+    element_order,
+    level_group,
+    reduced_words,
+    relation_search,
     word_order_automaton,
 )
 
@@ -376,3 +385,136 @@ def test_recalled_outcomes_are_told_apart_by_signs_and_entering_states():
         assert outcomes == [_expected(m, w, None, Budget()) for w in words]
         assert outcomes[0] not in outcomes[1:]
     assert len(period[0].period_closures) == 3
+
+
+# -- many searches on one context --------------------------------------
+
+
+def _settled(call):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except AutomatonError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _scan_word_by_word(machine, max_len, budget):
+    result = RelationSearchResult([], [], 0)
+    for word in reduced_words(machine.n_states, max_len):
+        result.checked += 1
+        status = decide_equal(machine, word, budget=budget).status
+        if status == "equal":
+            result.equal.append(word)
+        elif status == "unknown":
+            result.unknown.append(word)
+    return result
+
+
+def _order_word_by_word(machine, g, max_order, budget):
+    for n in range(1, max_order + 1):
+        status = decide_equal(machine, g**n, budget=budget).status
+        if status != "not_equal":
+            return n if status == "equal" else None
+    return None
+
+
+def _check_context_calls(machine, data, budget, max_len):
+    assert _settled(lambda: relation_search(machine, max_len, budget=budget)) == _settled(
+        lambda: _scan_word_by_word(machine, max_len, budget)
+    )
+    g = data.draw(_words(machine.n_states, 3))
+    max_order = data.draw(st.integers(1, 8))
+    assert _settled(
+        lambda: element_order(machine, g, max_order=max_order, budget=budget)
+    ) == _settled(lambda: _order_word_by_word(machine, g, max_order, budget))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(shared_table_machines(), st.data())
+def test_scans_and_orders_answer_as_one_query_per_word(machines, data):
+    n = machines[0].n_states
+    budget = data.draw(st.sampled_from((Budget(), Budget(), Budget(max_states=12))))
+    max_len = data.draw(st.integers(0, 3 if n < 3 else 2))
+    # The second round reads what the first stored on the shared tables.
+    for machine in machines + machines:
+        _check_context_calls(machine, data, budget, max_len)
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(st.sampled_from(_RAMP_MACHINES), st.integers(1, 5), st.data())
+def test_scans_and_orders_on_a_ramp_answer_as_one_query_per_word(machine, depth, data):
+    max_len = data.draw(st.integers(0, 3))
+    _check_context_calls(machine, data, Budget(max_depth=depth), max_len)
+
+
+_KINDS = {
+    (1, 1): GroupKind.TRIVIAL,
+    (2, 2): GroupKind.Z2,
+    (4, 2): GroupKind.Z2xZ2,
+    (4, 4): GroupKind.Z4,
+    (8, 4): GroupKind.Z2xZ4,
+}
+
+
+def _portrait_kind(machine):
+    # The level-8 group, from portraits alone: on folds of at most two
+    # prefix and two period levels it is the whole group (every one of
+    # the 20736 sweep classes reaches its order by level 6).
+    group = level_group(machine, 8)
+    return _KINDS[group.order, group.max_element_order()]
+
+
+@st.composite
+def binary_machines_sharing_tables(draw):
+    """Two binary two-state machines over fresh copies of the twelve
+    admissible tables: the second repeats the first's period, or only
+    its first period table, or neither, behind a prefix of its own.
+    Both prefixes are nonempty, so both searches meet the period memo
+    of their first period table."""
+    types = [LevelTable(t.transition, t.output) for t in _BINARY_TYPES]
+    kind = st.integers(0, len(types) - 1)
+    prefix = st.lists(kind, min_size=1, max_size=2)
+    shared = draw(st.sampled_from(("period", "first period table", "none")))
+    if shared == "first period table":
+        # Equal first period tables, other second ones.
+        x, y = draw(kind), draw(kind)
+        z = draw(kind.filter(lambda i: i != y))
+        periods = [[x, y], [x, z]]
+    else:
+        periods = [draw(st.lists(kind, min_size=1, max_size=2))]
+        periods.append(periods[0] if shared == "period" else draw(st.lists(kind, min_size=1, max_size=2)))
+    first, second = ((draw(prefix), period) for period in periods)
+    return [
+        Automaton.from_periodic_tables(
+            AlphabetSchedule.constant(2),
+            [types[i] for i in pre],
+            [types[i] for i in per],
+        )
+        for pre, per in (first, second)
+    ]
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(binary_machines_sharing_tables(), st.booleans())
+def test_machines_sharing_tables_classify_as_their_portraits_in_either_order(
+    machines, reverse
+):
+    expected = [_portrait_kind(m) for m in machines]
+    order = [1, 0] if reverse else [0, 1]
+    for i in order + order:
+        assert classify_two_state_binary(machines[i]) is expected[i]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_periods_sharing_only_their_first_table_keep_their_outcomes_apart(reverse):
+    # Fresh tables, so that only these two machines fill the memo of
+    # their common first period table; the second period tables differ.
+    t = [LevelTable(k.transition, k.output) for k in _BINARY_TYPES[:2]]
+    machines = [_binary_fold([t[0]], [t[0], t[0]]), _binary_fold([t[0]], [t[0], t[1]])]
+    expected = [GroupKind.TRIVIAL, GroupKind.Z2]
+    assert [_portrait_kind(m) for m in machines] == expected
+    order = [1, 0] if reverse else [0, 1]
+    assert [classify_two_state_binary(machines[i]) for i in order] == [
+        expected[i] for i in order
+    ]
+    assert len(t[0].period_closures) > 1
