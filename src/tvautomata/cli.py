@@ -36,7 +36,10 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 def _load_automaton(args) -> Automaton:
     with open(args.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("config nests too deeply to decode") from None
     seed = getattr(args, "seed", None)
     if seed is not None:
         if (

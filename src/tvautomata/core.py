@@ -104,10 +104,6 @@ class LevelTable:
             tuple(row for _ in range(n_states)),
         )
 
-    def labeling(self, state: int) -> tuple[int, ...]:
-        """The output row of one state, as a function of the input letter."""
-        return self.output[state]
-
     def inverse_labeling(self, state: int) -> Optional[tuple[int, ...]]:
         """The output row of one state inverted, or None when it is not a
         permutation."""
@@ -514,9 +510,6 @@ class Automaton:
         self._cache[phase] = table
         return table
 
-    def labeling_at(self, level: int, state) -> tuple[int, ...]:
-        return self.table_at(level).labeling(self.state_index(state))
-
     # -- phases ---------------------------------------------------------
 
     def phase(self, level: int) -> int:
@@ -568,16 +561,7 @@ class Automaton:
             out.append(y)
         return tuple(out), states
 
-    def evaluate(self, state, word: Sequence[int]) -> tuple[int, ...]:
-        return self.run(state, word)[0]
-
     # -- level predicates ----------------------------------------------
-
-    def is_reversible_at(self, level: int) -> bool:
-        return self.table_at(level).is_reversible()
-
-    def is_diagonal_at(self, level: int) -> bool:
-        return self.table_at(level).is_diagonal()
 
     def bireversibility(self, up_to: Optional[int] = None) -> BiReversibilityVerdict:
         """Check invertibility, reversibility, and inverse reversibility.
@@ -682,14 +666,6 @@ class Automaton:
             raise NotMealyError("level tables differ across levels")
         return next(iter(tables))
 
-    @property
-    def is_mealy(self) -> bool:
-        try:
-            self.mealy_table()
-            return True
-        except NotMealyError:
-            return False
-
     def dual(self, *, family: Optional[tuple[str, dict]] = None) -> "Automaton":
         """Swap the roles of states and letters of a level-independent transducer.
 
@@ -763,10 +739,3 @@ def embed_on_subsequence(
         identity_from=identity_from,
         family=family,
     )
-
-
-def tables_equal(a: Automaton, b: Automaton, up_to: int) -> bool:
-    """Same state count and identical tables on levels 1 .. up_to."""
-    if a.n_states != b.n_states:
-        return False
-    return all(a.table_at(i) == b.table_at(i) for i in range(1, up_to + 1))

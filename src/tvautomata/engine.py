@@ -50,8 +50,11 @@ MAX_WORD_FACTORS = 10**6
 # Most words `orbit_at_level` collects before it gives up.
 MAX_ORBIT_WORDS = 200_000
 
-# Most reduced words `relation_search` checks in one scan.
+# Most reduced words `relation_search` checks in one scan, and most
+# factors in all of them: one state has only two words per length, so
+# its scans are bounded by their factors.
 MAX_RELATION_WORDS = 200_000
+MAX_RELATION_FACTORS = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +211,6 @@ class EqualityVerdict:
     method: str = "periodic_bfs"
     explored: int = 0
     exhausted_depth: Optional[int] = None
-
-    @property
-    def is_equal(self) -> bool:
-        return self.status == "equal"
 
 
 Section = tuple[tuple[int, int], ...]
@@ -513,13 +512,16 @@ def reduced_words(n_states: int, max_len: int) -> Iterator[GroupWord]:
         yield from of_length(length)
 
 
-def _reduced_word_count(n_states: int, max_len: int) -> int:
-    """How many words `reduced_words` yields: sum over k = 1 .. max_len
-    of 2n (2n - 1)^(k - 1), in closed form."""
-    ratio = 2 * n_states - 1
-    if ratio == 1:
-        return 2 * max_len
-    return 2 * n_states * (ratio**max_len - 1) // (ratio - 1)
+def _reduced_word_totals(n_states: int, max_len: int) -> tuple[int, int]:
+    """How many words `reduced_words` yields and how many factors they
+    hold together: the sums over k = 1 .. max_len of 2n (2n - 1)^(k - 1)
+    and of k 2n (2n - 1)^(k - 1), in closed form."""
+    r, L = 2 * n_states - 1, max_len
+    if r == 1:
+        return 2 * L, L * (L + 1)
+    power = r**L
+    factors = (L * power * r - (L + 1) * power + 1) // (r - 1) ** 2
+    return 2 * n_states * (power - 1) // (r - 1), 2 * n_states * factors
 
 
 @dataclass
@@ -541,15 +543,20 @@ def relation_search(
     settle land in `unknown`.  Both empty means the states generate a
     group that is free on them, as far as the scan can see.  `max_len`
     may be 0, which scans no word.  A scan of more than
-    MAX_RELATION_WORDS words raises RelationScanTooLargeError before it
+    MAX_RELATION_WORDS words, or of more than MAX_RELATION_FACTORS
+    factors in all its words, raises RelationScanTooLargeError before it
     starts.
     """
     _check_count(max_len, "word length", least=0)
-    # Each length adds at least two words, so a length past the budget
-    # already passes it, and the count never needs a longer one.
-    words = _reduced_word_count(automaton.n_states, min(max_len, MAX_RELATION_WORDS))
+    # Each length adds at least two words, so a length past the word
+    # budget already passes it, and the count never needs a longer one.
+    words, factors = _reduced_word_totals(
+        automaton.n_states, min(max_len, MAX_RELATION_WORDS)
+    )
     if words > MAX_RELATION_WORDS:
         raise RelationScanTooLargeError(max_len, MAX_RELATION_WORDS)
+    if factors > MAX_RELATION_FACTORS:
+        raise RelationScanTooLargeError(max_len, MAX_RELATION_FACTORS, "factors")
     ctx, budget = _SearchContext(automaton), budget or _DEFAULT_BUDGET
     result = RelationSearchResult([], [], 0)
     for word in reduced_words(automaton.n_states, max_len):
@@ -811,19 +818,6 @@ class LevelGroup:
                     queue.append(new)
         return tuple(elements)
 
-    @functools.cached_property
-    def _leaf_index(self) -> dict[Word, int]:
-        words = self.automaton.schedule.words_at_level(self.level)
-        return {w: i for i, w in enumerate(words)}
-
-    def leaf_permutation(self, pid: int) -> tuple[int, ...]:
-        """The action on the level's words, numbered lexicographically."""
-        index = self._leaf_index
-        return tuple(index[self.context.image(pid, w)] for w in index)
-
-    def element_leaf_permutations(self) -> list[tuple[int, ...]]:
-        return [self.leaf_permutation(e) for e in self.element_ids]
-
     def element_order(self, pid: int) -> int:
         ctx = self.context
         acc = pid
@@ -910,10 +904,6 @@ def orbit_at_level(
                     raise OrbitTooLargeError(level, MAX_ORBIT_WORDS)
                 queue.append(image)
     return frozenset(seen)
-
-
-def is_level_transitive_at(automaton: Automaton, level: int) -> bool:
-    return len(orbit_at_level(automaton, level)) == automaton.schedule.leaf_count(level)
 
 
 # ---------------------------------------------------------------------------

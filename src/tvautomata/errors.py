@@ -67,14 +67,16 @@ class OrbitTooLargeError(AutomatonError):
 
 
 class RelationScanTooLargeError(AutomatonError):
-    """A relation scan would check more words than the budget of
-    `engine.relation_search` allows."""
+    """A relation scan would check more words, or more factors in its
+    words, than the budgets of `engine.relation_search` allow; `what`
+    names the budget that was passed."""
 
-    def __init__(self, max_len: int, limit: int):
+    def __init__(self, max_len: int, limit: int, what: str = "reduced words"):
         self.max_len = max_len
         self.limit = limit
+        self.what = what
         super().__init__(
-            f"relation scan up to length {max_len} has more than {limit} reduced words"
+            f"relation scan up to length {max_len} has more than {limit} {what}"
         )
 
 

@@ -1,9 +1,8 @@
 """Catalog of built-in automata and the config registry around them.
 
-Contains the word-order integer permutations with their shortlex oracle,
-the named machines used throughout the tests and the CLI, seeded random
-instances, and the config (de)serialization entry points
-`build_from_config` / `config_of`.
+Contains the word-order integer permutations, the named machines used
+throughout the tests and the CLI, seeded random instances, and the
+config (de)serialization entry points `build_from_config` / `config_of`.
 """
 
 from __future__ import annotations
@@ -18,12 +17,13 @@ from .schedule import AlphabetSchedule, is_config_int
 
 
 # ---------------------------------------------------------------------------
-# Word-order permutations and their shortlex oracle.
+# Word-order permutations.
 #
 # a and b below are bijections of the positive integers with the defining
 # property: the n-th reduced word over {a, a^-1, b, b^-1} in shortlex order
-# (empty word first, symbol order a, a^-1, b, b^-1) maps 1 to n, with the
-# leftmost symbol applied last.
+# (empty word first, symbol order a, a^-1, b, b^-1: the order of
+# `engine.reduced_words(2, ...)`) maps 1 to n, with the leftmost symbol
+# applied last.
 
 
 def word_order_perm_a(n: int) -> int:
@@ -55,69 +55,6 @@ def word_order_perm_b(n: int) -> int:
     if 3 * n < 17 * p:
         return n - (13 * p) // 3
     return n - 4 * p
-
-
-def _invert_word_order(forward: Callable[[int], int], shifts, m: int) -> int:
-    """Invert a word-order permutation by checking branch candidates."""
-    if m < 1:
-        raise ValueError("defined on positive integers only")
-    if forward(1) == m:
-        return 1
-    p = 1
-    while p <= 4 * m:
-        for shift in shifts(p):
-            n = m - shift
-            if n >= 2 and forward(n) == m:
-                return n
-        p *= 3
-    raise AssertionError("word-order permutations are bijections")
-
-
-def word_order_perm_a_inverse(m: int) -> int:
-    return _invert_word_order(word_order_perm_a, lambda p: (4 * p, -2 * p, 3 * p), m)
-
-
-def word_order_perm_b_inverse(m: int) -> int:
-    return _invert_word_order(
-        word_order_perm_b, lambda p: (10 * p, -((13 * p) // 3), -4 * p), m
-    )
-
-
-_WORD_SYMBOLS = (("a", 1), ("a", -1), ("b", 1), ("b", -1))
-
-
-def shortlex_reduced_words(count: int) -> list[tuple[tuple[str, int], ...]]:
-    """First `count` freely reduced words over a, a^-1, b, b^-1.
-
-    Shortlex order: by length, then left to right with
-    a < a^-1 < b < b^-1.  Position 1 is the empty word.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    words: list[tuple[tuple[str, int], ...]] = []
-    layer: list[tuple[tuple[str, int], ...]] = [()]
-    while len(words) < count:
-        words.extend(layer)
-        layer = [
-            w + (s,)
-            for w in layer
-            for s in _WORD_SYMBOLS
-            if not (w and w[-1][0] == s[0] and w[-1][1] == -s[1])
-        ]
-    return words[:count]
-
-
-def word_order_apply(word: Sequence[tuple[str, int]], n: int) -> int:
-    """Apply a word over the two permutations to n, leftmost symbol last."""
-    value = n
-    for name, sign in reversed(tuple(word)):
-        if name == "a":
-            value = word_order_perm_a(value) if sign > 0 else word_order_perm_a_inverse(value)
-        elif name == "b":
-            value = word_order_perm_b(value) if sign > 0 else word_order_perm_b_inverse(value)
-        else:
-            raise ValueError(f"unknown symbol {name!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +202,6 @@ def sym_diagonal_automaton(
     indices: Optional[Sequence[int]] = None,
     *,
     start: Optional[int] = None,
-    step: int = 1,
 ) -> Automaton:
     """Diagonal automaton over the listed alphabet sizes with the long
     cycle (state q1) and the transposition of the first two letters
@@ -279,8 +215,6 @@ def sym_diagonal_automaton(
     listed = tuple(indices) if indices is not None else ()
     if any(i < 2 for i in listed):
         raise ValueError("indices must be at least 2")
-    if step != 1:
-        raise ValueError("only step-1 arithmetic tails are representable")
     params: dict = {}
     if listed:
         params["indices"] = list(listed)
@@ -541,20 +475,41 @@ def _build_diagonal(schedule, params):
 
 
 def _build_gi(schedule, params):
-    _check_params(params, {"indices", "start", "step"}, "gi")
+    _check_params(params, {"indices", "start"}, "gi")
     indices = params.get("indices")
     if indices is not None and (
         not isinstance(indices, list) or not all(is_config_int(i) for i in indices)
     ):
         raise ValueError("parameter 'indices' must be a list of integers")
     start = _int_param(params, "start") if "start" in params else None
-    step = _int_param(params, "step", 1)
-    built = sym_diagonal_automaton(indices, start=start, step=step)
+    built = sym_diagonal_automaton(indices, start=start)
     return _check_owned_schedule(schedule, built, "gi")
+
+
+# The deepest chain of `embed_subsequence` configs a document may nest:
+# building, and the first table lookup of a level on the result, recurse
+# through every one (over a ramp, 300 overflow the interpreter stack).
+MAX_EMBED_NESTING = 32
+
+
+def _embed_nesting(params: dict) -> int:
+    """How many `embed_subsequence` configs nest from the one with these
+    parameters down, counted without recursion."""
+    depth, doc = 1, params["inner"]
+    while isinstance(doc, dict) and isinstance(doc.get("automaton"), dict):
+        auto = doc["automaton"]
+        if auto.get("builtin") != "embed_subsequence" or not isinstance(auto.get("params"), dict):
+            break
+        depth, doc = depth + 1, auto["params"].get("inner")
+    return depth
 
 
 def _build_embed(schedule, params):
     _check_params(params, {"inner", "start", "step"}, "embed_subsequence", {"inner"})
+    if _embed_nesting(params) > MAX_EMBED_NESTING:
+        raise ValueError(
+            f"embed_subsequence configs nest deeper than the supported {MAX_EMBED_NESTING}"
+        )
     inner = build_from_config(params["inner"])
     return subsequence_embedding_automaton(
         inner,

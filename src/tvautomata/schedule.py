@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import InvalidWordError
 
@@ -107,10 +107,6 @@ class AlphabetSchedule:
         )
         return max((*self.prefix, tail_max))
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.bound() is not None
-
     def periodic_structure(self) -> tuple[int, tuple[int, ...]] | None:
         """(prefix length, repeating size block), or None for a ramp tail."""
         if isinstance(self.tail, Constant):
@@ -145,9 +141,6 @@ class AlphabetSchedule:
         turns = (count - len(self.prefix)) % len(tail.values)
         return AlphabetSchedule((), Periodic(tail.values[turns:] + tail.values[:turns]))
 
-    def validates(self, word: Sequence[int]) -> bool:
-        return all(0 <= x < self.size_at(i + 1) for i, x in enumerate(word))
-
     def check_word(self, word: Sequence[int]) -> tuple[int, ...]:
         """Return `word` as a tuple, raising InvalidWordError on a bad letter."""
         for i, x in enumerate(word):
@@ -157,15 +150,6 @@ class AlphabetSchedule:
                     f"{self.size_at(i + 1)}"
                 )
         return tuple(word)
-
-    def words_at_level(self, level: int) -> Iterator[tuple[int, ...]]:
-        """All words of the given length in lexicographic order."""
-        if level == 0:
-            yield ()
-            return
-        for head in self.words_at_level(level - 1):
-            for x in range(self.size_at(level)):
-                yield head + (x,)
 
     def leaf_count(self, level: int) -> int:
         out = 1

@@ -1,0 +1,90 @@
+"""Reference implementations the tests compare the library against.
+
+None of this runs in the library: the inverses of the word-order
+permutations and the word action built on them, the shortlex word list
+they are checked on, table-by-table machine comparison, the words of
+one level, and level-group elements written out as permutations of
+those words.
+"""
+
+from itertools import islice
+from typing import Callable, Iterator, Sequence
+
+from tvautomata import AlphabetSchedule, Automaton, LevelGroup, reduced_words
+from tvautomata import word_order_perm_a, word_order_perm_b
+
+
+def _invert_word_order(forward: Callable[[int], int], shifts, m: int) -> int:
+    """Invert a word-order permutation by checking branch candidates."""
+    if m < 1:
+        raise ValueError("defined on positive integers only")
+    if forward(1) == m:
+        return 1
+    p = 1
+    while p <= 4 * m:
+        for shift in shifts(p):
+            n = m - shift
+            if n >= 2 and forward(n) == m:
+                return n
+        p *= 3
+    raise AssertionError("word-order permutations are bijections")
+
+
+def word_order_perm_a_inverse(m: int) -> int:
+    return _invert_word_order(word_order_perm_a, lambda p: (4 * p, -2 * p, 3 * p), m)
+
+
+def word_order_perm_b_inverse(m: int) -> int:
+    return _invert_word_order(
+        word_order_perm_b, lambda p: (10 * p, -((13 * p) // 3), -4 * p), m
+    )
+
+
+def word_order_apply(word: Sequence[tuple[str, int]], n: int) -> int:
+    """Apply a word over the two permutations to n, leftmost symbol last."""
+    value = n
+    for name, sign in reversed(tuple(word)):
+        if name == "a":
+            value = word_order_perm_a(value) if sign > 0 else word_order_perm_a_inverse(value)
+        elif name == "b":
+            value = word_order_perm_b(value) if sign > 0 else word_order_perm_b_inverse(value)
+        else:
+            raise ValueError(f"unknown symbol {name!r}")
+    return value
+
+
+def shortlex_words(count: int) -> list[tuple[tuple[str, int], ...]]:
+    """The first `count` (at least 1) freely reduced words over a, a^-1,
+    b, b^-1 in shortlex order, empty word first: `reduced_words(2, ...)`
+    with states 0 and 1 named a and b."""
+    words = islice(reduced_words(2, count), count - 1)
+    return [()] + [tuple(("ab"[q], s) for q, s in w.factors) for w in words]
+
+
+def tables_equal(a: Automaton, b: Automaton, up_to: int) -> bool:
+    """Same state count and identical tables on levels 1 .. up_to."""
+    if a.n_states != b.n_states:
+        return False
+    return all(a.table_at(i) == b.table_at(i) for i in range(1, up_to + 1))
+
+
+def words_at_level(schedule: AlphabetSchedule, level: int) -> Iterator[tuple[int, ...]]:
+    """All words of the given length in lexicographic order."""
+    if level == 0:
+        yield ()
+        return
+    for head in words_at_level(schedule, level - 1):
+        for x in range(schedule.size_at(level)):
+            yield head + (x,)
+
+
+def leaf_permutation(group: LevelGroup, pid: int) -> tuple[int, ...]:
+    """The action of one element on the level's words, numbered
+    lexicographically."""
+    words = words_at_level(group.automaton.schedule, group.level)
+    index = {w: i for i, w in enumerate(words)}
+    return tuple(index[group.context.image(pid, w)] for w in index)
+
+
+def element_leaf_permutations(group: LevelGroup) -> list[tuple[int, ...]]:
+    return [leaf_permutation(group, e) for e in group.element_ids]

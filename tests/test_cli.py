@@ -1,5 +1,8 @@
 """End-to-end runs of the command line front end."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import resource
@@ -23,6 +26,8 @@ from tvautomata.errors import (
     VerificationFailedError,
 )
 from tvautomata.schedule import MAX_ALPHABET_SIZE
+
+from test_families import all_builtin_configs
 
 Z2Z4 = {
     "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},
@@ -324,6 +329,18 @@ def test_relations_past_the_word_budget_exit_2_at_once(capsys, config):
     assert err == "error: relation scan up to length 11 has more than 200000 reduced words\n"
 
 
+def test_relations_past_the_factor_budget_exit_2_at_once(capsys, config):
+    # One state passes the word budget up to length 100,000; its words'
+    # factors stop it past length 1,413.
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "relations", "--config", config(_one_state()), "--max-len", "100000"
+    )
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: relation scan up to length 100000 has more than 2000000 factors\n"
+
+
 def _src_env():
     src = os.path.dirname(os.path.dirname(tvautomata.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -537,6 +554,118 @@ def test_a_builtin_name_that_is_not_a_string_exits_2(capsys, config):
     code, out, err = run(capsys, "check", "--config", config(doc))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _nested_embedding_text(depth):
+    # Written out by hand: json.dumps recurses once per nesting level.
+    inner = json.dumps(Z2Z4)
+    head = json.dumps(Z2Z4["schedule"])
+    wrap = f'{{"schedule": {head}, "automaton": {{"builtin": "embed_subsequence", "params": {{"inner": '
+    return wrap * depth + inner + "}}}" * depth
+
+
+_TOO_DEEP_TO_BUILD = "nest deeper than the supported 32"
+_TOO_DEEP_TO_DECODE = "nests too deeply to decode"
+
+
+# How deep the JSON decoder gets before RecursionError depends on the
+# interpreter and its stack, so the middle cases accept either refusal.
+@pytest.mark.parametrize(
+    "text, messages",
+    [
+        (_nested_embedding_text(40), [_TOO_DEEP_TO_BUILD]),
+        (_nested_embedding_text(400), [_TOO_DEEP_TO_BUILD, _TOO_DEEP_TO_DECODE]),
+        ("[" * 2000 + "]" * 2000, ["config needs exactly the keys", _TOO_DEEP_TO_DECODE]),
+        ("[" * 100_000 + "]" * 100_000, [_TOO_DEEP_TO_DECODE]),
+    ],
+    ids=["embed-40", "embed-400", "list-2000", "list-100000"],
+)
+def test_a_deeply_nested_config_exits_2(capsys, tmp_path, text, messages):
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", "--config", str(path), "--depth", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert any(message in err for message in messages)
+
+
+def _slots(doc):
+    """Every (container, key) pair inside a document."""
+    slots, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        for key in list(node) if isinstance(node, dict) else range(len(node)):
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return slots
+
+
+def _mutated_configs(st):
+    """Builtin and explicit configs, perhaps nested in one more
+    `embed_subsequence`, then changed in one to three places: a key
+    dropped or renamed, or a value replaced by a bool, str, float, null,
+    list, object, family or tail-kind name (known or not) or small
+    integer (at most 64, so that no alphabet grows large)."""
+    bases = all_builtin_configs() + [_one_state(), E2_22]
+    names = sorted(tvautomata.FAMILIES) + ["constant", "periodic", "ramp", "mystery"]
+    values = st.one_of(
+        st.booleans(),
+        st.none(),
+        st.floats(),
+        st.integers(-3, 64),
+        st.text(max_size=3),
+        st.sampled_from(names),
+        st.lists(st.integers(-3, 64), max_size=3),
+        st.just({}),
+        st.just([[0, 1], [1, 0]]),
+    )
+
+    @st.composite
+    def mutated(draw):
+        doc = draw(st.sampled_from(bases))
+        if draw(st.booleans()):
+            params = {"inner": doc}
+            params["start"], params["step"] = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            embed = {"builtin": "embed_subsequence", "params": params}
+            doc = {"schedule": doc["schedule"], "automaton": embed}
+        doc = json.loads(json.dumps(doc))
+        for _ in range(draw(st.integers(1, 3))):
+            node, key = draw(st.sampled_from(_slots(doc)))
+            how = draw(st.sampled_from(["drop", "rename", "replace"]))
+            if how == "drop" and isinstance(node, dict):
+                del node[key]
+            elif how == "rename" and isinstance(node, dict):
+                node["x" + key] = node.pop(key)
+            else:
+                # A fresh copy: `st.just` hands out one shared object.
+                node[key] = copy.deepcopy(draw(values))
+            if not doc:
+                break
+        return doc
+
+    return mutated()
+
+
+def test_mutated_configs_exit_0_1_or_2_and_never_raise(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    path = tmp_path / "fuzzed.json"
+
+    @hypothesis.settings(max_examples=250, deadline=None, database=None)
+    @hypothesis.given(_mutated_configs(st))
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "--config", str(path), "--depth", "3"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+
+    check()
 
 
 _HUGE = 10**9

@@ -25,7 +25,6 @@ from tvautomata import (
     cycle_transposition_automaton,
     decide_equal,
     element_order,
-    is_level_transitive_at,
     labeling_twist,
     lamplighter_automaton,
     letter_partition,
@@ -46,6 +45,7 @@ from tvautomata import engine, perms
 from tvautomata.core import MAX_LEVEL
 from tvautomata.engine import MAX_WORD_FACTORS, _c_power_image
 
+from reference import element_leaf_permutations, leaf_permutation, words_at_level
 from test_core import catalog
 
 A = GroupWord.generator(0)
@@ -102,7 +102,7 @@ def test_equality_queries_check_state_indices():
         with pytest.raises(ValueError, match="state index 5 out of range"):
             decide_equal(z, g, h)
     # The test word g h^-1 is empty here, so no state of it acts.
-    assert decide_equal(z, five, five).is_equal
+    assert decide_equal(z, five, five).status == "equal"
     with pytest.raises(ValueError, match="state index 5 out of range"):
         apply_word(z, five, (0,))
 
@@ -232,7 +232,6 @@ def test_equality_by_closure():
     v = decide_equal(z4, A * B)
     assert v.status == "equal"
     assert v.method == "periodic_bfs"
-    assert v.is_equal
 
     z = z2z4_automaton()
     v = decide_equal(z, A, B)
@@ -240,7 +239,7 @@ def test_equality_by_closure():
     assert apply_word(z, A, v.witness) != apply_word(z, B, v.witness)
     assert v.witness == (1, 1)
 
-    assert decide_equal(z, A * B, A * B).is_equal
+    assert decide_equal(z, A * B, A * B).status == "equal"
 
 
 def test_equality_depth_budget_on_rule_machines():
@@ -315,7 +314,10 @@ def test_the_reduced_word_count_is_the_enumeration_s_length(n_states):
     symbols = [(q, s) for q in range(n_states) for s in (1, -1)]
     for max_len in range(0, 6):
         words = list(reduced_words(n_states, max_len))
-        assert engine._reduced_word_count(n_states, max_len) == len(words)
+        assert engine._reduced_word_totals(n_states, max_len) == (
+            len(words),
+            sum(w.length for w in words),
+        )
         assert words == sorted(
             set(words), key=lambda w: (w.length, [symbols.index(f) for f in w.factors])
         )
@@ -329,8 +331,8 @@ def test_reduced_words_longer_than_the_interpreter_stack_are_enumerated():
 
 def test_a_relation_scan_past_the_word_budget_is_refused_before_it_starts(monkeypatch):
     assert engine.MAX_RELATION_WORDS == 200_000
-    assert engine._reduced_word_count(2, 10) == 118_096
-    assert engine._reduced_word_count(2, 11) == 354_292
+    assert engine._reduced_word_totals(2, 10)[0] == 118_096
+    assert engine._reduced_word_totals(2, 11)[0] == 354_292
     checked = []
     monkeypatch.setattr(engine, "_search", lambda *args: checked.append(args))
     e2 = cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4)))
@@ -344,6 +346,37 @@ def test_a_relation_scan_past_the_word_budget_is_refused_before_it_starts(monkey
     with pytest.raises(RelationScanTooLargeError):
         relation_search(one_state, 100_001)
     assert checked == []
+
+
+def test_a_relation_scan_past_the_factor_budget_is_refused_before_it_starts(monkeypatch):
+    assert engine.MAX_RELATION_FACTORS == 2_000_000
+    # Two and three states reach the word budget first: the factor budget
+    # moves neither cutoff.
+    assert engine._reduced_word_totals(2, 10)[1] == 1_121_932
+    assert engine._reduced_word_totals(3, 7)[1] == 791_016
+    assert engine._reduced_word_totals(3, 8)[0] == 585_936
+    with pytest.raises(RelationScanTooLargeError) as err:
+        relation_search(bellaterra_automaton(), 8)
+    assert (err.value.limit, err.value.what) == (200_000, "reduced words")
+    # One state has two words per length, so only its factors bound it.
+    assert engine._reduced_word_totals(1, 1413)[1] == 1_997_982
+    assert engine._reduced_word_totals(1, 1414)[1] == 2_000_810
+    one_state = Automaton.from_periodic_tables(
+        AlphabetSchedule.constant(2), (), (LevelTable([[0, 0]], [[1, 0]]),)
+    )
+    scanned = []
+    monkeypatch.setattr(
+        engine, "reduced_words", lambda n, max_len: scanned.append(max_len) or iter(())
+    )
+    relation_search(one_state, 1413)
+    for max_len in (1414, 100_000):
+        with pytest.raises(RelationScanTooLargeError) as err:
+            relation_search(one_state, max_len)
+        assert (err.value.max_len, err.value.limit) == (max_len, 2_000_000)
+        assert str(err.value) == (
+            f"relation scan up to length {max_len} has more than 2000000 factors"
+        )
+    assert scanned == [1413]
 
 
 @pytest.mark.parametrize(
@@ -369,11 +402,11 @@ def test_a_budget_at_its_limits_answers():
 def brute_force_level_group(a: Automaton, level: int) -> set:
     """Closure of the leaf permutations, computed directly from state
     evaluations; independent of the interned-portrait engine."""
-    leaves = list(a.schedule.words_at_level(level))
+    leaves = list(words_at_level(a.schedule, level))
     index = {w: i for i, w in enumerate(leaves)}
     gens = set()
     for q in range(a.n_states):
-        p = tuple(index[a.evaluate(q, w)] for w in leaves)
+        p = tuple(index[a.run(q, w)[0]] for w in leaves)
         gens.add(p)
         gens.add(perms.invert(p))
     closure = set(gens)
@@ -393,7 +426,7 @@ def test_level_group_of_the_order_four_machine():
     assert lg.order == 4
     assert lg.leaf_count == 4
     gen = lg.generator_ids[0]
-    assert lg.leaf_permutation(gen) == (3, 2, 0, 1)
+    assert leaf_permutation(lg, gen) == (3, 2, 0, 1)
     assert lg.element_order(gen) == 4
     assert lg.max_element_order() == 4
 
@@ -409,7 +442,7 @@ def test_level_groups_match_brute_force_closures():
         lg = level_group(a, level)
         brute = brute_force_level_group(a, level)
         assert lg.order == len(brute)
-        assert set(lg.element_leaf_permutations()) == brute
+        assert set(element_leaf_permutations(lg)) == brute
 
 
 def test_level_group_of_a_trivial_restriction():
@@ -429,9 +462,9 @@ def test_truncation_maps_level_groups_onto_shallower_ones():
             block = a.schedule.size_at(k + 1)
             projected = {
                 tuple(p[i * block] // block for i in range(shallow.leaf_count))
-                for p in deep.element_leaf_permutations()
+                for p in element_leaf_permutations(deep)
             }
-            assert projected == set(shallow.element_leaf_permutations())
+            assert projected == set(element_leaf_permutations(shallow))
 
 
 def test_level_group_order_cap():
@@ -461,10 +494,10 @@ def test_level_orders_match_sympy():
         (example2, range(1, 4)),
     ):
         for k in levels:
-            leaves = list(a.schedule.words_at_level(k))
+            leaves = list(words_at_level(a.schedule, k))
             index = {w: i for i, w in enumerate(leaves)}
             gens = [
-                combinatorics.Permutation([index[a.evaluate(q, w)] for w in leaves])
+                combinatorics.Permutation([index[a.run(q, w)[0]] for w in leaves])
                 for q in range(a.n_states)
             ]
             expected = combinatorics.PermutationGroup(gens).order()
@@ -492,10 +525,10 @@ def test_an_order_cap_below_one_is_refused(cap):
 def test_orbits_of_the_cycle_transposition_machine():
     wide = cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4)))
     assert len(orbit_at_level(wide, 2)) == 12
-    assert is_level_transitive_at(wide, 2)
+    assert len(orbit_at_level(wide, 2)) == wide.schedule.leaf_count(2)
     narrow = cycle_transposition_automaton(AlphabetSchedule.constant(2))
     assert len(orbit_at_level(narrow, 2)) == 2
-    assert not is_level_transitive_at(narrow, 2)
+    assert len(orbit_at_level(narrow, 2)) != narrow.schedule.leaf_count(2)
     assert orbit_at_level(wide, 0) == {()}
 
 
@@ -520,7 +553,8 @@ def test_orbit_levels_run_from_the_root_to_the_level_budget(level):
     with pytest.raises(ValueError, match="level"):
         orbit_at_level(z2z4_automaton(), level)
     with pytest.raises(ValueError, match="level"):
-        is_level_transitive_at(z2z4_automaton(), level)
+        z = z2z4_automaton()
+        len(orbit_at_level(z, level)) == z.schedule.leaf_count(level)
     assert len(orbit_at_level(z2z4_automaton(), MAX_LEVEL)) == 8
 
 
@@ -601,7 +635,7 @@ def test_torsion_exponent_bound():
 def test_torsion_bound_annihilates_the_ratio():
     e2 = cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4)))
     c = A.inverse() * B
-    assert decide_equal(e2, c ** torsion_exponent_bound(e2)).is_equal
+    assert decide_equal(e2, c ** torsion_exponent_bound(e2)).status == "equal"
 
 
 # -- congruence solving -----------------------------------------------

