@@ -47,11 +47,11 @@ def _load_automaton(args) -> Automaton:
             and isinstance(doc.get("automaton"), dict)
             and doc["automaton"].get("builtin") == "random_bir22"
         ):
-            auto = dict(doc["automaton"])
-            params = dict(auto.get("params", {}))
-            params["seed"] = seed
-            auto["params"] = params
-            doc = {**doc, "automaton": auto}
+            # Params that are not an object are left for the builder to refuse.
+            auto = doc["automaton"]
+            params = auto.get("params", {})
+            if isinstance(params, dict):
+                doc = {**doc, "automaton": {**auto, "params": {**params, "seed": seed}}}
         else:
             raise ValueError("--seed only applies to the random_bir22 builtin")
     return build_from_config(doc)
@@ -91,7 +91,7 @@ def _yes(flag: Optional[bool]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (options, result, text lines, exit code)
+# subcommand handlers; each returns (result, text lines, exit code)
 
 
 def _cmd_check(args):
@@ -130,8 +130,7 @@ def _cmd_check(args):
             f"reversible {_yes(r['reversible'])}  inverse-reversible "
             f"{_yes(r['inverse_reversible'])}  diagonal {_yes(r['diagonal'])}"
         )
-    options = {"config": args.config, "depth": args.depth}
-    return options, {"bireversible": summary, "levels": rows}, lines, (0 if verdict.holds else 1)
+    return {"bireversible": summary, "levels": rows}, lines, (0 if verdict.holds else 1)
 
 
 def _cmd_act(args):
@@ -155,7 +154,6 @@ def _cmd_act(args):
             f"state {a.state_names[q]} on {_fmt_letters(letters)} -> "
             f"{_fmt_letters(out)} (ends in {a.state_names[end]})"
         ]
-        options = {"config": args.config, "state": args.state, "input": args.input}
     else:
         word = GroupWord.parse(args.word_expr, _state_aliases(a))
         out = engine.apply_word(a, word, letters)
@@ -167,36 +165,27 @@ def _cmd_act(args):
         lines = [
             f"word {word.display(a.state_names)} on {_fmt_letters(letters)} -> {_fmt_letters(out)}"
         ]
-        options = {"config": args.config, "word_expr": args.word_expr, "input": args.input}
-    return options, result, lines, 0
+    return result, lines, 0
 
 
 def _cmd_levels(args):
-    # Checked before the sweep: level_group would refuse only the first
-    # level past the budget, after building every level above it.
+    # Checked before the config is read, and named by its flag.
     _check_count(args.max_level, "--max-level", level=True)
     a = _load_automaton(args)
     rows = []
     capped = None
-    for level in range(1, args.max_level + 1):
-        try:
-            group = engine.level_group(a, level, order_cap=args.order_cap)
-        except OrderCapExceededError as exc:
-            capped = {"level": level, "cap": exc.cap, "reached": exc.reached}
-            break
-        rows.append({"level": level, "order": group.order, "words": group.leaf_count})
+    try:
+        for group in engine.level_groups(a, args.max_level, order_cap=args.order_cap):
+            rows.append({"level": group.level, "order": group.order, "words": group.leaf_count})
+    except OrderCapExceededError as exc:
+        capped = {"level": len(rows) + 1, "cap": exc.cap, "reached": exc.reached}
     lines = [f"level {r['level']}: group order {r['order']} on {r['words']} words" for r in rows]
     if capped is not None:
         lines.append(
             f"level {capped['level']}: order cap {capped['cap']} exceeded, partial results"
         )
-    options = {
-        "config": args.config,
-        "max_level": args.max_level,
-        "order_cap": args.order_cap,
-    }
     result = {"orders": rows, "capped": capped}
-    return options, result, lines, (0 if capped is None else 1)
+    return result, lines, (0 if capped is None else 1)
 
 
 def _cmd_classify(args):
@@ -210,7 +199,7 @@ def _cmd_classify(args):
     lines = [
         f"classification: {kind.value} (order {kind.group_order}, exponent {kind.exponent})"
     ]
-    return {"config": args.config}, result, lines, 0
+    return result, lines, 0
 
 
 def _cmd_relations(args):
@@ -231,10 +220,9 @@ def _cmd_relations(args):
         lines.extend(f"  {w}" for w in unsettled)
     if not relations and not unsettled:
         lines.append("none found")
-    options = {"config": args.config, "max_len": args.max_len, "depth": args.depth}
     result = {"checked": found.checked, "relations": relations, "unsettled": unsettled}
     code = 0 if not relations and not unsettled else 1
-    return options, result, lines, code
+    return result, lines, code
 
 
 def _cmd_steer(args):
@@ -258,7 +246,7 @@ def _cmd_steer(args):
         f"g = {compact}  (c = {names[0]} {names[1]}^-1, {res.word_length} factors reduced)",
         "verified: yes",
     ]
-    return {"config": args.config, "target": args.target}, result, lines, 0
+    return result, lines, 0
 
 
 def _cmd_orbit(args):
@@ -276,12 +264,7 @@ def _cmd_orbit(args):
         f"orbit at level {args.level}: {len(orbit)}/{leaves} words reached - "
         + ("transitive" if transitive else "not transitive")
     ]
-    return (
-        {"config": args.config, "level": args.level},
-        result,
-        lines,
-        0 if transitive else 1,
-    )
+    return result, lines, (0 if transitive else 1)
 
 
 def _cmd_list_builtins(args):
@@ -289,7 +272,7 @@ def _cmd_list_builtins(args):
         {"id": fid, "summary": FAMILY_SUMMARIES[fid]} for fid in sorted(FAMILIES)
     ]
     lines = [f"{f['id']}: {f['summary']}" for f in families]
-    return {}, {"families": families}, lines, 0
+    return {"families": families}, lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +356,14 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# Parsed arguments that the JSON report does not echo as options.
+_NOT_OPTIONS = frozenset({"command", "handler", "format", "seed"})
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        options, result, lines, code = args.handler(args)
+        result, lines, code = args.handler(args)
     except (BudgetExceededError, VerificationFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -385,6 +372,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         if args.format == "json":
+            options = {
+                k: v for k, v in vars(args).items() if v is not None and k not in _NOT_OPTIONS
+            }
             report = {"command": args.command, "options": options, "result": result}
             print(json.dumps(report, indent=2, sort_keys=True))
         else:

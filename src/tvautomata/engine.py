@@ -574,126 +574,107 @@ def relation_search(
 
 
 class _PortraitContext:
-    """Hash-consed action portraits over levels 1 .. depth.
+    """Hash-consed action portraits, shared by every level.
 
-    A portrait at level L is (root permutation, child portrait ids one
-    level down).  Equal actions intern to equal ids, so group closure
-    never materializes permutations of the full leaf set.
+    A portrait is (root permutation, child portrait ids), and id 0 is the
+    identity at every level: a portrait spanning k levels acts as the
+    identity below them.  Equal actions intern to equal ids, so group
+    closure never materializes permutations of the full leaf set, and the
+    portraits of a shallow level group are reused by deeper ones.
     """
 
-    def __init__(self, automaton: Automaton, depth: int):
+    def __init__(self, automaton: Automaton):
         self.automaton = automaton
-        self.depth = depth
-        self.sizes = [0] + [automaton.schedule.size_at(i) for i in range(1, depth + 1)]
-        self.nodes: list[list[tuple]] = [[] for _ in range(depth + 2)]
-        self.intern: list[dict] = [{} for _ in range(depth + 2)]
-        self.identity_ids = [0] * (depth + 2)
-        self.mk(depth + 1, (), ())
-        for level in range(depth, 0, -1):
-            d = self.sizes[level]
-            self.identity_ids[level] = self.mk(
-                level, perms.identity(d), (self.identity_ids[level + 1],) * d
-            )
-        self._compose_memo: list[dict] = [{} for _ in range(depth + 2)]
-        self._inverse_memo: list[dict] = [{} for _ in range(depth + 2)]
+        # Id 0, the identity: no letter to move and no child to visit.
+        self.nodes: list[tuple] = [((), ())]
+        self.intern: dict = {}
+        self._compose_memo: dict = {}
+        self._inverse_memo: dict = {}
         self._state_memo: dict = {}
-        # Each level's table, kept from its first read: the automaton
-        # caches only phases, and levels past its fold come up once per
-        # state here.
-        self._tables: list[Optional[LevelTable]] = [None] * (depth + 1)
 
-    def mk(self, level: int, root: tuple[int, ...], kids: tuple[int, ...]) -> int:
+    def mk(self, root: tuple[int, ...], kids: tuple[int, ...]) -> int:
         key = (root, kids)
-        table = self.intern[level]
-        pid = table.get(key)
+        pid = self.intern.get(key)
         if pid is None:
-            pid = len(self.nodes[level])
-            self.nodes[level].append(key)
-            table[key] = pid
+            if any(kids) or not perms.is_identity(root):
+                pid = len(self.nodes)
+                self.nodes.append(key)
+            else:
+                pid = 0
+            self.intern[key] = pid
         return pid
 
-    def from_state(self, level: int, q: int) -> int:
-        if level > self.depth:
+    def from_state(self, level: int, q: int, span: int) -> int:
+        """Portrait of state q read from `level` over `span` levels.
+
+        Levels of one phase share tables from there on, so the memo is
+        keyed by phase; `level` itself only names a failing level."""
+        if span == 0:
             return 0
-        key = (level, q)
+        key = (self.automaton.phase(level), span, q)
         pid = self._state_memo.get(key)
         if pid is None:
-            t = self._tables[level]
-            if t is None:
-                t = self._tables[level] = self.automaton.table_at(level)
+            t = self.automaton.table_at(level)
             if t.signed_rows[-1][q] is None:
                 raise NotInvertibleError(level, q)
-            kids = tuple(
-                self.from_state(level + 1, t.transition[q][x])
-                for x in range(self.sizes[level])
-            )
-            pid = self.mk(level, t.output[q], kids)
+            kids = tuple(self.from_state(level + 1, r, span - 1) for r in t.transition[q])
+            pid = self.mk(t.output[q], kids)
             self._state_memo[key] = pid
         return pid
 
-    def compose(self, level: int, u: int, v: int) -> int:
+    def compose(self, u: int, v: int) -> int:
         """Portrait of u applied after v."""
-        if level > self.depth or v == self.identity_ids[level]:
+        if v == 0:
             return u
-        if u == self.identity_ids[level]:
+        if u == 0:
             return v
-        memo = self._compose_memo[level]
         key = (u, v)
-        pid = memo.get(key)
+        pid = self._compose_memo.get(key)
         if pid is None:
-            ru, ku = self.nodes[level][u]
-            rv, kv = self.nodes[level][v]
-            root = tuple(ru[rv[x]] for x in range(self.sizes[level]))
-            kids = tuple(
-                self.compose(level + 1, ku[rv[x]], kv[x])
-                for x in range(self.sizes[level])
-            )
-            pid = self.mk(level, root, kids)
-            memo[key] = pid
+            ru, ku = self.nodes[u]
+            rv, kv = self.nodes[v]
+            root = tuple(ru[y] for y in rv)
+            kids = tuple(self.compose(ku[y], k) for y, k in zip(rv, kv))
+            pid = self.mk(root, kids)
+            self._compose_memo[key] = pid
         return pid
 
-    def inverse(self, level: int, u: int) -> int:
-        if level > self.depth or u == self.identity_ids[level]:
-            return u
-        memo = self._inverse_memo[level]
-        pid = memo.get(u)
+    def inverse(self, u: int) -> int:
+        if u == 0:
+            return 0
+        pid = self._inverse_memo.get(u)
         if pid is None:
-            ru, ku = self.nodes[level][u]
+            ru, ku = self.nodes[u]
             root = perms.invert(ru)
-            kids = tuple(
-                self.inverse(level + 1, ku[root[x]]) for x in range(self.sizes[level])
-            )
-            pid = self.mk(level, root, kids)
-            memo[u] = pid
+            pid = self.mk(root, tuple(self.inverse(ku[y]) for y in root))
+            self._inverse_memo[u] = pid
         return pid
 
     def image(self, pid: int, vertex: Word) -> Word:
-        """Where the level-1 portrait `pid` sends a tree vertex (a word of
-        length at most `depth`), read off one path of root permutations."""
+        """Where the portrait `pid` sends a tree vertex, read off one path
+        of root permutations down to the first identity section."""
         out = []
-        for level, x in enumerate(vertex, 1):
-            root, kids = self.nodes[level][pid]
+        for x in vertex:
+            if pid == 0:
+                break
+            root, kids = self.nodes[pid]
             out.append(root[x])
             pid = kids[x]
-        return tuple(out)
+        return tuple(out) + vertex[len(out) :]
 
     def first_moved_vertex(self, pid: int) -> Optional[Word]:
-        """The lexicographically first vertex moved by the level-1
-        portrait `pid` on the shallowest level it moves, or None for the
-        identity."""
+        """The lexicographically first vertex moved by the portrait `pid`
+        on the shallowest level it moves, or None for the identity."""
         frontier = [((), pid)]
-        level = 1
         while frontier:
-            nodes, fixed = self.nodes[level], self.identity_ids[level + 1]
             deeper = []
             for vertex, p in frontier:
-                root, kids = nodes[p]
+                root, kids = self.nodes[p]
                 for x, y in enumerate(root):
                     if x != y:
                         return vertex + (x,)
-                deeper.extend((vertex + (x,), k) for x, k in enumerate(kids) if k != fixed)
+                deeper.extend((vertex + (x,), k) for x, k in enumerate(kids) if k)
             frontier = deeper
-            level += 1
         return None
 
 
@@ -708,16 +689,16 @@ class _ChainLevel:
 
     __slots__ = ("point", "generators", "orbit", "transversal", "tested")
 
-    def __init__(self, point: Word, identity: int):
+    def __init__(self, point: Word):
         self.point = point
         self.generators: list[int] = []
         self.orbit = [point]
-        self.transversal = {point: (identity, identity)}
+        self.transversal = {point: (0, 0)}
         self.tested = [0]
 
 
 def _chain_order(ctx: _PortraitContext, generators: Sequence[int]) -> int:
-    """Order of the group generated by level-1 portraits, as the product
+    """Order of the group generated by portraits, as the product
     of the basic orbit lengths of a deterministic Schreier-Sims chain
     (Sims 1970; Seress, Permutation Group Algorithms, 2003, ch. 4).
 
@@ -727,21 +708,20 @@ def _chain_order(ctx: _PortraitContext, generators: Sequence[int]) -> int:
     a residue found while completing level i joins levels i+1 .. j, and
     completion resumes at level j.
     """
-    identity = ctx.identity_ids[1]
     chain: list[_ChainLevel] = []
 
     def sift(h: int, i: int) -> tuple[int, int]:
-        while i < len(chain) and h != identity:
+        while i < len(chain) and h != 0:
             u = chain[i].transversal.get(ctx.image(h, chain[i].point))
             if u is None:
                 break
-            h = ctx.compose(1, u[1], h)
+            h = ctx.compose(u[1], h)
             i += 1
         return h, i
 
     def add(h: int, low: int, high: int) -> None:
         if high == len(chain):
-            chain.append(_ChainLevel(ctx.first_moved_vertex(h), identity))
+            chain.append(_ChainLevel(ctx.first_moved_vertex(h)))
         for lv in chain[low : high + 1]:
             lv.generators.append(h)
 
@@ -754,23 +734,23 @@ def _chain_order(ctx: _PortraitContext, generators: Sequence[int]) -> int:
             while lv.tested[k] < len(lv.generators):
                 s = lv.generators[lv.tested[k]]
                 lv.tested[k] += 1
-                su = ctx.compose(1, s, u)
+                su = ctx.compose(s, u)
                 gamma = ctx.image(s, beta)
                 t = lv.transversal.get(gamma)
                 if t is None:
-                    lv.transversal[gamma] = (su, ctx.inverse(1, su))
+                    lv.transversal[gamma] = (su, ctx.inverse(su))
                     lv.orbit.append(gamma)
                     lv.tested.append(0)
                 elif t[0] != su:
-                    h, j = sift(ctx.compose(1, t[1], su), i + 1)
-                    if h != identity:
+                    h, j = sift(ctx.compose(t[1], su), i + 1)
+                    if h != 0:
                         return h, j
             k += 1
         return None
 
     for g in generators:
         h, j = sift(g, 0)
-        if h != identity:
+        if h != 0:
             add(h, 0, j)
     i = len(chain) - 1
     while i >= 0:
@@ -788,8 +768,9 @@ class LevelGroup:
     """The permutation group induced on one level's words.
 
     `order` comes from a stabilizer chain and is exact.  Elements are
-    portrait ids into a private context; `element_ids` enumerates them
-    on first access, in discovery order starting from the identity.
+    portrait ids into a portrait context, where 0 is the identity;
+    `element_ids` enumerates them on first access, in discovery order
+    starting from the identity.
     """
 
     automaton: Automaton
@@ -803,15 +784,14 @@ class LevelGroup:
     def element_ids(self) -> tuple[int, ...]:
         """Every element, found breadth-first from the identity."""
         ctx, gens = self.context, self.generator_ids
-        steps = gens + tuple(ctx.inverse(1, g) for g in gens)
-        identity = ctx.identity_ids[1]
-        seen = {identity}
-        elements = [identity]
-        queue = deque([identity])
+        steps = gens + tuple(ctx.inverse(g) for g in gens)
+        seen = {0}
+        elements = [0]
+        queue = deque([0])
         while queue:
             current = queue.popleft()
             for step in steps:
-                new = ctx.compose(1, current, step)
+                new = ctx.compose(current, step)
                 if new not in seen:
                     seen.add(new)
                     elements.append(new)
@@ -822,8 +802,8 @@ class LevelGroup:
         ctx = self.context
         acc = pid
         n = 1
-        while acc != ctx.identity_ids[1]:
-            acc = ctx.compose(1, acc, pid)
+        while acc != 0:
+            acc = ctx.compose(acc, pid)
             n += 1
             if n > self.order:
                 raise VerificationFailedError("element order exceeds group order")
@@ -849,8 +829,29 @@ def level_group(
     """
     _check_count(level, "level", level=True)
     _check_count(order_cap, "order cap")
-    ctx = _PortraitContext(automaton, level)
-    gens = tuple(ctx.from_state(1, q) for q in range(automaton.n_states))
+    return _level_group(_PortraitContext(automaton), level, order_cap)
+
+
+def level_groups(
+    automaton: Automaton, max_level: int, *, order_cap: int = 10**6
+) -> Iterator[LevelGroup]:
+    """`level_group` for levels 1 .. max_level in turn, on one portrait
+    context: a level reuses the portraits and compositions of the levels
+    before it, so on a folded machine a sweep costs about as much as its
+    deepest level.
+
+    Arguments are checked when called, as in `level_group`; the errors a
+    level raises come when that level is reached.
+    """
+    _check_count(max_level, "max level", level=True)
+    _check_count(order_cap, "order cap")
+    ctx = _PortraitContext(automaton)
+    return (_level_group(ctx, level, order_cap) for level in range(1, max_level + 1))
+
+
+def _level_group(ctx: _PortraitContext, level: int, order_cap: int) -> LevelGroup:
+    automaton = ctx.automaton
+    gens = tuple(ctx.from_state(1, q, level) for q in range(automaton.n_states))
     order = _chain_order(ctx, gens)
     if order > order_cap:
         raise OrderCapExceededError(order_cap, order)

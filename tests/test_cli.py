@@ -268,6 +268,16 @@ def test_levels_with_a_tight_order_cap(capsys, config):
     assert [row["order"] for row in report["result"]["orders"]] == [2]
 
 
+def test_levels_to_the_level_budget(capsys, config):
+    code, out, err = run(
+        capsys, "levels", "--config", config(Z2Z4), "--max-level", str(MAX_LEVEL)
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == MAX_LEVEL
+    assert all(" group order 8 on " in line for line in lines[3:])
+
+
 def test_levels_past_the_recursion_budget_exit_2(capsys, config):
     code, out, err = run(
         capsys, "levels", "--config", config(Z2Z4), "--max-level", "1200"
@@ -471,6 +481,13 @@ def test_seed_selects_the_random_machine(capsys, config):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("params", [5, [["seed", 9]]], ids=["number", "pairs"])
+def test_seed_leaves_params_that_are_not_an_object_to_be_refused(capsys, config, params):
+    doc = {**RANDOM22, "automaton": {"builtin": "random_bir22", "params": params}}
+    code, out, err = run(capsys, "check", "--config", config(doc), "--seed", "3")
+    assert (code, out, err) == (2, "", "error: 'params' must be an object\n")
+
+
 def test_json_reports_are_deterministic(capsys, config):
     path = config(E2_34)
     _, first, _ = run(capsys, "levels", "--config", path, "--format", "json")
@@ -653,12 +670,15 @@ def test_mutated_configs_exit_0_1_or_2_and_never_raise(tmp_path):
     path = tmp_path / "fuzzed.json"
 
     @hypothesis.settings(max_examples=250, deadline=None, database=None)
-    @hypothesis.given(_mutated_configs(st))
-    def check(doc):
+    @hypothesis.given(_mutated_configs(st), st.one_of(st.none(), st.integers(-3, 64)))
+    def check(doc, seed):
         path.write_text(json.dumps(doc))
+        argv = ["check", "--config", str(path), "--depth", "3"]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["check", "--config", str(path), "--depth", "3"])
+            code = main(argv)
         assert code in (0, 1, 2)
         if code == 2:
             assert out.getvalue() == ""

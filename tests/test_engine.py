@@ -29,12 +29,15 @@ from tvautomata import (
     lamplighter_automaton,
     letter_partition,
     level_group,
+    level_groups,
     orbit_at_level,
     NonCoprimeModuliError,
     ratio_power_image,
     reduced_words,
     relation_search,
     step_section,
+    subsequence_embedding_automaton,
+    sym_diagonal_automaton,
     torsion_exponent_bound,
     word_order_automaton,
     word_order_perm_a,
@@ -429,6 +432,10 @@ def test_level_group_of_the_order_four_machine():
     assert leaf_permutation(lg, gen) == (3, 2, 0, 1)
     assert lg.element_order(gen) == 4
     assert lg.max_element_order() == 4
+    ctx = lg.context
+    for pid in lg.element_ids:
+        assert ctx.compose(pid, ctx.inverse(pid)) == 0
+        assert ctx.compose(ctx.inverse(pid), pid) == 0
 
 
 def test_level_groups_match_brute_force_closures():
@@ -510,13 +517,86 @@ def test_levels_past_the_recursion_budget_are_refused():
         level_group(z2z4_automaton(), MAX_LEVEL + 1)
     with pytest.raises(ValueError, match="at least 1"):
         level_group(z2z4_automaton(), 0)
+    # A sweep checks its depth when called, before any level is built.
+    with pytest.raises(ValueError, match="deeper than"):
+        level_groups(z2z4_automaton(), MAX_LEVEL + 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        level_groups(z2z4_automaton(), 0)
 
 
 @pytest.mark.parametrize("cap", [0, -1])
 def test_an_order_cap_below_one_is_refused(cap):
     with pytest.raises(ValueError, match="order cap"):
         level_group(z2z4_automaton(), 1, order_cap=cap)
+    with pytest.raises(ValueError, match="order cap"):
+        level_groups(z2z4_automaton(), 1, order_cap=cap)
     assert level_group(z4_automaton(), 1, order_cap=2).order == 2
+
+
+def _sweep_machines():
+    """The catalog, plus identity tails of one and of growing alphabet
+    sizes, an embedding and both ramp examples."""
+    return catalog() + [
+        z2z4_automaton().restricted(0),
+        z2z4_automaton().restricted(3),
+        sym_diagonal_automaton([3, 2]),
+        cycle_transposition_automaton(AlphabetSchedule.ramp(1)).restricted(2),
+        subsequence_embedding_automaton(
+            z2z4_automaton(), AlphabetSchedule.constant(2), start=2, step=3
+        ),
+        word_order_automaton(AlphabetSchedule.ramp(1)),
+        cycle_transposition_automaton(AlphabetSchedule.ramp(1)),
+    ]
+
+
+def test_a_sweep_gives_the_orders_of_single_levels():
+    for a in _sweep_machines():
+        orders = []
+        for k in range(1, 9):
+            try:
+                orders.append(level_group(a, k, order_cap=5000).order)
+            except OrderCapExceededError as exc:
+                reached = exc.reached
+                break
+        else:
+            reached = None
+        swept = []
+        try:
+            for lg in level_groups(a, 8, order_cap=5000):
+                assert lg.level == len(swept) + 1
+                swept.append(lg.order)
+        except OrderCapExceededError as exc:
+            assert exc.reached == reached, a.family
+        else:
+            assert reached is None, a.family
+        assert swept == orders, a.family
+
+
+def test_a_sweep_to_the_level_budget_grows_its_context_linearly():
+    groups = list(level_groups(z2z4_automaton(), MAX_LEVEL))
+    assert [lg.order for lg in groups] == [2, 4, 4] + [8] * (MAX_LEVEL - 3)
+    ctx = groups[0].context
+    assert all(lg.context is ctx for lg in groups)
+    assert len(ctx.nodes) < 20 * MAX_LEVEL
+
+
+def test_a_state_failing_at_a_repeated_phase_names_the_level_reached():
+    # Period (A, B) after one prefix level: state b is not invertible at
+    # every even level, but only level 4 reaches it (level 3 sends a to b).
+    prefix = LevelTable(((0, 0), (0, 0)), ((1, 0), (0, 1)))
+    even = LevelTable(((0, 0), (0, 0)), ((1, 0), (0, 0)))
+    odd = LevelTable(((1, 1), (1, 1)), ((1, 0), (1, 0)))
+    m = Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (prefix,), (even, odd))
+    assert [level_group(m, k).order for k in (1, 2, 3)] == [2, 4, 4]
+    with pytest.raises(NotInvertibleError) as err:
+        level_group(m, 4)
+    assert (err.value.level, err.value.state) == (4, 1)
+    swept = []
+    with pytest.raises(NotInvertibleError) as err:
+        for lg in level_groups(m, 6):
+            swept.append(lg.order)
+    assert swept == [2, 4, 4]
+    assert (err.value.level, err.value.state) == (4, 1)
 
 
 # -- orbits -----------------------------------------------------------
