@@ -29,7 +29,7 @@ from .errors import (
     OrderCapExceededError,
     VerificationFailedError,
 )
-from .families import FAMILIES, FAMILY_SUMMARIES, build_from_config
+from .families import FAMILIES, build_from_config
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -269,7 +269,7 @@ def _cmd_orbit(args):
 
 def _cmd_list_builtins(args):
     families = [
-        {"id": fid, "summary": FAMILY_SUMMARIES[fid]} for fid in sorted(FAMILIES)
+        {"id": fid, "summary": summary} for fid, (summary, _) in sorted(FAMILIES.items())
     ]
     lines = [f"{f['id']}: {f['summary']}" for f in families]
     return {"families": families}, lines, 0

@@ -28,7 +28,7 @@ from .errors import (
     NotMealyError,
     ScheduleMismatchError,
 )
-from .schedule import AlphabetSchedule, is_config_int
+from .schedule import MAX_LEVEL, AlphabetSchedule, is_config_int
 
 NOT_INVERTIBLE = "not_invertible"
 NOT_REVERSIBLE = "not_reversible"
@@ -37,13 +37,6 @@ INVERSE_NOT_REVERSIBLE = "inverse_not_reversible"
 _DEFAULT_CHECK_DEPTH = 20
 _SANITY_DEPTH = 8
 _EMBED_CHECK_DEPTH = 64
-
-# The level budget: the deepest level a check depth, an orbit level, an
-# equality search's depth budget or a level group may name.  Portraits
-# recurse two frames per level, so a much deeper level overflows the
-# default interpreter stack (under pytest, levels up to about 475 run);
-# over a ramp, tables this deep already hold hundreds of letters.
-MAX_LEVEL = 450
 
 
 def _check_count(value: int, what: str, least: int = 1, level: bool = False) -> None:
@@ -351,7 +344,6 @@ class Automaton:
         fold: Optional[tuple[int, int]] = None,
         exact_bireversible: bool = False,
         identity_from: Optional[int] = None,
-        family: Optional[tuple[str, dict]] = None,
     ):
         if n_states < 1:
             raise ValueError("need at least one state")
@@ -366,7 +358,8 @@ class Automaton:
         self.fold = fold
         self.exact_bireversible = exact_bireversible
         self.identity_from = identity_from
-        self.family = family
+        # A builtin's (family id, params), set only by `families`.
+        self.family: Optional[tuple[str, dict]] = None
         self._cache: dict[int, LevelTable] = {}
         # Identity tail tables by alphabet size, made on first use.
         self._identity_tables: Optional[dict[int, LevelTable]] = None
@@ -392,7 +385,6 @@ class Automaton:
         period: Sequence[LevelTable],
         *,
         state_names: Optional[Sequence[str]] = None,
-        family: Optional[tuple[str, dict]] = None,
     ) -> "Automaton":
         """Build from an explicit table prefix and repeating table block.
 
@@ -425,7 +417,6 @@ class Automaton:
             levels.__getitem__,
             state_names=state_names,
             fold=fold,
-            family=family,
         )
 
     @staticmethod
@@ -437,7 +428,6 @@ class Automaton:
         state_names: Optional[Sequence[str]] = None,
         exact_bireversible: bool = False,
         identity_from: Optional[int] = None,
-        family: Optional[tuple[str, dict]] = None,
     ) -> "Automaton":
         """A machine given by a bare rule, with no fold.
 
@@ -452,7 +442,6 @@ class Automaton:
             state_names=state_names,
             exact_bireversible=exact_bireversible,
             identity_from=identity_from,
-            family=family,
         )
 
     def __repr__(self) -> str:
@@ -635,9 +624,7 @@ class Automaton:
             identity_from=identity_from,
         )
 
-    def restricted(
-        self, depth: int, *, family: Optional[tuple[str, dict]] = None
-    ) -> "Automaton":
+    def restricted(self, depth: int) -> "Automaton":
         """Keep the first `depth` levels, act trivially beyond them."""
         if depth < 0:
             raise ValueError("restriction depth must be nonnegative")
@@ -651,7 +638,6 @@ class Automaton:
             state_names=self.state_names,
             fold=self.schedule.aligned_fold(depth, 1),
             identity_from=ident,
-            family=family,
         )
 
     def mealy_table(self) -> LevelTable:
@@ -666,7 +652,7 @@ class Automaton:
             raise NotMealyError("level tables differ across levels")
         return next(iter(tables))
 
-    def dual(self, *, family: Optional[tuple[str, dict]] = None) -> "Automaton":
+    def dual(self) -> "Automaton":
         """Swap the roles of states and letters of a level-independent transducer.
 
         The dual's states are the letters and vice versa; its transition
@@ -682,7 +668,6 @@ class Automaton:
             (),
             (LevelTable(trans, out),),
             state_names=tuple(f"d{x}" for x in range(d)),
-            family=family,
         )
 
 
@@ -691,8 +676,6 @@ def embed_on_subsequence(
     host: AlphabetSchedule,
     start: int = 1,
     step: int = 1,
-    *,
-    family: Optional[tuple[str, dict]] = None,
 ) -> Automaton:
     """Spread a transducer over the host levels start, start+step, ....
 
@@ -737,5 +720,4 @@ def embed_on_subsequence(
         fold=fold,
         exact_bireversible=inner.exact_bireversible,
         identity_from=identity_from,
-        family=family,
     )

@@ -26,7 +26,6 @@ from . import perms
 from .core import Automaton, LevelTable, _check_count
 from .errors import (
     BudgetExceededError,
-    InvalidWordError,
     NonCoprimeModuliError,
     NotBinaryError,
     NotBiReversibleError,
@@ -47,8 +46,11 @@ Word = tuple[int, ...]
 # one state are summed.
 MAX_WORD_FACTORS = 10**6
 
-# Most words `orbit_at_level` collects before it gives up.
+# Most words `orbit_at_level` collects before it gives up, and most
+# letters in them: over a ramp, deep words are long enough that a few
+# thousand of them already cost seconds to step.
 MAX_ORBIT_WORDS = 200_000
+MAX_ORBIT_LETTERS = 4_000_000
 
 # Most reduced words `relation_search` checks in one scan, and most
 # factors in all of them: one state has only two words per length, so
@@ -213,27 +215,6 @@ class EqualityVerdict:
     exhausted_depth: Optional[int] = None
 
 
-Section = tuple[tuple[int, int], ...]
-
-
-def step_section(
-    automaton: Automaton, section: Section, level: int, letter: int
-) -> tuple[int, Section]:
-    """Feed one letter through a composite of states at one level.
-
-    The section lists (state, sign) factors, leftmost applied last, so
-    the letter enters at the rightmost factor and each emitted letter
-    feeds the next factor to its left.  Returns the letter emitted by
-    the whole composite and the section active below this node.
-    """
-    t = automaton.table_at(level)
-    if not 0 <= letter < t.alphabet_size:
-        raise InvalidWordError(f"letter {letter} out of range at level {level}")
-    signs = tuple(s for _, s in section)
-    y, states = t.step(tuple(q for q, _ in section), signs, letter, level)
-    return y, tuple(zip(states, signs))
-
-
 def _test_word(
     g: GroupWord, h: Optional[GroupWord]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -332,9 +313,10 @@ def decide_equal(
 
     A "not_equal" verdict carries a shortest mismatch witness w found by
     the search, already transformed so that g(w) differs from h(w).  It
-    is checked before it is returned; one that fails raises
-    VerificationFailedError.  A state index of the test word past the
-    machine's states raises ValueError.
+    is checked before it is returned, by acting with h^-1, g and h through
+    `apply_word`; one that fails raises VerificationFailedError.  A state
+    index past the machine's states raises ValueError: one of the test
+    word at once, one of g or h when a witness is checked.
     """
     return EqualityVerdict(
         *_search(_SearchContext(automaton), g, h, budget or _DEFAULT_BUDGET)
@@ -355,7 +337,7 @@ def _search(
         automaton.state_index(max(states))
     finite, entry, walk = ctx.finite, ctx.entry, ctx.walk
     closure = None  # (memo, key, nodes before the period, entering layer)
-    phase = ctx.start
+    phase, level = ctx.start, 1
     # A node is (states, parent node, letter from the parent); each phase
     # keeps its own dict of the nodes found at it, keyed by states.
     root = (states, None, None)
@@ -396,7 +378,7 @@ def _search(
             row = proven.get(node[0]) if proven else None
             mismatch = None
             if row is None:
-                row, mismatch = t.step_row(node[0], signs, phase)
+                row, mismatch = t.step_row(node[0], signs, level)
                 if mismatch is None and finite:
                     stepped.append((t, node[0], row))
             for x, new_states in enumerate(row):
@@ -418,7 +400,7 @@ def _search(
                 witness = _mismatch_witness(automaton, g, h, states, signs, raw)
                 method = "periodic_bfs" if finite else "depth_bounded"
                 return ("not_equal", witness, method, explored, None)
-        layer, phase = next_layer, next_phase
+        layer, phase, level = next_layer, next_phase, level + 1
     for t, row_states, row in stepped:
         t.proven_rows.setdefault(signs, {})[row_states] = row
     if closure is not None:
@@ -436,29 +418,19 @@ def _mismatch_witness(
     raw: Word,
 ) -> Word:
     # `raw` tells the test word (states, signs) from the identity.  With
-    # one word that is checked, up to the first letter it moves; with
-    # two, h^-1 moves it to a word that tells g from h, and that is
-    # checked instead.  Both run level by level through `LevelTable.step`,
-    # the kernel `apply_word` uses.
+    # one word that is checked level by level through `LevelTable.step`,
+    # up to the first letter it moves.  With two, h^-1 moves it to a word
+    # w, and `apply_word` checks that g and h send w apart, each word
+    # acting whole as it does everywhere else.
     if h is None:
         for level, x in enumerate(raw, start=1):
             y, states = automaton.table_at(level).step(states, signs, x, level)
             if y != x:
                 return raw
     else:
-        back_states, back_signs = h.inverse()._states_signs
-        g_states, g_signs = g._states_signs
-        h_states, h_signs = h._states_signs
-        witness, differs = [], False
-        for level, x in enumerate(raw, start=1):
-            t = automaton.table_at(level)
-            w, back_states = t.step(back_states, back_signs, x, level)
-            y, g_states = t.step(g_states, g_signs, w, level)
-            z, h_states = t.step(h_states, h_signs, w, level)
-            witness.append(w)
-            differs = differs or y != z
-        if differs:
-            return tuple(witness)
+        w = apply_word(automaton, h.inverse(), raw)
+        if apply_word(automaton, g, w) != apply_word(automaton, h, w):
+            return w
     raise VerificationFailedError("mismatch witness failed its check")
 
 
@@ -871,7 +843,8 @@ def orbit_at_level(
     """Orbit of one word of the given length under the generated group.
 
     `level` runs from 0, the root, to MAX_LEVEL.  Raises
-    OrbitTooLargeError once more than MAX_ORBIT_WORDS words are reached.
+    OrbitTooLargeError once more than MAX_ORBIT_WORDS words, or more than
+    MAX_ORBIT_LETTERS letters in them, are reached.
     """
     _check_count(level, "level", least=0, level=True)
     if seed is None:
@@ -903,6 +876,8 @@ def orbit_at_level(
                 seen.add(image)
                 if len(seen) > MAX_ORBIT_WORDS:
                     raise OrbitTooLargeError(level, MAX_ORBIT_WORDS)
+                if len(seen) * level > MAX_ORBIT_LETTERS:
+                    raise OrbitTooLargeError(level, MAX_ORBIT_LETTERS, "letters")
                 queue.append(image)
     return frozenset(seen)
 

@@ -58,12 +58,15 @@ class BudgetExceededError(AutomatonError):
 
 
 class OrbitTooLargeError(AutomatonError):
-    """An orbit grew past the word budget of `engine.orbit_at_level`."""
+    """An orbit grew past a budget of `engine.orbit_at_level`, on its
+    words or on the letters they hold; `what` names the budget that was
+    passed."""
 
-    def __init__(self, level: int, limit: int):
+    def __init__(self, level: int, limit: int, what: str = "words"):
         self.level = level
         self.limit = limit
-        super().__init__(f"orbit at level {level} has more than {limit} words")
+        self.what = what
+        super().__init__(f"orbit at level {level} has more than {limit} {what}")
 
 
 class RelationScanTooLargeError(AutomatonError):

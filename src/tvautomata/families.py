@@ -61,6 +61,13 @@ def word_order_perm_b(n: int) -> int:
 # Shared builders.
 
 
+def _tagged(automaton: Automaton, family: str, params: Optional[dict] = None) -> Automaton:
+    """Mark a freshly built machine as the builtin `family` with these
+    parameters: the tag `config_of` writes back as a builtin config."""
+    automaton.family = (family, {} if params is None else params)
+    return automaton
+
+
 def _diagonal_rows(n_states: int, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(q for _ in range(size)) for q in range(n_states))
 
@@ -93,13 +100,9 @@ def word_order_automaton(schedule: AlphabetSchedule) -> Automaton:
             ),
         )
 
-    return Automaton(
-        schedule,
-        2,
-        fn,
-        fold=schedule.aligned_fold(0, 1),
-        exact_bireversible=True,
-        family=("example1", {}),
+    return _tagged(
+        Automaton(schedule, 2, fn, fold=schedule.aligned_fold(0, 1), exact_bireversible=True),
+        "example1",
     )
 
 
@@ -134,13 +137,10 @@ def cycle_transposition_automaton(
         )
         return LevelTable(transition, (pi, tau))
 
-    return Automaton(
-        schedule,
-        2,
-        fn,
-        fold=schedule.aligned_fold(0, 1),
-        exact_bireversible=True,
-        family=("example2", {"x0": x0, "x1": x1}),
+    return _tagged(
+        Automaton(schedule, 2, fn, fold=schedule.aligned_fold(0, 1), exact_bireversible=True),
+        "example2",
+        {"x0": x0, "x1": x1},
     )
 
 
@@ -183,18 +183,15 @@ def diagonal_automaton(
     def table(lv) -> LevelTable:
         return LevelTable(_diagonal_rows(n, len(lv[0])), lv)
 
-    return Automaton.from_periodic_tables(
-        schedule,
-        tuple(table(lv) for lv in levels),
-        tuple(table(lv) for lv in block),
-        state_names=state_names,
-        family=(
-            "diagonal",
-            {
-                "prefix": [[list(row) for row in lv] for lv in levels],
-                "period": [[list(row) for row in lv] for lv in block],
-            },
+    return _tagged(
+        Automaton.from_periodic_tables(
+            schedule, tuple(map(table, levels)), tuple(map(table, block)), state_names=state_names
         ),
+        "diagonal",
+        {
+            "prefix": [[list(row) for row in lv] for lv in levels],
+            "period": [[list(row) for row in lv] for lv in block],
+        },
     )
 
 
@@ -243,14 +240,17 @@ def sym_diagonal_automaton(
             (perms.rotation(size), perms.transposition(size, 0, 1)),
         )
 
-    return Automaton(
-        schedule,
-        2,
-        fn,
-        fold=schedule.aligned_fold(0, 1),
-        exact_bireversible=True,
-        identity_from=identity_from,
-        family=("gi", params),
+    return _tagged(
+        Automaton(
+            schedule,
+            2,
+            fn,
+            fold=schedule.aligned_fold(0, 1),
+            exact_bireversible=True,
+            identity_from=identity_from,
+        ),
+        "gi",
+        params,
     )
 
 
@@ -261,25 +261,24 @@ _Z2Z4_EVEN = LevelTable(((0, 0), (1, 1)), ((1, 0), (0, 1)))
 def z2z4_automaton() -> Automaton:
     """Binary period-2 machine: odd levels flip the state on letter 1 and
     both labelings flip; even levels are diagonal with q1 flipping."""
-    return Automaton.from_periodic_tables(
-        AlphabetSchedule.constant(2),
-        (),
-        (_Z2Z4_ODD, _Z2Z4_EVEN),
-        family=("z2z4", {}),
+    return _tagged(
+        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (), (_Z2Z4_ODD, _Z2Z4_EVEN)),
+        "z2z4",
     )
 
 
 def z4_automaton() -> Automaton:
     """The two-level truncation of the period-2 machine: identical tables
     on levels 1 and 2, identity from level 3 on."""
-    return z2z4_automaton().restricted(2, family=("z4", {}))
+    return _tagged(z2z4_automaton().restricted(2), "z4")
 
 
 def lamplighter_automaton() -> Automaton:
     """Binary Mealy machine with transition and output both q xor x."""
     table = LevelTable(((0, 1), (1, 0)), ((0, 1), (1, 0)))
-    return Automaton.from_periodic_tables(
-        AlphabetSchedule.constant(2), (), (table,), family=("lamplighter", {})
+    return _tagged(
+        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (), (table,)),
+        "lamplighter",
     )
 
 
@@ -294,18 +293,17 @@ def bellaterra_automaton() -> Automaton:
         ((2, 2), (0, 1), (1, 0)),
         ((1, 0), (0, 1), (0, 1)),
     )
-    return Automaton.from_periodic_tables(
-        AlphabetSchedule.constant(2),
-        (),
-        (table,),
-        state_names=("a", "b", "c"),
-        family=("bellaterra", {}),
+    return _tagged(
+        Automaton.from_periodic_tables(
+            AlphabetSchedule.constant(2), (), (table,), state_names=("a", "b", "c")
+        ),
+        "bellaterra",
     )
 
 
 def bellaterra_dual_automaton() -> Automaton:
     """The state-letter dual: two states acting on a ternary alphabet."""
-    return bellaterra_automaton().dual(family=("bellaterra_dual", {}))
+    return _tagged(bellaterra_automaton().dual(), "bellaterra_dual")
 
 
 def subsequence_embedding_automaton(
@@ -313,15 +311,10 @@ def subsequence_embedding_automaton(
 ) -> Automaton:
     """Spread `inner` over the host levels start, start+step, ... and tag
     the result for config round-trips."""
-    return embed_on_subsequence(
-        inner,
-        host,
-        start,
-        step,
-        family=(
-            "embed_subsequence",
-            {"inner": config_of(inner), "start": start, "step": step},
-        ),
+    return _tagged(
+        embed_on_subsequence(inner, host, start, step),
+        "embed_subsequence",
+        {"inner": config_of(inner), "start": start, "step": step},
     )
 
 
@@ -408,14 +401,10 @@ def random_bir22_automaton(
     types = admissible_binary_level_types()
     prefix = tuple(rng.choice(types) for _ in range(prefix_len))
     period = tuple(rng.choice(types) for _ in range(period_len))
-    return Automaton.from_periodic_tables(
-        AlphabetSchedule.constant(2),
-        prefix,
-        period,
-        family=(
-            "random_bir22",
-            {"seed": seed, "prefix_len": prefix_len, "period_len": period_len},
-        ),
+    return _tagged(
+        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), prefix, period),
+        "random_bir22",
+        {"seed": seed, "prefix_len": prefix_len, "period_len": period_len},
     )
 
 
@@ -537,32 +526,53 @@ def _fixed(family: str, builder: Callable[[], Automaton]):
     return build
 
 
-FAMILIES: dict[str, Callable] = {
-    "example1": _build_example1,
-    "example2": _build_example2,
-    "diagonal": _build_diagonal,
-    "gi": _build_gi,
-    "z2z4": _fixed("z2z4", z2z4_automaton),
-    "z4": _fixed("z4", z4_automaton),
-    "lamplighter": _fixed("lamplighter", lamplighter_automaton),
-    "bellaterra": _fixed("bellaterra", bellaterra_automaton),
-    "bellaterra_dual": _fixed("bellaterra_dual", bellaterra_dual_automaton),
-    "embed_subsequence": _build_embed,
-    "random_bir22": _build_random_bir22,
-}
-
-FAMILY_SUMMARIES: dict[str, str] = {
-    "example1": "2-state diagonal automaton from the word-order integer permutations",
-    "example2": "2-state automaton flipping on a marked letter, cycle and transposition labelings",
-    "diagonal": "diagonal automaton from explicit per-level labeling blocks",
-    "gi": "2-state diagonal automaton with long-cycle and transposition labelings",
-    "z2z4": "binary period-2 machine generating a group of order 8",
-    "z4": "two-level truncation of z2z4 generating a cyclic group of order 4",
-    "lamplighter": "binary Mealy machine, reversible but not bi-reversible",
-    "bellaterra": "3-state binary Mealy machine with involutive generators",
-    "bellaterra_dual": "2-state ternary dual of the bellaterra machine",
-    "embed_subsequence": "inner automaton spread over an arithmetic level subsequence",
-    "random_bir22": "seeded random binary machine from the 12 admissible level types",
+# Every builtin family: its id, a one-line summary and the builder that
+# reads its config (schedule, params).
+FAMILIES: dict[str, tuple[str, Callable[[AlphabetSchedule, dict], Automaton]]] = {
+    "example1": (
+        "2-state diagonal automaton from the word-order integer permutations",
+        _build_example1,
+    ),
+    "example2": (
+        "2-state automaton flipping on a marked letter, cycle and transposition labelings",
+        _build_example2,
+    ),
+    "diagonal": (
+        "diagonal automaton from explicit per-level labeling blocks",
+        _build_diagonal,
+    ),
+    "gi": (
+        "2-state diagonal automaton with long-cycle and transposition labelings",
+        _build_gi,
+    ),
+    "z2z4": (
+        "binary period-2 machine generating a group of order 8",
+        _fixed("z2z4", z2z4_automaton),
+    ),
+    "z4": (
+        "two-level truncation of z2z4 generating a cyclic group of order 4",
+        _fixed("z4", z4_automaton),
+    ),
+    "lamplighter": (
+        "binary Mealy machine, reversible but not bi-reversible",
+        _fixed("lamplighter", lamplighter_automaton),
+    ),
+    "bellaterra": (
+        "3-state binary Mealy machine with involutive generators",
+        _fixed("bellaterra", bellaterra_automaton),
+    ),
+    "bellaterra_dual": (
+        "2-state ternary dual of the bellaterra machine",
+        _fixed("bellaterra_dual", bellaterra_dual_automaton),
+    ),
+    "embed_subsequence": (
+        "inner automaton spread over an arithmetic level subsequence",
+        _build_embed,
+    ),
+    "random_bir22": (
+        "seeded random binary machine from the 12 admissible level types",
+        _build_random_bir22,
+    ),
 }
 
 
@@ -590,7 +600,7 @@ def build_from_config(doc: object) -> Automaton:
         params = auto.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("'params' must be an object")
-        return FAMILIES[family](schedule, params)
+        return FAMILIES[family][1](schedule, params)
     if set(auto) == {"explicit"}:
         return _explicit_from_config(schedule, auto["explicit"])
     raise ValueError(

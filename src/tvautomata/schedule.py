@@ -19,6 +19,15 @@ from .errors import InvalidWordError
 # would only exhaust memory.
 MAX_ALPHABET_SIZE = 10_000
 
+# The level budget: the deepest level a check depth, an orbit level, an
+# equality search's depth budget or a level group may name, and the
+# longest word a schedule with a ramp tail accepts.  Portraits recurse
+# two frames per level, so a much deeper level overflows the default
+# interpreter stack (under pytest, levels up to about 475 run); over a
+# ramp, tables this deep already hold hundreds of letters, and stepping
+# a word builds one table per letter.
+MAX_LEVEL = 450
+
 
 def is_config_int(value: object) -> bool:
     """An integer read from a JSON config; true and false do not count."""
@@ -142,7 +151,13 @@ class AlphabetSchedule:
         return AlphabetSchedule((), Periodic(tail.values[turns:] + tail.values[:turns]))
 
     def check_word(self, word: Sequence[int]) -> tuple[int, ...]:
-        """Return `word` as a tuple, raising InvalidWordError on a bad letter."""
+        """Return `word` as a tuple, raising InvalidWordError on a bad
+        letter, or on a word longer than MAX_LEVEL over a ramp tail."""
+        if isinstance(self.tail, Ramp) and len(word) > MAX_LEVEL:
+            raise InvalidWordError(
+                f"word of {len(word)} letters is longer than the supported "
+                f"{MAX_LEVEL} over a ramp schedule"
+            )
         for i, x in enumerate(word):
             if not (0 <= x < self.size_at(i + 1)):
                 raise InvalidWordError(
@@ -152,10 +167,18 @@ class AlphabetSchedule:
         return tuple(word)
 
     def leaf_count(self, level: int) -> int:
-        out = 1
-        for i in range(1, level + 1):
-            out *= self.size_at(i)
-        return out
+        """The product of the sizes at levels 1 .. level, in closed form."""
+        p = len(self.prefix)
+        count = math.prod(self.prefix[: max(level, 0)])
+        if level <= p:
+            return count
+        structure = self.periodic_structure()
+        if structure is None:
+            offset = self.tail.offset
+            return count * math.prod(range(p + 1 + offset, level + offset + 1))
+        block = structure[1]
+        turns, part = divmod(level - p, len(block))
+        return count * math.prod(block) ** turns * math.prod(block[:part])
 
     def to_config(self) -> dict:
         tail = self.tail

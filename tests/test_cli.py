@@ -783,6 +783,45 @@ def test_a_level_past_the_budget_on_a_ramp_exits_2_at_once(config, command, opti
     assert proc.stderr == f"error: {what} 20000 is deeper than the supported {MAX_LEVEL}\n"
 
 
+_E2_RAMP = _builtin("example2", {"prefix": [], "tail": {"kind": "ramp", "value": {"offset": 1}}})
+
+
+def test_words_over_a_ramp_get_the_level_budget(capsys, config):
+    path = config(_E2_RAMP)
+    letters = ",".join(["0"] * MAX_LEVEL)
+    code, report, _ = run_json(capsys, "act", "--config", path, "--state", "a", "--input", letters)
+    assert code == 0
+    assert len(report["result"]["output"]) == MAX_LEVEL
+    longer = letters + ",0"
+    for argv in (["act", "--state", "a", "--input", longer], ["steer", "--target", longer]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--config", path, *argv[1:])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: word of {MAX_LEVEL + 1} letters is longer than the supported "
+            f"{MAX_LEVEL} over a ramp schedule\n"
+        )
+    # Bounded schedules keep accepting long words.
+    code, report, _ = run_json(
+        capsys, "act", "--config", config(Z2Z4, "z2z4.json"), "--word-expr", "a b^-1",
+        "--input", ",".join(["1"] * 1000),
+    )
+    assert code == 0
+    assert len(report["result"]["output"]) == 1000
+
+
+def test_an_orbit_past_the_letter_budget_exits_2_at_once(capsys, config):
+    # Over ramp(1), 8,889 words of level 450 already pass 4,000,000 letters.
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "orbit", "--config", config(_E2_RAMP), "--level", str(MAX_LEVEL)
+    )
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == f"error: orbit at level {MAX_LEVEL} has more than 4000000 letters\n"
+
+
 def _instance(cls):
     args = {
         NotInvertibleError: (2, 1),

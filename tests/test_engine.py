@@ -35,7 +35,6 @@ from tvautomata import (
     ratio_power_image,
     reduced_words,
     relation_search,
-    step_section,
     subsequence_embedding_automaton,
     sym_diagonal_automaton,
     torsion_exponent_bound,
@@ -176,29 +175,29 @@ def test_step_section_single_direct_factor():
     z = z2z4_automaton()
     t = z.table_at(1)
     for x in range(2):
-        y, nxt = step_section(z, ((0, 1),), 1, x)
+        y, nxt = t.step((0,), (1,), x, 1)
         assert y == t.output[0][x]
-        assert nxt == ((t.transition[0][x], 1),)
+        assert nxt == (t.transition[0][x],)
 
 
 def test_step_section_threads_right_to_left():
     z = z2z4_automaton()
-    y, nxt = step_section(z, ((0, -1), (1, 1)), 1, 1)
+    t = z.table_at(1)
+    y, nxt = t.step((0, 1), (-1, 1), 1, 1)
     assert y == 1
-    assert nxt == ((1, -1), (0, 1))
+    assert nxt == (1, 0)
     # Cross-check: the emitted letter must match the composite action on
     # one-letter words.
     for x in range(2):
-        y, _ = step_section(z, ((0, -1), (1, 1)), 1, x)
+        y, _ = t.step((0, 1), (-1, 1), x, 1)
         assert (y,) == apply_word(z, A.inverse() * B, (x,))
 
 
 def test_step_section_on_identity_levels_keeps_the_section():
     z4 = z4_automaton()
-    section = ((0, 1), (1, -1))
-    y, nxt = step_section(z4, section, 3, 1)
+    y, nxt = z4.table_at(3).step((0, 1), (1, -1), 1, 3)
     assert y == 1
-    assert nxt == section
+    assert nxt == (0, 1)
 
 
 # Level 1 is bi-reversible; from level 2 on the second state's output
@@ -213,7 +212,7 @@ def test_stepping_backward_through_a_noninvertible_row_names_level_and_state():
     )
     calls = [
         lambda: m.run(1, (0, 0), inverse=True),
-        lambda: step_section(m, ((1, -1),), 2, 0),
+        lambda: m.table_at(2).step((1,), (-1,), 0, 2),
         lambda: apply_word(m, B.inverse(), (0, 0)),
         lambda: decide_equal(m, B.inverse()),
         lambda: level_group(m, 2),
@@ -225,6 +224,22 @@ def test_stepping_backward_through_a_noninvertible_row_names_level_and_state():
             call()
         assert (err.value.level, err.value.state) == (2, 1)
     assert m.run(1, (0, 0)) == ((0, 0), 1)
+
+    # Period (ok, bad): b's output row is not a permutation on the second
+    # phase, and a^-1 first reaches b there at level 4, which every call
+    # names rather than the phase.
+    ok = LevelTable(((0, 0), (1, 1)), ((0, 1), (0, 1)))
+    bad = LevelTable(((0, 1), (1, 1)), ((0, 1), (0, 0)))
+    m = Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (), (ok, bad))
+    calls = [
+        lambda: decide_equal(m, A.inverse()),
+        lambda: apply_word(m, A.inverse(), (0, 1, 0, 0)),
+        lambda: level_group(m, 4),
+    ]
+    for call in calls:
+        with pytest.raises(NotInvertibleError) as err:
+            call()
+        assert (err.value.level, err.value.state) == (4, 1)
 
 
 # -- equality ---------------------------------------------------------
@@ -243,6 +258,14 @@ def test_equality_by_closure():
     assert v.witness == (1, 1)
 
     assert decide_equal(z, A * B, A * B).status == "equal"
+
+
+def test_a_witness_for_words_past_the_machine_states_raises_value_error():
+    # The test word a c c^-1 b^-1 reduces to a b^-1, so the search never
+    # reads c; its witness check does, and refuses it as any action does.
+    c = GroupWord.generator(2)
+    with pytest.raises(ValueError, match="state index 2 out of range"):
+        decide_equal(z2z4_automaton(), A * c, B * c)
 
 
 def test_equality_depth_budget_on_rule_machines():
@@ -572,9 +595,20 @@ def test_a_sweep_gives_the_orders_of_single_levels():
         assert swept == orders, a.family
 
 
-def test_a_sweep_to_the_level_budget_grows_its_context_linearly():
+def test_a_sweep_to_the_level_budget_grows_its_context_linearly(monkeypatch):
+    # Leaf counts come in closed form, not from every size down again.
+    sizes_read = []
+    size_at = AlphabetSchedule.size_at
+
+    def counting(schedule, level):
+        sizes_read.append(level)
+        return size_at(schedule, level)
+
+    monkeypatch.setattr(AlphabetSchedule, "size_at", counting)
     groups = list(level_groups(z2z4_automaton(), MAX_LEVEL))
     assert [lg.order for lg in groups] == [2, 4, 4] + [8] * (MAX_LEVEL - 3)
+    assert groups[-1].leaf_count == 2**MAX_LEVEL
+    assert len(sizes_read) < 10 * MAX_LEVEL
     ctx = groups[0].context
     assert all(lg.context is ctx for lg in groups)
     assert len(ctx.nodes) < 20 * MAX_LEVEL
@@ -623,7 +657,14 @@ def test_orbits_past_the_word_budget_are_refused(monkeypatch):
     assert len(orbit_at_level(wide, 3)) == 36
     with pytest.raises(OrbitTooLargeError) as info:
         orbit_at_level(wide, 4)
-    assert (info.value.level, info.value.limit) == (4, 100)
+    assert (info.value.level, info.value.limit, info.value.what) == (4, 100, "words")
+    # The letter budget counts words seen times their length.
+    monkeypatch.setattr(engine, "MAX_ORBIT_LETTERS", 100)
+    assert len(orbit_at_level(wide, 2)) == 12
+    with pytest.raises(OrbitTooLargeError) as info:
+        orbit_at_level(wide, 3)
+    assert (info.value.level, info.value.limit, info.value.what) == (3, 100, "letters")
+    assert str(info.value) == "orbit at level 3 has more than 100 letters"
     # Deep intransitive orbits stay small and still answer.
     assert len(orbit_at_level(bellaterra_dual_automaton(), 16)) == 3
 

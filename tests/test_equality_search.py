@@ -71,11 +71,13 @@ def _reference_decide(automaton, g, h, budget):
     finite = automaton.has_finite_phases
     root = (tuple(q for q, _ in e.factors), automaton.phase(1))
     parents = {root: None}
+    level_of = {root: 1}  # the level a node was first found at
     queue = deque([root])
     truncated = False
     while queue:
         node = queue.popleft()
         states, phase = node
+        level = level_of[node]
         if phase == 0:
             continue
         if not finite and phase > budget.max_depth:
@@ -83,7 +85,7 @@ def _reference_decide(automaton, g, h, budget):
             continue
         table = automaton.table_at(phase)
         for x in range(table.alphabet_size):
-            y, new_states = _reference_step(table, states, signs, x, phase)
+            y, new_states = _reference_step(table, states, signs, x, level)
             if y != x:
                 path, at = [x], node
                 while parents[at] is not None:
@@ -99,6 +101,7 @@ def _reference_decide(automaton, g, h, budget):
             key = (new_states, automaton.phase(phase + 1))
             if key not in parents:
                 parents[key] = (node, x)
+                level_of[key] = level + 1
                 if len(parents) > budget.max_states:
                     return ("BudgetExceededError", budget.max_states)
                 queue.append(key)
@@ -251,6 +254,20 @@ def test_depth_bounded_search_matches_the_reference(machine, g, h, depth):
     assert _outcome(machine, g, h, budget) == _expected(machine, g, h, budget)
     tables = [machine.table_at(i) for i in range(1, depth + 2)]
     assert not any(t.__dict__.get("proven_rows") for t in tables)
+
+
+def test_a_two_word_witness_is_moved_by_the_whole_of_h_inverse_first():
+    # The test word g h^-1 reduces to b, which moves letter 0 at level 1.
+    # h^-1 = a b^-1 moves that witness whole before g and h read it, and
+    # it fails at level 2, where b^-1 has become a^-1; g's own a^-1 would
+    # fail at level 1.
+    m = Automaton.from_periodic_tables(
+        AlphabetSchedule.constant(2), (), (LevelTable([[0, 0], [0, 0]], [[0, 0], [0, 1]]),)
+    )
+    a, b = GroupWord.generator(0), GroupWord.generator(1)
+    g, h = b * b * a.inverse(), b * a.inverse()
+    expected = ("NotInvertibleError", 2, 0)
+    assert _outcome(m, g, h, Budget()) == _expected(m, g, h, Budget()) == expected
 
 
 def test_only_closures_that_end_equal_store_rows(monkeypatch):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from tvautomata import (
+    FAMILIES,
     AlphabetSchedule,
     GroupWord,
     LevelTable,
@@ -372,8 +373,13 @@ def all_builtin_configs():
 
 
 def test_every_builtin_config_round_trips():
-    for doc in all_builtin_configs():
+    docs = all_builtin_configs()
+    assert {doc["automaton"]["builtin"] for doc in docs} == set(FAMILIES)
+    for doc in docs:
         rebuilt = build_from_config(doc)
+        tag = doc["automaton"]
+        assert rebuilt.family == (tag["builtin"], tag["params"])
+        assert config_of(rebuilt) == doc
         again = build_from_config(config_of(rebuilt))
         assert tables_equal(rebuilt, again, 40)
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from tvautomata import AlphabetSchedule, InvalidWordError
-from tvautomata.schedule import Constant, Periodic, Ramp
+from tvautomata.schedule import MAX_LEVEL, Constant, Periodic, Ramp
 
 from reference import words_at_level
 
@@ -67,6 +67,13 @@ def test_word_validation():
         binary.check_word((0, 2))
     assert AlphabetSchedule.ramp(0).check_word((0, 1, 2)) == (0, 1, 2)
     assert binary.check_word(()) == ()
+    # Over a ramp tail a word gets the level budget; bounded schedules
+    # accept words of any length.
+    ramp = AlphabetSchedule.ramp(1, prefix=(2,))
+    assert ramp.check_word((1,) * MAX_LEVEL) == (1,) * MAX_LEVEL
+    with pytest.raises(InvalidWordError, match=f"{MAX_LEVEL + 1} letters"):
+        ramp.check_word((1,) * (MAX_LEVEL + 1))
+    assert binary.check_word((1,) * 10_000) == (1,) * 10_000
 
 
 def test_check_word():
@@ -87,6 +94,23 @@ def test_leaf_count_matches_enumeration():
     s = AlphabetSchedule.periodic((3, 2), prefix=(2,))
     for level in range(4):
         assert s.leaf_count(level) == len(list(words_at_level(s, level)))
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        AlphabetSchedule.constant(3),
+        AlphabetSchedule.constant(2, prefix=(4, 1, 5)),
+        AlphabetSchedule.periodic((3, 1, 5)),
+        AlphabetSchedule.periodic((2, 3), prefix=(7,)),
+        AlphabetSchedule.ramp(0),
+        AlphabetSchedule.ramp(2, prefix=(3, 1, 6)),
+    ],
+    ids=repr,
+)
+def test_leaf_count_is_the_product_of_the_sizes(schedule):
+    for level in range(61):
+        assert schedule.leaf_count(level) == math.prod(schedule.sizes(level))
 
 
 def test_shift_drops_leading_levels():

@@ -12,7 +12,6 @@ from tvautomata import (  # noqa: E402
     LevelTable,
     apply_word,
     cycle_transposition_automaton,
-    step_section,
 )
 from tvautomata.engine import _c_power_image, _test_word  # noqa: E402
 
@@ -91,9 +90,10 @@ def test_kernel_agrees_with_the_reference_fold(case):
         out, _ = automaton.run(q, letters)
         assert automaton.run(q, out, inverse=True)[0] == letters
 
-    section, stepped = factors, []
+    states, signs = tuple(q for q, _ in factors), tuple(s for _, s in factors)
+    stepped = []
     for level, x in enumerate(letters, start=1):
-        y, section = step_section(automaton, section, level, x)
+        y, states = automaton.table_at(level).step(states, signs, x, level)
         stepped.append(y)
     assert tuple(stepped) == image
 
