@@ -107,7 +107,7 @@ def _cmd_check(args):
                 "size": t.alphabet_size,
                 "invertible": invertible,
                 "reversible": t.is_reversible(),
-                "inverse_reversible": t.inverted().is_reversible() if invertible else None,
+                "inverse_reversible": t.is_inverse_reversible() if invertible else None,
                 "diagonal": t.is_diagonal(),
             }
         )

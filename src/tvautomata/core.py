@@ -48,6 +48,13 @@ def _check_count(value: int, what: str, least: int = 1, level: bool = False) -> 
         raise ValueError(f"{what} {value} is deeper than the supported {MAX_LEVEL}")
 
 
+def _columns_are_permutations(rows: Sequence[Sequence[int]]) -> bool:
+    """Each letter column of n rows of states holds every state once.
+    The entries are states already, so a column holds at most n distinct
+    ones, and all of them exactly when the fewest any column holds is n."""
+    return min(map(len, map(set, zip(*rows)))) == len(rows)
+
+
 @dataclass(frozen=True)
 class LevelTable:
     """Transition and output tables for one level, indexed [state][letter].
@@ -111,7 +118,7 @@ class LevelTable:
             return NOT_INVERTIBLE
         if not self.is_reversible():
             return NOT_REVERSIBLE
-        if not self.inverted().is_reversible():
+        if not self.is_inverse_reversible():
             return INVERSE_NOT_REVERSIBLE
         return None
 
@@ -219,11 +226,15 @@ class LevelTable:
 
     def is_reversible(self) -> bool:
         """Every letter column is a permutation of the states."""
-        n = self.n_states
-        for x in range(self.alphabet_size):
-            if not perms.is_permutation([self.transition[q][x] for q in range(n)]):
-                return False
-        return True
+        return _columns_are_permutations(self.transition)
+
+    def is_inverse_reversible(self) -> bool:
+        """`inverted().is_reversible()`, read off the signed rows without
+        building the inverse table; a ValueError unless invertible."""
+        q = self.first_noninvertible_state()
+        if q is not None:
+            raise ValueError(f"state {q} has a noninvertible labeling")
+        return _columns_are_permutations([nxt for _, nxt in self.signed_rows[-1]])
 
     def is_diagonal(self) -> bool:
         return all(
@@ -307,11 +318,14 @@ class Automaton:
     It is given by a rule `table_fn` from levels to tables, an optional
     `fold=(p, m)` and an optional `identity_from`.  The fold says that
     every level past p repeats the level m below it; it must line up
-    with the schedule's own prefix and period.  The rule is sampled once
-    at levels 1 .. p + m, which fills `periodic_tables` as a
-    (prefix, period) pair, and never above that.  From `identity_from`
-    on every state acts trivially and the rule is not consulted.
-    Levels are 1-based; tables are cached per phase on first use.
+    with the schedule's own prefix and period.  A folded machine samples
+    its rule once, at levels 1 .. p + m, into one tuple indexed by level,
+    and then drops the rule; a deeper level reads the entry of its phase,
+    and `periodic_tables` is a (prefix, period) view of that tuple.  From
+    `identity_from` on every state acts trivially and the rule is not
+    consulted; those levels share one identity table per alphabet size.
+    A machine without a fold keeps its rule and caches its tables per
+    phase on first use.  Levels are 1-based.
 
     A phase is a class of levels that share one table and one alphabet
     size, named by an int: its representative level, or 0 for the
@@ -329,9 +343,9 @@ class Automaton:
         "exact_bireversible",
         "identity_from",
         "family",
+        "_tables",
         "_cache",
         "_identity_tables",
-        "periodic_tables",
     )
 
     def __init__(
@@ -354,29 +368,33 @@ class Automaton:
         )
         if len(self.state_names) != n_states or len(set(self.state_names)) != n_states:
             raise ValueError("state names must be distinct, one per state")
-        self._table_fn = table_fn
+        self._table_fn: Optional[Callable[[int], LevelTable]] = table_fn
         self.fold = fold
         self.exact_bireversible = exact_bireversible
         self.identity_from = identity_from
         # A builtin's (family id, params), set only by `families`.
         self.family: Optional[tuple[str, dict]] = None
-        self._cache: dict[int, LevelTable] = {}
+        # A fold's tables at levels 0 .. p + m (None at 0), or else the
+        # rule's tables by phase, made on first use.
+        self._tables: Optional[tuple[Optional[LevelTable], ...]] = None
+        self._cache: Optional[dict[int, LevelTable]] = {} if fold is None else None
         # Identity tail tables by alphabet size, made on first use.
         self._identity_tables: Optional[dict[int, LevelTable]] = None
-        self.periodic_tables = None
-        if fold is not None:
-            p, m = fold
-            if p < 0 or m < 1:
-                raise ValueError("a fold needs p >= 0 and m >= 1")
-            if schedule.aligned_fold(p, m) != (p, m):
-                raise ScheduleMismatchError(
-                    f"fold {fold} does not line up with the schedule "
-                    f"{schedule.to_config()}"
-                )
-            self.periodic_tables = (
-                tuple(self.table_at(i) for i in range(1, p + 1)),
-                tuple(self.table_at(i) for i in range(p + 1, p + m + 1)),
+        if fold is None:
+            return
+        p, m = fold
+        if p < 0 or m < 1:
+            raise ValueError("a fold needs p >= 0 and m >= 1")
+        if schedule.aligned_fold(p, m) != (p, m):
+            raise ScheduleMismatchError(
+                f"fold {fold} does not line up with the schedule "
+                f"{schedule.to_config()}"
             )
+        self._tables = (None,) + tuple(
+            self._identity_table(i) if self.phase(i) == 0 else self._rule_table(i)
+            for i in range(1, p + m + 1)
+        )
+        self._table_fn = None
 
     @staticmethod
     def from_periodic_tables(
@@ -408,9 +426,7 @@ class Automaton:
         # The rule is sampled only at levels 1 .. p + m, so it is a lookup
         # in one tuple of those levels' tables, indexed from 1.
         p, m = fold
-        levels = (None,) + prefix + tuple(
-            period[i % len(period)] for i in range(p + m - len(prefix))
-        )
+        levels = (None,) + prefix + period * -(-(p + m - len(prefix)) // len(period))
         return Automaton(
             schedule,
             n,
@@ -460,29 +476,51 @@ class Automaton:
                 f"unknown state {state!r}; states are {', '.join(self.state_names)}"
             ) from None
 
+    @property
+    def periodic_tables(
+        self,
+    ) -> Optional[tuple[tuple[LevelTable, ...], tuple[LevelTable, ...]]]:
+        """A fold's tables as (levels 1 .. p, levels p + 1 .. p + m), or
+        None without a fold."""
+        if self._tables is None:
+            return None
+        p = self.fold[0]
+        return self._tables[1 : p + 1], self._tables[p + 1 :]
+
     def table_at(self, level: int) -> LevelTable:
-        # Only phases are cached: a folded level past p + m reads its
-        # phase's entry, and the identity tail one table per alphabet size.
-        table = self._cache.get(level)
-        if table is None:
-            if level < 1:
-                raise ValueError(f"levels start at 1, got {level}")
-            phase = self.phase(level)
-            table = self._cache.get(phase)
-            if table is None:
-                table = self._first_table_of_phase(phase, level)
+        # A fold answers levels 1 .. p + m from its tuple and a deeper
+        # level from its phase's entry; a bare rule caches its phases.
+        tables = self._tables
+        if tables is not None:
+            if 0 < level < len(tables):
+                return tables[level]
+        else:
+            table = self._cache.get(level)
+            if table is not None:
+                return table
+        if level < 1:
+            raise ValueError(f"levels start at 1, got {level}")
+        phase = self.phase(level)
+        if phase == 0:
+            return self._identity_table(level)
+        if tables is not None:
+            return tables[phase]
+        table = self._cache[phase] = self._rule_table(phase)
         return table
 
-    def _first_table_of_phase(self, phase: int, level: int) -> LevelTable:
-        if phase == 0:
-            size = self.schedule.size_at(level)
-            if self._identity_tables is None:
-                self._identity_tables = {}
-            table = self._identity_tables.get(size)
-            if table is None:
-                table = LevelTable.identity(self.n_states, size)
-                self._identity_tables[size] = table
-            return table
+    def _identity_table(self, level: int) -> LevelTable:
+        """The identity tail's table at `level`, one per alphabet size."""
+        size = self.schedule.size_at(level)
+        if self._identity_tables is None:
+            self._identity_tables = {}
+        table = self._identity_tables.get(size)
+        if table is None:
+            table = self._identity_tables[size] = LevelTable.identity(self.n_states, size)
+        return table
+
+    def _rule_table(self, phase: int) -> LevelTable:
+        """The rule's table at a phase, checked against the state count and
+        the schedule."""
         table = self._table_fn(phase)
         if table.n_states != self.n_states:
             raise ScheduleMismatchError(
@@ -496,7 +534,6 @@ class Automaton:
                 f"table at level {phase} has alphabet size {table.alphabet_size}, "
                 f"schedule says {self.schedule.size_at(phase)}"
             )
-        self._cache[phase] = table
         return table
 
     # -- phases ---------------------------------------------------------

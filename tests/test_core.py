@@ -1,7 +1,12 @@
 """Level tables and the transducer calculus built on them."""
 
 import dataclasses
+import gc
+import itertools
 import random
+import sys
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -13,6 +18,7 @@ from tvautomata import (
     NotInvertibleError,
     NotMealyError,
     ScheduleMismatchError,
+    admissible_binary_level_types,
     bellaterra_automaton,
     bellaterra_dual_automaton,
     cycle_transposition_automaton,
@@ -89,6 +95,19 @@ def test_reversibility_is_a_column_condition():
     # constant, so it is no permutation of the states.
     t = LevelTable(((0, 1), (0, 1)), (IDENT, FLIP))
     assert not t.is_reversible()
+
+
+def test_reversibility_matches_the_permutation_check_on_every_small_table():
+    rows = list(itertools.product(range(2), repeat=2))
+    for tr0, tr1, out0, out1 in itertools.product(rows, repeat=4):
+        t = LevelTable((tr0, tr1), (out0, out1))
+        columns = [[row[x] for row in t.transition] for x in range(2)]
+        assert t.is_reversible() == all(map(perms.is_permutation, columns))
+        if t.is_invertible():
+            assert t.is_inverse_reversible() == t.inverted().is_reversible()
+        else:
+            with pytest.raises(ValueError):
+                t.is_inverse_reversible()
 
 
 def test_inverted_table():
@@ -440,7 +459,8 @@ def test_only_phases_are_cached():
     word = tuple(rng.randrange(3) for _ in range(300_000))
     out, _ = dual.run(0, word)
     assert dual.run(0, out, inverse=True)[0] == word
-    assert len(dual._cache) <= sum(dual.fold)
+    # A fold keeps levels 1 .. p + m in one tuple (entry 0 unused), no dict.
+    assert dual._cache is None and len(dual._tables) - 1 <= sum(dual.fold)
     assert dual.table_at(299_999) is dual.table_at(1)
 
     # An identity tail keeps one table per alphabet size.
@@ -454,6 +474,111 @@ def test_only_phases_are_cached():
     periodic = z2z4_automaton().restricted(2)
     assert periodic.table_at(500) is periodic.table_at(3)
     assert len(periodic._identity_tables) == 1
+
+
+def _binary_folds(count, seed=14):
+    """`count` seeded (prefix, period) pairs of the 12 admissible binary
+    level types, with prefix length 0-2 and period length 1-2."""
+    types = admissible_binary_level_types()
+    rng = random.Random(seed)
+    return [
+        (
+            tuple(rng.choice(types) for _ in range(rng.randrange(3))),
+            tuple(rng.choice(types) for _ in range(1 + rng.randrange(2))),
+        )
+        for _ in range(count)
+    ]
+
+
+def test_a_folded_machine_keeps_its_tables_once():
+    # About 250 B a machine; a per-machine phase dict (+220 B), a second
+    # copy of the tables (+150 B) or the kept rule (+120 B) all pass 320.
+    schedule = AlphabetSchedule.constant(2)
+    shapes = _binary_folds(2000)
+    tracing = tracemalloc.is_tracing()
+    gc.collect()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        machines = [Automaton.from_periodic_tables(schedule, *shape) for shape in shapes]
+        gc.collect()
+        used = tracemalloc.get_traced_memory()[0] - start - sys.getsizeof(machines)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert used / len(machines) < 320
+
+
+def _fold_cases():
+    """(machine, reference table by level) for folds and the machines
+    derived from them; the references never read a phase."""
+    schedule = AlphabetSchedule.constant(2)
+    for k, (prefix, period) in enumerate(_binary_folds(40, seed=3)):
+        def ref(i, prefix=prefix, period=period):
+            if i <= len(prefix):
+                return prefix[i - 1]
+            return period[(i - len(prefix) - 1) % len(period)]
+
+        def cut(i, ref=ref, depth=k % 4):
+            return ref(i) if i <= depth else LevelTable.identity(2, 2)
+
+        def spread(i, ref=ref, start=1 + k % 3, step=1 + k % 2):
+            if i < start or (i - start) % step:
+                return LevelTable.identity(2, 2)
+            return ref((i - start) // step + 1)
+
+        base = Automaton.from_periodic_tables(schedule, prefix, period)
+        yield base, ref
+        yield base.shifted(1 + k % 3), lambda i, ref=ref, c=1 + k % 3: ref(i + c)
+        yield base.inverse(), lambda i, ref=ref: ref(i).inverted()
+        yield base.restricted(k % 4), cut
+        yield embed_on_subsequence(base, schedule, 1 + k % 3, 1 + k % 2), spread
+        t = period[0]
+        mealy = Automaton.from_periodic_tables(schedule, (), (t,))
+        trans = tuple(tuple(t.output[q][x] for q in range(2)) for x in range(2))
+        out = tuple(tuple(t.transition[q][x] for q in range(2)) for x in range(2))
+        yield mealy.dual(), lambda i, d=LevelTable(trans, out): d
+
+
+def test_folded_tables_read_by_level_match_their_rule():
+    for machine, ref in _fold_cases():
+        p, m = machine.fold
+        shared = {}
+        for i in range(1, 3 * (p + m) + 1):
+            table = machine.table_at(i)
+            assert table == ref(i)
+            phase = machine.phase(i)
+            if phase:
+                assert table is machine.table_at(phase)
+            key = (phase, machine.schedule.size_at(i))
+            assert shared.setdefault(key, table) is table
+        assert machine.periodic_tables == (
+            tuple(ref(i) for i in range(1, p + 1)),
+            tuple(ref(i) for i in range(p + 1, p + m + 1)),
+        )
+
+
+def test_derived_folds_do_not_keep_their_source_alive():
+    derivations = (
+        lambda a: a.shifted(1),
+        Automaton.inverse,
+        lambda a: a.restricted(2),
+        lambda a: embed_on_subsequence(a, AlphabetSchedule.constant(2), 2, 2),
+    )
+    class Tracked(Automaton):
+        __slots__ = ("__weakref__",)
+
+    for derive in derivations:
+        source = Tracked(
+            AlphabetSchedule.constant(2), 2, (None, ODD, EVEN).__getitem__, fold=(0, 2)
+        )
+        alive = weakref.ref(source)
+        derived = derive(source)
+        del source
+        gc.collect()
+        assert alive() is None
+        assert derived.fold is not None and derived.table_at(40) is not None
 
 
 def test_restricting_a_ramp_rule_checks_every_kept_level():
