@@ -11,7 +11,9 @@ level, an optional fold saying that levels past p repeat with period m,
 and an optional level from which on every state acts trivially.  A fold
 or an identity tail leaves finitely many distinct levels, so decisions
 downstream are exact; a bare rule is checked up to a depth unless the
-construction carries a guarantee.  Every letter is stepped by
+construction carries a guarantee.  A folded machine keeps its tables;
+every other table is built on request and kept only by the query that
+reads it.  Every letter is stepped by
 `LevelTable.step`, which reads the table's cached signed rows: its own
 rows forward and the inverse transducer's rows backward.
 """
@@ -323,9 +325,10 @@ class Automaton:
     and then drops the rule; a deeper level reads the entry of its phase,
     and `periodic_tables` is a (prefix, period) view of that tuple.  From
     `identity_from` on every state acts trivially and the rule is not
-    consulted; those levels share one identity table per alphabet size.
-    A machine without a fold keeps its rule and caches its tables per
-    phase on first use.  Levels are 1-based.
+    consulted.  That tuple is the only table store a machine keeps: an
+    identity-tail table past it, and every table of a machine without a
+    fold, is built each time it is asked for, and a query that reads a
+    level more than once keeps the table itself.  Levels are 1-based.
 
     A phase is a class of levels that share one table and one alphabet
     size, named by an int: its representative level, or 0 for the
@@ -344,8 +347,6 @@ class Automaton:
         "identity_from",
         "family",
         "_tables",
-        "_cache",
-        "_identity_tables",
     )
 
     def __init__(
@@ -374,12 +375,9 @@ class Automaton:
         self.identity_from = identity_from
         # A builtin's (family id, params), set only by `families`.
         self.family: Optional[tuple[str, dict]] = None
-        # A fold's tables at levels 0 .. p + m (None at 0), or else the
-        # rule's tables by phase, made on first use.
+        # A fold's tables at levels 0 .. p + m (None at 0); the one table
+        # store a machine keeps.
         self._tables: Optional[tuple[Optional[LevelTable], ...]] = None
-        self._cache: Optional[dict[int, LevelTable]] = {} if fold is None else None
-        # Identity tail tables by alphabet size, made on first use.
-        self._identity_tables: Optional[dict[int, LevelTable]] = None
         if fold is None:
             return
         p, m = fold
@@ -390,10 +388,8 @@ class Automaton:
                 f"fold {fold} does not line up with the schedule "
                 f"{schedule.to_config()}"
             )
-        self._tables = (None,) + tuple(
-            self._identity_table(i) if self.phase(i) == 0 else self._rule_table(i)
-            for i in range(1, p + m + 1)
-        )
+        # Sampled while no tuple is set, so each level reads the rule.
+        self._tables = (None,) + tuple(map(self._phase_table, range(1, p + m + 1)))
         self._table_fn = None
 
     @staticmethod
@@ -488,39 +484,22 @@ class Automaton:
         return self._tables[1 : p + 1], self._tables[p + 1 :]
 
     def table_at(self, level: int) -> LevelTable:
-        # A fold answers levels 1 .. p + m from its tuple and a deeper
-        # level from its phase's entry; a bare rule caches its phases.
         tables = self._tables
-        if tables is not None:
-            if 0 < level < len(tables):
-                return tables[level]
-        else:
-            table = self._cache.get(level)
-            if table is not None:
-                return table
+        if tables is not None and 0 < level < len(tables):
+            return tables[level]
         if level < 1:
             raise ValueError(f"levels start at 1, got {level}")
+        return self._phase_table(level)
+
+    def _phase_table(self, level: int) -> LevelTable:
+        """The table of `level`'s phase: a fresh identity table in the
+        trivial tail, a fold's entry, or else the rule's table, checked
+        against the state count and the schedule and not kept."""
         phase = self.phase(level)
         if phase == 0:
-            return self._identity_table(level)
-        if tables is not None:
-            return tables[phase]
-        table = self._cache[phase] = self._rule_table(phase)
-        return table
-
-    def _identity_table(self, level: int) -> LevelTable:
-        """The identity tail's table at `level`, one per alphabet size."""
-        size = self.schedule.size_at(level)
-        if self._identity_tables is None:
-            self._identity_tables = {}
-        table = self._identity_tables.get(size)
-        if table is None:
-            table = self._identity_tables[size] = LevelTable.identity(self.n_states, size)
-        return table
-
-    def _rule_table(self, phase: int) -> LevelTable:
-        """The rule's table at a phase, checked against the state count and
-        the schedule."""
+            return LevelTable.identity(self.n_states, self.schedule.size_at(level))
+        if self._tables is not None:
+            return self._tables[phase]
         table = self._table_fn(phase)
         if table.n_states != self.n_states:
             raise ScheduleMismatchError(

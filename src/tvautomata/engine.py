@@ -117,7 +117,8 @@ class GroupWord:
     def parse(
         text: str, names: Union[Sequence[str], Mapping[str, int]]
     ) -> "GroupWord":
-        """Parse expressions like 'a b^-1' or 'a^3*b'; 'e' is the identity.
+        """Parse expressions like 'a b^-1' or 'a^3*b'.  An empty text is
+        the identity, and so is a lone 'e' or 'id' that names no state.
 
         `names` lists the state names by index, or maps every accepted
         name to its state index.
@@ -128,7 +129,7 @@ class GroupWord:
             else {name: q for q, name in enumerate(names)}
         )
         tokens = [t for t in re.split(r"[\s*]+", text.strip()) if t]
-        if tokens in ([], ["e"], ["id"]):
+        if not tokens or (tokens in (["e"], ["id"]) and tokens[0] not in index):
             return GroupWord.identity()
         # Adjacent powers of one state are summed before anything is
         # expanded, so the cap applies to the word's actual length.
@@ -364,7 +365,7 @@ def _search(
                 if len(outcome) == 1:
                     break
                 raw = _path(layer[outcome[1]]) + outcome[2]
-                witness = _mismatch_witness(automaton, g, h, states, signs, raw)
+                witness = _mismatch_witness(ctx, g, h, states, signs, raw)
                 return ("not_equal", witness, "periodic_bfs", explored, None)
             closure = (memo, key, explored, layer)
         found = found_at.get(next_phase)
@@ -397,7 +398,7 @@ def _search(
                     for _ in range(len(raw) - 1 - p):
                         node = node[1]
                     memo[key] = (explored - before, entering.index(node), raw[p:])
-                witness = _mismatch_witness(automaton, g, h, states, signs, raw)
+                witness = _mismatch_witness(ctx, g, h, states, signs, raw)
                 method = "periodic_bfs" if finite else "depth_bounded"
                 return ("not_equal", witness, method, explored, None)
         layer, phase, level = next_layer, next_phase, level + 1
@@ -410,7 +411,7 @@ def _search(
 
 
 def _mismatch_witness(
-    automaton: Automaton,
+    ctx: _SearchContext,
     g: GroupWord,
     h: Optional[GroupWord],
     states: tuple[int, ...],
@@ -419,15 +420,19 @@ def _mismatch_witness(
 ) -> Word:
     # `raw` tells the test word (states, signs) from the identity.  With
     # one word that is checked level by level through `LevelTable.step`,
-    # up to the first letter it moves.  With two, h^-1 moves it to a word
-    # w, and `apply_word` checks that g and h send w apart, each word
-    # acting whole as it does everywhere else.
+    # up to the first letter it moves, on the tables of the context's
+    # walk, which the search has already read.  With two, h^-1 moves it
+    # to a word w, and `apply_word` checks that g and h send w apart,
+    # each word acting whole as it does everywhere else.
     if h is None:
+        phase = ctx.start
         for level, x in enumerate(raw, start=1):
-            y, states = automaton.table_at(level).step(states, signs, x, level)
+            t, phase = ctx.walk.get(phase) or ctx.step(phase)
+            y, states = t.step(states, signs, x, level)
             if y != x:
                 return raw
     else:
+        automaton = ctx.automaton
         w = apply_word(automaton, h.inverse(), raw)
         if apply_word(automaton, g, w) != apply_word(automaton, h, w):
             return w

@@ -174,6 +174,36 @@ def test_act_word_expression_takes_state_aliases(capsys, config):
     assert "unknown state 'x1'" in err
 
 
+def test_a_state_named_e_is_that_state_in_a_word_expression(capsys, config):
+    # Five states are named a .. e, and only e moves a letter.
+    doc = {
+        "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},
+        "automaton": {
+            "explicit": {
+                "states": 5,
+                "prefix": [],
+                "period": [
+                    {
+                        "transition": [[q, q] for q in range(5)],
+                        "output": [[0, 1]] * 4 + [[1, 0]],
+                    }
+                ],
+            }
+        },
+    }
+    path = config(doc)
+    args = ("act", "--config", path, "--input", "0,1,1")
+    _, by_state, _ = run_json(capsys, *args, "--state", "e")
+    assert by_state["result"]["output"] == [1, 0, 0]
+    for expr in ("e", "e^1", "q5"):
+        code, report, _ = run_json(capsys, *args, "--word-expr", expr)
+        assert code == 0
+        assert report["result"]["output"] == by_state["result"]["output"]
+        assert report["result"]["word"] == "e"
+    _, report, _ = run_json(capsys, *args, "--word-expr", "id")
+    assert report["result"]["output"] == [0, 1, 1]
+
+
 def test_act_rejects_inverting_a_noninvertible_state(capsys, config):
     doc = {
         "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},

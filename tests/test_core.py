@@ -453,27 +453,46 @@ def test_a_folded_rule_is_never_sampled_past_its_fold():
     assert max(calls) == 3
 
 
-def test_only_phases_are_cached():
+def test_a_machine_keeps_only_its_folds_tuple():
     dual = bellaterra_dual_automaton()
     rng = random.Random(11)
     word = tuple(rng.randrange(3) for _ in range(300_000))
     out, _ = dual.run(0, word)
     assert dual.run(0, out, inverse=True)[0] == word
-    # A fold keeps levels 1 .. p + m in one tuple (entry 0 unused), no dict.
-    assert dual._cache is None and len(dual._tables) - 1 <= sum(dual.fold)
+    # A fold keeps levels 1 .. p + m in one tuple (entry 0 unused).
+    assert len(dual._tables) - 1 <= sum(dual.fold)
     assert dual.table_at(299_999) is dual.table_at(1)
 
-    # An identity tail keeps one table per alphabet size.
-    ramp = word_order_automaton(AlphabetSchedule.ramp(1)).restricted(3)
-    tables = [ramp.table_at(i) for i in range(1, 40)]
-    tail = tables[3:]
-    assert all(t.is_identity() for t in tail)
-    assert ramp.table_at(39) is tail[-1]
-    assert len(ramp._cache) == 3 and len(ramp._identity_tables) == len(tail)
+    # A table past the tuple, of a rule or of an identity tail, is made
+    # for the caller and kept by nothing else.
+    ramp = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
+    tail = z2z4_automaton().restricted(2)
+    for machine, level in ((ramp, 5), (tail, 40)):
+        table = machine.table_at(level)
+        assert table == machine.table_at(level)
+        kept = weakref.ref(table)
+        del table
+        gc.collect()
+        assert kept() is None
 
-    periodic = z2z4_automaton().restricted(2)
-    assert periodic.table_at(500) is periodic.table_at(3)
-    assert len(periodic._identity_tables) == 1
+
+def test_stepping_through_a_wide_ramp_keeps_no_tables():
+    machine = cycle_transposition_automaton(AlphabetSchedule.ramp(2000))
+    word = (0,) * 100
+    tracing = tracemalloc.is_tracing()
+    gc.collect()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for inverse in (False, True):
+            machine.run(0, word, inverse=inverse)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert kept < 2_000_000
 
 
 def _binary_folds(count, seed=14):
@@ -544,15 +563,14 @@ def _fold_cases():
 def test_folded_tables_read_by_level_match_their_rule():
     for machine, ref in _fold_cases():
         p, m = machine.fold
-        shared = {}
         for i in range(1, 3 * (p + m) + 1):
             table = machine.table_at(i)
             assert table == ref(i)
+            # Levels of one phase share its table; the identity tail's
+            # tables are made fresh and compare by value only.
             phase = machine.phase(i)
             if phase:
                 assert table is machine.table_at(phase)
-            key = (phase, machine.schedule.size_at(i))
-            assert shared.setdefault(key, table) is table
         assert machine.periodic_tables == (
             tuple(ref(i) for i in range(1, p + 1)),
             tuple(ref(i) for i in range(p + 1, p + m + 1)),

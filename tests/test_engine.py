@@ -135,6 +135,11 @@ def test_word_display_and_parse():
     assert GroupWord.parse("a b^-2", names) == w
     assert GroupWord.parse("e", names) == E
     assert GroupWord.parse("a * a^-1", names) == E
+    # A state named e (or id) is that state, alone as in a product.
+    five = ("a", "b", "c", "d", "e")
+    for text in ("e", "e^1", "e * e e^-1"):
+        assert GroupWord.parse(text, five) == GroupWord.generator(4)
+    assert GroupWord.parse("id", {"id": 1}) == GroupWord.generator(1)
     with pytest.raises(ValueError):
         GroupWord.parse("a c", names)
     # Adjacent powers are summed first, so only the summed length is capped.
@@ -325,6 +330,23 @@ def test_relation_scan_on_a_free_machine_is_empty():
     found = relation_search(e2, 3)
     assert found.equal == []
     assert found.unknown == []
+
+
+def test_a_relation_scan_reads_each_level_of_a_rule_once():
+    # The mismatch witness is checked on the tables the search read, so
+    # a rule is not asked for a level again even though the machine
+    # keeps none of its tables.
+    inner = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
+    calls = []
+
+    def rule(level):
+        calls.append(level)
+        return inner.table_at(level)
+
+    m = Automaton.from_rule(inner.schedule, 2, rule)
+    found = relation_search(m, 4, budget=Budget(max_depth=10))
+    assert found.equal == []
+    assert calls and len(calls) == len(set(calls)) and max(calls) <= 10
 
 
 def test_relation_scan_with_zero_length_budget():
