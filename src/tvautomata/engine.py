@@ -237,20 +237,22 @@ def _path(node: tuple) -> Word:
     return tuple(reversed(letters))
 
 
-class _SearchContext:
-    """What every equality search on one machine reads, worked out once.
+class _Context:
+    """What every query on one machine reads, worked out once.
 
-    It holds whether the machine has finitely many phases, the phase
-    `entry` = p + 1 at which a fold (p, m) with p >= 1 and no identity
-    tail first reaches its period, the period's other tables (one tuple,
-    the table part of every `period_closures` key), the first phase, and
-    a walk from each phase to its table and the phase after it, filled
-    on first use.  A context belongs to one machine and lives for one
-    public call (a query, a classification, a scan); machines never
+    The equality search reads whether the machine has finitely many
+    phases, the phase `entry` = p + 1 at which a fold (p, m) with p >= 1
+    and no identity tail first reaches its period, the period's other
+    tables (the table part of every `period_closures` key) and the first
+    phase.  Every reader steps through one `walk` from each phase to its
+    table and the next phase, filled on first use.  Level groups and
+    orbits read hash-consed portraits (root permutation, child ids),
+    shared by every level: id 0 is the identity at every level and equal
+    actions intern to equal ids, so no closure materializes permutations
+    of a full leaf set.  A context lives for one public call (a query, a
+    classification, a scan, a level sweep, an orbit); machines never
     keep one.
     """
-
-    __slots__ = ("automaton", "finite", "entry", "period_key", "start", "walk")
 
     def __init__(self, automaton: Automaton):
         self.automaton = automaton
@@ -263,12 +265,105 @@ class _SearchContext:
             self.entry = self.period_key = None
         self.start = automaton.phase(1)
         self.walk: dict[int, tuple[LevelTable, int]] = {}
+        # Id 0, the identity: no letter to move and no child to visit.
+        self.nodes: list[tuple] = [((), ())]
+        self.intern: dict = {}
+        self._compose_memo: dict = {}
+        self._inverse_memo: dict = {}
+        self._state_memo: dict = {}
 
     def step(self, phase: int) -> tuple[LevelTable, int]:
-        """The table at a phase and the phase after it, kept in `walk`."""
+        """The table at a phase (not 0) and the phase after it, kept in `walk`."""
         automaton = self.automaton
         out = self.walk[phase] = (automaton.table_at(phase), automaton.phase(phase + 1))
         return out
+
+    def mk(self, root: tuple[int, ...], kids: tuple[int, ...]) -> int:
+        key = (root, kids)
+        pid = self.intern.get(key)
+        if pid is None:
+            if any(kids) or not perms.is_identity(root):
+                pid = len(self.nodes)
+                self.nodes.append(key)
+            else:
+                pid = 0
+            self.intern[key] = pid
+        return pid
+
+    def from_state(self, phase: int, level: int, q: int, span: int) -> int:
+        """Portrait of state q over `span` levels from `phase`, the phase of
+        `level`: kept per phase, as levels of one phase share tables from
+        there on, and 0 in the identity tail; `level` names a failing level."""
+        if span == 0 or phase == 0:
+            return 0
+        key = (phase, span, q)
+        pid = self._state_memo.get(key)
+        if pid is None:
+            t, next_phase = self.walk.get(phase) or self.step(phase)
+            if t.signed_rows[-1][q] is None:
+                raise NotInvertibleError(level, q)
+            kids = tuple(
+                self.from_state(next_phase, level + 1, r, span - 1)
+                for r in t.transition[q]
+            )
+            pid = self.mk(t.output[q], kids)
+            self._state_memo[key] = pid
+        return pid
+
+    def compose(self, u: int, v: int) -> int:
+        """Portrait of u applied after v."""
+        if v == 0:
+            return u
+        if u == 0:
+            return v
+        key = (u, v)
+        pid = self._compose_memo.get(key)
+        if pid is None:
+            ru, ku = self.nodes[u]
+            rv, kv = self.nodes[v]
+            root = tuple(ru[y] for y in rv)
+            kids = tuple(self.compose(ku[y], k) for y, k in zip(rv, kv))
+            pid = self.mk(root, kids)
+            self._compose_memo[key] = pid
+        return pid
+
+    def inverse(self, u: int) -> int:
+        if u == 0:
+            return 0
+        pid = self._inverse_memo.get(u)
+        if pid is None:
+            ru, ku = self.nodes[u]
+            root = perms.invert(ru)
+            pid = self.mk(root, tuple(self.inverse(ku[y]) for y in root))
+            self._inverse_memo[u] = pid
+        return pid
+
+    def image(self, pid: int, vertex: Word) -> Word:
+        """Where the portrait `pid` sends a tree vertex, read off one path
+        of root permutations down to the first identity section."""
+        out = []
+        for x in vertex:
+            if pid == 0:
+                break
+            root, kids = self.nodes[pid]
+            out.append(root[x])
+            pid = kids[x]
+        return tuple(out) + vertex[len(out) :]
+
+    def first_moved_vertex(self, pid: int) -> Optional[Word]:
+        """The lexicographically first vertex moved by the portrait `pid`
+        on the shallowest level it moves, or None for the identity."""
+        frontier = [((), pid)]
+        while frontier:
+            deeper = []
+            for vertex, p in frontier:
+                root, kids = self.nodes[p]
+                for x, y in enumerate(root):
+                    if x != y:
+                        return vertex + (x,)
+                deeper.extend((vertex + (x,), k) for x, k in enumerate(kids) if k)
+            frontier = deeper
+        return None
 
 
 # A search outcome: the fields of an EqualityVerdict, in order.
@@ -316,26 +411,30 @@ def decide_equal(
     the search, already transformed so that g(w) differs from h(w).  It
     is checked before it is returned, by acting with h^-1, g and h through
     `apply_word`; one that fails raises VerificationFailedError.  A state
-    index past the machine's states raises ValueError: one of the test
-    word at once, one of g or h when a witness is checked.
+    index past the machine's states in g or h raises ValueError before
+    the search starts, even where it cancels in g h^-1.
     """
+    _check_states(automaton, g, h)
     return EqualityVerdict(
-        *_search(_SearchContext(automaton), g, h, budget or _DEFAULT_BUDGET)
+        *_search(_Context(automaton), g, h, budget or _DEFAULT_BUDGET)
     )
 
 
+def _check_states(automaton: Automaton, *words: Optional[GroupWord]) -> None:
+    """Refuse a state index past the machine's states, as `state_index` does."""
+    for word in words:
+        if word is not None and max(word.factors, default=(0,))[0] >= automaton.n_states:
+            automaton.state_index(max(word.factors)[0])
+
+
 def _search(
-    ctx: _SearchContext, g: GroupWord, h: Optional[GroupWord], budget: Budget
+    ctx: _Context, g: GroupWord, h: Optional[GroupWord], budget: Budget
 ) -> _Outcome:
-    """The search `decide_equal` describes, on one machine's context."""
+    """The search `decide_equal` describes, on one machine's context.
+    Callers check the words' states against the machine first."""
     states, signs = _test_word(g, h)
     if not states:
         return _TRIVIAL_WORD
-    automaton = ctx.automaton
-    # Words are reduced and signed by construction; only the test word's
-    # largest state index is left to check against this machine.
-    if max(states) >= automaton.n_states:
-        automaton.state_index(max(states))
     finite, entry, walk = ctx.finite, ctx.entry, ctx.walk
     closure = None  # (memo, key, nodes before the period, entering layer)
     phase, level = ctx.start, 1
@@ -411,7 +510,7 @@ def _search(
 
 
 def _mismatch_witness(
-    ctx: _SearchContext,
+    ctx: _Context,
     g: GroupWord,
     h: Optional[GroupWord],
     states: tuple[int, ...],
@@ -447,7 +546,8 @@ def element_order(
     budget: Optional[Budget] = None,
 ) -> Optional[int]:
     """Smallest n >= 1 with g^n trivial, or None if not established."""
-    ctx, budget = _SearchContext(automaton), budget or _DEFAULT_BUDGET
+    _check_states(automaton, g)
+    ctx, budget = _Context(automaton), budget or _DEFAULT_BUDGET
     for n in range(1, max_order + 1):
         status = _search(ctx, g**n, None, budget)[0]
         if status == "equal":
@@ -534,7 +634,7 @@ def relation_search(
         raise RelationScanTooLargeError(max_len, MAX_RELATION_WORDS)
     if factors > MAX_RELATION_FACTORS:
         raise RelationScanTooLargeError(max_len, MAX_RELATION_FACTORS, "factors")
-    ctx, budget = _SearchContext(automaton), budget or _DEFAULT_BUDGET
+    ctx, budget = _Context(automaton), budget or _DEFAULT_BUDGET
     result = RelationSearchResult([], [], 0)
     for word in reduced_words(automaton.n_states, max_len):
         result.checked += 1
@@ -548,111 +648,6 @@ def relation_search(
 
 # ---------------------------------------------------------------------------
 # level groups through interned portraits
-
-
-class _PortraitContext:
-    """Hash-consed action portraits, shared by every level.
-
-    A portrait is (root permutation, child portrait ids), and id 0 is the
-    identity at every level: a portrait spanning k levels acts as the
-    identity below them.  Equal actions intern to equal ids, so group
-    closure never materializes permutations of the full leaf set, and the
-    portraits of a shallow level group are reused by deeper ones.
-    """
-
-    def __init__(self, automaton: Automaton):
-        self.automaton = automaton
-        # Id 0, the identity: no letter to move and no child to visit.
-        self.nodes: list[tuple] = [((), ())]
-        self.intern: dict = {}
-        self._compose_memo: dict = {}
-        self._inverse_memo: dict = {}
-        self._state_memo: dict = {}
-
-    def mk(self, root: tuple[int, ...], kids: tuple[int, ...]) -> int:
-        key = (root, kids)
-        pid = self.intern.get(key)
-        if pid is None:
-            if any(kids) or not perms.is_identity(root):
-                pid = len(self.nodes)
-                self.nodes.append(key)
-            else:
-                pid = 0
-            self.intern[key] = pid
-        return pid
-
-    def from_state(self, level: int, q: int, span: int) -> int:
-        """Portrait of state q read from `level` over `span` levels.
-
-        Levels of one phase share tables from there on, so the memo is
-        keyed by phase; `level` itself only names a failing level."""
-        if span == 0:
-            return 0
-        key = (self.automaton.phase(level), span, q)
-        pid = self._state_memo.get(key)
-        if pid is None:
-            t = self.automaton.table_at(level)
-            if t.signed_rows[-1][q] is None:
-                raise NotInvertibleError(level, q)
-            kids = tuple(self.from_state(level + 1, r, span - 1) for r in t.transition[q])
-            pid = self.mk(t.output[q], kids)
-            self._state_memo[key] = pid
-        return pid
-
-    def compose(self, u: int, v: int) -> int:
-        """Portrait of u applied after v."""
-        if v == 0:
-            return u
-        if u == 0:
-            return v
-        key = (u, v)
-        pid = self._compose_memo.get(key)
-        if pid is None:
-            ru, ku = self.nodes[u]
-            rv, kv = self.nodes[v]
-            root = tuple(ru[y] for y in rv)
-            kids = tuple(self.compose(ku[y], k) for y, k in zip(rv, kv))
-            pid = self.mk(root, kids)
-            self._compose_memo[key] = pid
-        return pid
-
-    def inverse(self, u: int) -> int:
-        if u == 0:
-            return 0
-        pid = self._inverse_memo.get(u)
-        if pid is None:
-            ru, ku = self.nodes[u]
-            root = perms.invert(ru)
-            pid = self.mk(root, tuple(self.inverse(ku[y]) for y in root))
-            self._inverse_memo[u] = pid
-        return pid
-
-    def image(self, pid: int, vertex: Word) -> Word:
-        """Where the portrait `pid` sends a tree vertex, read off one path
-        of root permutations down to the first identity section."""
-        out = []
-        for x in vertex:
-            if pid == 0:
-                break
-            root, kids = self.nodes[pid]
-            out.append(root[x])
-            pid = kids[x]
-        return tuple(out) + vertex[len(out) :]
-
-    def first_moved_vertex(self, pid: int) -> Optional[Word]:
-        """The lexicographically first vertex moved by the portrait `pid`
-        on the shallowest level it moves, or None for the identity."""
-        frontier = [((), pid)]
-        while frontier:
-            deeper = []
-            for vertex, p in frontier:
-                root, kids = self.nodes[p]
-                for x, y in enumerate(root):
-                    if x != y:
-                        return vertex + (x,)
-                deeper.extend((vertex + (x,), k) for x, k in enumerate(kids) if k)
-            frontier = deeper
-        return None
 
 
 class _ChainLevel:
@@ -674,7 +669,7 @@ class _ChainLevel:
         self.tested = [0]
 
 
-def _chain_order(ctx: _PortraitContext, generators: Sequence[int]) -> int:
+def _chain_order(ctx: _Context, generators: Sequence[int]) -> int:
     """Order of the group generated by portraits, as the product
     of the basic orbit lengths of a deterministic Schreier-Sims chain
     (Sims 1970; Seress, Permutation Group Algorithms, 2003, ch. 4).
@@ -745,7 +740,7 @@ class LevelGroup:
     """The permutation group induced on one level's words.
 
     `order` comes from a stabilizer chain and is exact.  Elements are
-    portrait ids into a portrait context, where 0 is the identity;
+    portrait ids into the context that built it, where 0 is the identity;
     `element_ids` enumerates them on first access, in discovery order
     starting from the identity.
     """
@@ -755,7 +750,7 @@ class LevelGroup:
     leaf_count: int
     order: int
     generator_ids: tuple[int, ...]
-    context: _PortraitContext = field(repr=False)
+    context: _Context = field(repr=False)
 
     @functools.cached_property
     def element_ids(self) -> tuple[int, ...]:
@@ -806,15 +801,15 @@ def level_group(
     """
     _check_count(level, "level", level=True)
     _check_count(order_cap, "order cap")
-    return _level_group(_PortraitContext(automaton), level, order_cap)
+    return _level_group(_Context(automaton), level, order_cap)
 
 
 def level_groups(
     automaton: Automaton, max_level: int, *, order_cap: int = 10**6
 ) -> Iterator[LevelGroup]:
-    """`level_group` for levels 1 .. max_level in turn, on one portrait
-    context: a level reuses the portraits and compositions of the levels
-    before it, so on a folded machine a sweep costs about as much as its
+    """`level_group` for levels 1 .. max_level in turn, on one context:
+    a level reuses the portraits and compositions of the levels before
+    it, so on a folded machine a sweep costs about as much as its
     deepest level.
 
     Arguments are checked when called, as in `level_group`; the errors a
@@ -822,13 +817,13 @@ def level_groups(
     """
     _check_count(max_level, "max level", level=True)
     _check_count(order_cap, "order cap")
-    ctx = _PortraitContext(automaton)
+    ctx = _Context(automaton)
     return (_level_group(ctx, level, order_cap) for level in range(1, max_level + 1))
 
 
-def _level_group(ctx: _PortraitContext, level: int, order_cap: int) -> LevelGroup:
+def _level_group(ctx: _Context, level: int, order_cap: int) -> LevelGroup:
     automaton = ctx.automaton
-    gens = tuple(ctx.from_state(1, q, level) for q in range(automaton.n_states))
+    gens = tuple(ctx.from_state(ctx.start, 1, q, level) for q in range(automaton.n_states))
     order = _chain_order(ctx, gens)
     if order > order_cap:
         raise OrderCapExceededError(order_cap, order)
@@ -847,9 +842,13 @@ def orbit_at_level(
 ) -> frozenset:
     """Orbit of one word of the given length under the generated group.
 
-    `level` runs from 0, the root, to MAX_LEVEL.  Raises
-    OrbitTooLargeError once more than MAX_ORBIT_WORDS words, or more than
-    MAX_ORBIT_LETTERS letters in them, are reached.
+    `level` runs from 0, the root, to MAX_LEVEL.  The first level
+    1 .. `level` with a labeling that is not a permutation raises
+    NotInvertibleError for its first such state.  Words move by the
+    states' portraits; as each state permutes the words of one length,
+    its powers reach its inverse.  Raises OrbitTooLargeError once more
+    than MAX_ORBIT_WORDS words, or more than MAX_ORBIT_LETTERS letters in
+    them, are reached.
     """
     _check_count(level, "level", least=0, level=True)
     if seed is None:
@@ -858,25 +857,22 @@ def orbit_at_level(
         seed_word = automaton.schedule.check_word(seed)
         if len(seed_word) != level:
             raise ValueError(f"seed word must have length {level}")
-    rows = []
+    ctx = _Context(automaton)
+    phase = ctx.start
     for i in range(1, level + 1):
-        t = automaton.table_at(i)
+        if phase == 0:
+            break
+        t, phase = ctx.walk.get(phase) or ctx.step(phase)
         q = t.first_noninvertible_state()
         if q is not None:
             raise NotInvertibleError(i, q)
-        rows.append(t.signed_rows)
+    moves = [ctx.from_state(ctx.start, 1, q, level) for q in range(automaton.n_states)]
     seen = {seed_word}
     queue = deque([seed_word])
-    moves = [(q, sign) for q in range(automaton.n_states) for sign in (1, -1)]
     while queue:
         word = queue.popleft()
-        for q0, sign in moves:
-            image, q = [], q0
-            for level_rows, x in zip(rows, word):
-                out, nxt = level_rows[sign][q]
-                image.append(out[x])
-                q = nxt[x]
-            image = tuple(image)
+        for move in moves:
+            image = ctx.image(move, word)
             if image not in seen:
                 seen.add(image)
                 if len(seen) > MAX_ORBIT_WORDS:
@@ -1224,7 +1220,7 @@ def classify_two_state_binary(automaton: Automaton) -> GroupKind:
             f"bi-reversibility fails at level {verdict.level}: {verdict.reason}"
         )
 
-    ctx = _SearchContext(automaton)
+    ctx = _Context(automaton)
 
     def trivial(word: GroupWord) -> bool:
         status = _search(ctx, word, None, _DEFAULT_BUDGET)[0]

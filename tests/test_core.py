@@ -495,10 +495,10 @@ def test_stepping_through_a_wide_ramp_keeps_no_tables():
     assert kept < 2_000_000
 
 
-def _binary_folds(count, seed=14):
-    """`count` seeded (prefix, period) pairs of the 12 admissible binary
-    level types, with prefix length 0-2 and period length 1-2."""
-    types = admissible_binary_level_types()
+def _binary_folds(count, seed=14, types=admissible_binary_level_types()):
+    """`count` seeded (prefix, period) pairs of binary level tables, by
+    default the 12 admissible types, with prefix length 0-2 and period
+    length 1-2."""
     rng = random.Random(seed)
     return [
         (

@@ -1,5 +1,6 @@
 """Group words, equality decisions, level groups, orbits, torsion."""
 
+import itertools
 import random
 
 import pytest
@@ -48,7 +49,7 @@ from tvautomata.core import MAX_LEVEL
 from tvautomata.engine import MAX_WORD_FACTORS, _c_power_image
 
 from reference import element_leaf_permutations, leaf_permutation, words_at_level
-from test_core import catalog
+from test_core import _binary_folds, catalog
 
 A = GroupWord.generator(0)
 B = GroupWord.generator(1)
@@ -100,11 +101,13 @@ def test_equality_queries_check_state_indices():
     # The unreduced form of the empty word explores nothing.
     assert decide_equal(z, GroupWord(((0, 1), (0, -1)))).explored == 0
     five = GroupWord(((5, 1),))
-    for g, h in ((five, None), (A, five), (five, A)):
+    # The test word g h^-1 is empty for (five, five), and still its
+    # states are refused.
+    for g, h in ((five, None), (A, five), (five, A), (five, five)):
         with pytest.raises(ValueError, match="state index 5 out of range"):
             decide_equal(z, g, h)
-    # The test word g h^-1 is empty here, so no state of it acts.
-    assert decide_equal(z, five, five).status == "equal"
+    with pytest.raises(ValueError, match="state index 5 out of range"):
+        element_order(z, five)
     with pytest.raises(ValueError, match="state index 5 out of range"):
         apply_word(z, five, (0,))
 
@@ -266,11 +269,13 @@ def test_equality_by_closure():
 
 
 def test_a_witness_for_words_past_the_machine_states_raises_value_error():
-    # The test word a c c^-1 b^-1 reduces to a b^-1, so the search never
-    # reads c; its witness check does, and refuses it as any action does.
+    # The test word a c c^-1 b^-1 reduces to a b^-1, and a c c^-1 a^-1
+    # to e, so the search never reads c; it is refused before the search
+    # starts, whether or not a witness is checked.
     c = GroupWord.generator(2)
-    with pytest.raises(ValueError, match="state index 2 out of range"):
-        decide_equal(z2z4_automaton(), A * c, B * c)
+    for g, h in ((A * c, B * c), (A * c, A * c)):
+        with pytest.raises(ValueError, match="state index 2 out of range"):
+            decide_equal(z2z4_automaton(), g, h)
 
 
 def test_equality_depth_budget_on_rule_machines():
@@ -655,6 +660,34 @@ def test_a_state_failing_at_a_repeated_phase_names_the_level_reached():
     assert (err.value.level, err.value.state) == (4, 1)
 
 
+def _counting_example2():
+    """Example 2 over ramp(1) as a rule machine that logs each level its
+    rule is asked for."""
+    inner = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
+    calls = []
+
+    def rule(level):
+        calls.append(level)
+        return inner.table_at(level)
+
+    return Automaton.from_rule(inner.schedule, 2, rule), calls
+
+
+def test_level_groups_and_orbits_ask_a_rule_once_per_level():
+    # A rule machine keeps no tables, so only the query context's walk
+    # keeps each level's table from being built again per state and span.
+    for k in (1, 2, 3):
+        m, calls = _counting_example2()
+        level_group(m, k, order_cap=10**9)
+        assert calls == list(range(1, k + 1))
+    m, calls = _counting_example2()
+    assert [lg.order for lg in level_groups(m, 3, order_cap=10**9)] == [2, 36, 35831808]
+    assert calls == [1, 2, 3]
+    m, calls = _counting_example2()
+    assert len(orbit_at_level(m, 4)) == 120
+    assert calls == [1, 2, 3, 4]
+
+
 # -- orbits -----------------------------------------------------------
 
 
@@ -699,6 +732,59 @@ def test_orbit_levels_run_from_the_root_to_the_level_budget(level):
         z = z2z4_automaton()
         len(orbit_at_level(z, level)) == z.schedule.leaf_count(level)
     assert len(orbit_at_level(z2z4_automaton(), MAX_LEVEL)) == 8
+
+
+def _reference_orbit(automaton, level):
+    """The orbit of the zero word through `apply_word`, moving by every
+    state and its inverse, after the first level 1 .. `level` with a
+    labeling that is not a permutation is refused for its first such
+    state."""
+    for i in range(1, level + 1):
+        t = automaton.table_at(i)
+        for q, row in enumerate(t.output):
+            if sorted(row) != list(range(t.alphabet_size)):
+                raise NotInvertibleError(i, q)
+    moves = [GroupWord.generator(q, s) for q in range(automaton.n_states) for s in (1, -1)]
+    seen = {(0,) * level}
+    frontier = list(seen)
+    while frontier:
+        images = {apply_word(automaton, g, w) for w in frontier for g in moves}
+        frontier = list(images - seen)
+        seen |= images
+    return frozenset(seen)
+
+
+def _orbit_or_error(orbit, automaton, level):
+    try:
+        return orbit(automaton, level)
+    except NotInvertibleError as exc:
+        return ("NotInvertibleError", exc.level, exc.state)
+
+
+_BINARY_ROWS = list(itertools.product(range(2), repeat=2))
+_ALL_BINARY_TABLES = [
+    LevelTable(transition, output)
+    for transition in itertools.product(_BINARY_ROWS, repeat=2)
+    for output in itertools.product(_BINARY_ROWS, repeat=2)
+]
+
+
+def test_orbits_match_a_search_through_apply_word():
+    # Seeded binary folds over all 256 two-state tables, one in four
+    # restricted to its first 0-3 levels, so that an identity tail follows.
+    assert len(_ALL_BINARY_TABLES) == len(set(_ALL_BINARY_TABLES)) == 256
+    rng = random.Random(16)
+    machines = catalog()
+    for prefix, period in _binary_folds(300, seed=16, types=_ALL_BINARY_TABLES):
+        m = Automaton.from_periodic_tables(AlphabetSchedule.constant(2), prefix, period)
+        machines.append(m.restricted(rng.randrange(4)) if rng.randrange(4) == 0 else m)
+    refused = 0
+    for m in machines:
+        for level in range(6):
+            expected = _orbit_or_error(_reference_orbit, m, level)
+            assert _orbit_or_error(orbit_at_level, m, level) == expected, (m, level)
+            refused += isinstance(expected, tuple)
+    assert refused > 100
 
 
 # -- two-state structure, twist, and torsion --------------------------
