@@ -898,28 +898,26 @@ def _require_two_states(automaton: Automaton) -> None:
         )
 
 
-def _check_bireversible_level(automaton: Automaton, level: int) -> None:
-    reason = automaton.table_at(level).failure
-    if reason is not None:
-        raise NotBiReversibleError(f"level {level} fails: {reason}")
+def _bireversible_table(automaton: Automaton, level: int) -> LevelTable:
+    """The table of `level` on a two-state machine, refused unless that
+    level is bi-reversible."""
+    _require_two_states(automaton)
+    t = automaton.table_at(level)
+    if t.failure is not None:
+        raise NotBiReversibleError(f"level {level} fails: {t.failure}")
+    return t
 
 
 def letter_partition(automaton: Automaton, level: int) -> tuple[Word, Word]:
     """Split a level's letters into state-keeping and state-swapping ones.
 
-    Reversibility makes both states induce the same split.  The split is
-    respected by both labelings: each maps the keeping set onto the same
-    image set, which is checked here.
+    Reversibility makes both states induce the same split.  Inverse
+    reversibility makes both labelings send the keeping letters onto one
+    set, so the split is respected by both labelings.
     """
-    _require_two_states(automaton)
-    _check_bireversible_level(automaton, level)
-    t = automaton.table_at(level)
-    kept = tuple(x for x in range(t.alphabet_size) if t.transition[0][x] == 0)
-    flipped = tuple(x for x in range(t.alphabet_size) if t.transition[0][x] == 1)
-    if {t.output[0][x] for x in kept} != {t.output[1][x] for x in kept}:
-        raise NotBiReversibleError(
-            f"level {level}: labelings send the state-keeping letters to different sets"
-        )
+    row = _bireversible_table(automaton, level).transition[0]
+    kept = tuple(x for x, q in enumerate(row) if q == 0)
+    flipped = tuple(x for x, q in enumerate(row) if q == 1)
     return kept, flipped
 
 
@@ -927,17 +925,11 @@ def labeling_twist(automaton: Automaton, level: int) -> tuple[int, ...]:
     """First labeling undone, then the second applied: the per-level
     mismatch between the two states' outputs.
 
-    Preserves both parts of the letter partition; violating that would
-    mean the level is not bi-reversible, so it is verified.
+    It preserves both parts of the letter partition, since both labelings
+    send the keeping letters onto one set.
     """
-    kept, flipped = letter_partition(automaton, level)
-    t = automaton.table_at(level)
-    twist = perms.compose(t.inverse_labeling(0), t.output[1])
-    if {twist[x] for x in kept} != set(kept):
-        raise VerificationFailedError(
-            f"level {level}: twist does not preserve the letter partition"
-        )
-    return twist
+    t = _bireversible_table(automaton, level)
+    return perms.compose(t.inverse_labeling(0), t.output[1])
 
 
 def ratio_power_image(
@@ -1039,27 +1031,21 @@ def crt_solve(congruences: Sequence[tuple[int, int]]) -> int:
 @dataclass(frozen=True)
 class _SteeringLevel:
     size: int
-    marked: int            # letter both states swap on
     partner: int           # image of the marked letter under both labelings
     swap: tuple[int, ...]
     cycle: list[int]       # c's root cycle from the marked letter on
 
 
 def _steering_level(automaton: Automaton, level: int) -> _SteeringLevel:
-    t = automaton.table_at(level)
-    d = t.alphabet_size
-    flips = [x for x in range(d) if t.transition[0][x] == 1]
-    if len(flips) != 1 or any(
-        t.transition[1][x] != (0 if x == flips[0] else 1) for x in range(d)
-    ):
-        raise SteeringError(
-            f"level {level}: states must swap on exactly one common letter"
-        )
+    """A bi-reversible level flipping on one marked letter, labeled by a full
+    cycle sending it to its partner and by the transposition of the two."""
+    t = _bireversible_table(automaton, level)
+    flips = [x for x, q in enumerate(t.transition[0]) if q == 1]
+    if len(flips) != 1:
+        raise SteeringError(f"level {level}: states must swap on exactly one common letter")
     marked = flips[0]
-    long_cycle, swap = t.output[0], t.output[1]
-    if None in t.signed_rows[-1]:
-        raise SteeringError(f"level {level}: labelings must be permutations")
-    partner = swap[marked]
+    long_cycle, swap = t.output
+    partner, d = swap[marked], len(swap)
     if partner == marked or any(
         swap[x] != x for x in range(d) if x not in (marked, partner)
     ):
@@ -1070,7 +1056,7 @@ def _steering_level(automaton: Automaton, level: int) -> _SteeringLevel:
         raise SteeringError(
             f"level {level}: first labeling must cycle all letters, marked to partner"
         )
-    return _SteeringLevel(d, marked, partner, tuple(swap), _c_cycle(t, marked)[0])
+    return _SteeringLevel(d, partner, swap, _c_cycle(t, marked)[0])
 
 
 @dataclass(frozen=True)

@@ -132,10 +132,7 @@ def cycle_transposition_automaton(
         pi = perms.from_cycles(
             size, [[x0, x1] + [x for x in range(size) if x not in (x0, x1)]]
         )
-        transition = tuple(
-            tuple((1 - q) if x == x0 else q for x in range(size)) for q in range(2)
-        )
-        return LevelTable(transition, (pi, tau))
+        return two_state_level((x0,), pi, tau)
 
     return _tagged(
         Automaton(schedule, 2, fn, fold=schedule.aligned_fold(0, 1), exact_bireversible=True),
@@ -233,8 +230,6 @@ def sym_diagonal_automaton(
 
     def fn(level: int) -> LevelTable:
         size = schedule.size_at(level)
-        if size < 2:
-            return LevelTable.identity(2, size)
         return LevelTable(
             _diagonal_rows(2, size),
             (perms.rotation(size), perms.transposition(size, 0, 1)),

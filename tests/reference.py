@@ -3,14 +3,15 @@
 None of this runs in the library: the inverses of the word-order
 permutations and the word action built on them, the shortlex word list
 they are checked on, table-by-table machine comparison, the words of
-one level, and level-group elements written out as permutations of
-those words.
+one level, level-group elements written out as permutations of those
+words, and every small two-state table with bi-reversibility read off
+its definition.
 """
 
-from itertools import islice
+from itertools import islice, product
 from typing import Callable, Iterator, Sequence
 
-from tvautomata import AlphabetSchedule, Automaton, LevelGroup, reduced_words
+from tvautomata import AlphabetSchedule, Automaton, LevelGroup, LevelTable, reduced_words
 from tvautomata import word_order_perm_a, word_order_perm_b
 
 
@@ -88,3 +89,31 @@ def leaf_permutation(group: LevelGroup, pid: int) -> tuple[int, ...]:
 
 def element_leaf_permutations(group: LevelGroup) -> list[tuple[int, ...]]:
     return [leaf_permutation(group, e) for e in group.element_ids]
+
+
+def two_state_machines(sizes: Sequence[int]) -> Iterator[Automaton]:
+    """For each size d, every two-state table on d letters (4^d transition
+    pairs times d^(2d) labeling pairs), each as the one table of a machine
+    over the constant alphabet of size d."""
+    for d in sizes:
+        schedule = AlphabetSchedule.constant(d)
+        labelings = list(product(range(d), repeat=d))
+        for transition in product(product(range(2), repeat=d), repeat=2):
+            for output in product(labelings, repeat=2):
+                table = LevelTable(transition, output)
+                yield Automaton.from_periodic_tables(schedule, (), (table,))
+
+
+def is_bireversible_table(t: LevelTable) -> bool:
+    """Every labeling is a permutation, and for every letter both the
+    states reading it and the states writing it go to distinct states."""
+    letters = range(t.alphabet_size)
+    if any(sorted(row) != list(letters) for row in t.output):
+        return False
+    states = range(t.n_states)
+    for x in letters:
+        if len({t.transition[q][x] for q in states}) != t.n_states:
+            return False
+        if len({t.transition[q][t.output[q].index(x)] for q in states}) != t.n_states:
+            return False
+    return True

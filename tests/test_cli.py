@@ -122,6 +122,9 @@ def test_act_by_state(capsys, config):
         capsys, "act", "--config", config(Z2Z4), "--state", "a", "--input", "0,0"
     )
     assert report["result"]["output"] == [1, 1]
+    assert run(capsys, "act", "--config", config(Z2Z4), "--state", "a", "--input", "") == (
+        0, "state a on  ->  (ends in a)\n", ""
+    )
 
 
 def test_act_by_word_expression(capsys, config):
@@ -241,6 +244,11 @@ def test_act_rejects_bad_input(capsys, config):
         capsys, "act", "--config", config(Z2Z4), "--state", "nope", "--input", "0"
     )
     assert code == 2
+    code, out, err = run(
+        capsys, "act", "--config", config(Z2Z4), "--state", "a", "--input", "x,1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: cannot parse letters 'x,1': need comma-separated integers\n"
     with pytest.raises(SystemExit):
         main(["act", "--config", "x.json", "--state", "a", "--word-expr", "b", "--input", "0"])
 
@@ -361,6 +369,19 @@ def test_relations_none_found(capsys, config):
     assert "none found" in out
 
 
+def test_relations_lists_the_words_left_unsettled(capsys, config):
+    e1 = _builtin("example1", {"prefix": [], "tail": {"kind": "ramp", "value": {"offset": 0}}})
+    code, out, _ = run(
+        capsys, "relations", "--config", config(e1), "--max-len", "2", "--depth", "3"
+    )
+    assert code == 1
+    assert out == (
+        "checked 16 reduced words up to length 2\n"
+        "not settled within depth budget:\n"
+        "  b\n  b^-1\n  b b\n  b^-1 b^-1\n"
+    )
+
+
 def test_relations_past_the_word_budget_exit_2_at_once(capsys, config):
     start = time.perf_counter()
     code, out, err = run(capsys, "relations", "--config", config(E2_34), "--max-len", "11")
@@ -428,6 +449,15 @@ def test_steer_rejects_noncoprime_sizes(capsys, config):
     code, _, err = run(capsys, "steer", "--config", config(E2_33), "--target", "2,2")
     assert code == 2
     assert "error" in err
+
+
+def test_steer_refuses_levels_it_cannot_steer(capsys, config):
+    code, out, err = run(capsys, "steer", "--config", config(Z2Z4), "--target", "0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: level 2: states must swap on exactly one common letter\n"
+    code, out, err = run(capsys, "steer", "--config", config(LAMP), "--target", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: level 1 fails: inverse_not_reversible\n"
 
 
 # -- orbit ------------------------------------------------------------

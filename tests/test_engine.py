@@ -48,7 +48,13 @@ from tvautomata import engine, perms
 from tvautomata.core import MAX_LEVEL
 from tvautomata.engine import MAX_WORD_FACTORS, _c_power_image
 
-from reference import element_leaf_permutations, leaf_permutation, words_at_level
+from reference import (
+    element_leaf_permutations,
+    is_bireversible_table,
+    leaf_permutation,
+    two_state_machines,
+    words_at_level,
+)
 from test_core import _binary_folds, catalog
 
 A = GroupWord.generator(0)
@@ -728,9 +734,9 @@ def test_orbits_past_the_word_budget_are_refused(monkeypatch):
 def test_orbit_levels_run_from_the_root_to_the_level_budget(level):
     with pytest.raises(ValueError, match="level"):
         orbit_at_level(z2z4_automaton(), level)
-    with pytest.raises(ValueError, match="level"):
-        z = z2z4_automaton()
-        len(orbit_at_level(z, level)) == z.schedule.leaf_count(level)
+
+
+def test_an_orbit_at_the_level_budget_is_answered():
     assert len(orbit_at_level(z2z4_automaton(), MAX_LEVEL)) == 8
 
 
@@ -814,6 +820,41 @@ def test_labeling_twist():
     z = z2z4_automaton()
     assert labeling_twist(z, 1) == (0, 1)
     assert labeling_twist(z, 2) == (1, 0)
+
+
+def test_partition_and_twist_match_brute_force_on_every_small_two_state_table():
+    # On a bi-reversible level both labelings send the kept letters onto
+    # one set, so the twist keeps both parts; every other level is refused.
+    readable = 0
+    for m in two_state_machines((2, 3)):
+        t = m.table_at(1)
+        assert (t.failure is None) == is_bireversible_table(t)
+        if t.failure is not None:
+            with pytest.raises(NotBiReversibleError, match=f"level 1 fails: {t.failure}"):
+                letter_partition(m, 1)
+            with pytest.raises(NotBiReversibleError, match=f"level 1 fails: {t.failure}"):
+                labeling_twist(m, 1)
+            continue
+        readable += 1
+        letters = range(t.alphabet_size)
+        kept = tuple(x for x in letters if (t.transition[0][x], t.transition[1][x]) == (0, 1))
+        flipped = tuple(x for x in letters if (t.transition[0][x], t.transition[1][x]) == (1, 0))
+        twist = tuple(t.output[0].index(t.output[1][x]) for x in letters)
+        assert letter_partition(m, 1) == (kept, flipped)
+        assert labeling_twist(m, 1) == twist
+        assert sorted(kept + flipped) == list(letters)
+        assert {t.output[0][x] for x in kept} == {t.output[1][x] for x in kept}
+        assert {twist[x] for x in kept} == set(kept)
+        assert {twist[x] for x in flipped} == set(flipped)
+    assert readable == 12 + 144
+
+
+def test_the_two_state_calculus_reads_a_level_once():
+    m, calls = _counting_example2()
+    for level in (1, 2, 3):
+        labeling_twist(m, level)
+        letter_partition(m, level)
+    assert calls == [1, 1, 2, 2, 3, 3]
 
 
 def test_ratio_powers_match_word_application():

@@ -8,15 +8,22 @@ import pytest
 
 from tvautomata import (
     AlphabetSchedule,
+    Automaton,
     GroupWord,
     NonCoprimeModuliError,
+    NotBiReversibleError,
     SteeringError,
     VerificationFailedError,
     apply_word,
     cycle_transposition_automaton,
+    lamplighter_automaton,
     steer_to_word,
+    two_state_level,
+    z2z4_automaton,
 )
 from tvautomata import engine
+
+from reference import two_state_machines
 
 A = GroupWord.generator(0)
 B = GroupWord.generator(1)
@@ -64,6 +71,77 @@ def test_small_alphabets_are_rejected():
         steer_to_word(machine(2, 2), (1, 1))
     with pytest.raises(SteeringError):
         steer_to_word(machine(3, 4), ())
+
+
+def _one_level(flips, alpha, beta):
+    table = two_state_level(flips, alpha, beta)
+    return Automaton.from_periodic_tables(AlphabetSchedule.constant(len(alpha)), (), (table,))
+
+
+@pytest.mark.parametrize(
+    "automaton, target, error, message",
+    [
+        (z2z4_automaton(), (0, 1), SteeringError,
+         "level 2: states must swap on exactly one common letter"),
+        (_one_level((0, 1), (1, 2, 0), (1, 2, 0)), (0,), SteeringError,
+         "level 1: states must swap on exactly one common letter"),
+        (_one_level((0,), (1, 2, 0), (1, 2, 0)), (0,), SteeringError,
+         "level 1: second labeling must swap the marked letter with one partner"),
+        (_one_level((0,), (1, 0, 2, 3), (1, 0, 2, 3)), (0,), SteeringError,
+         "level 1: first labeling must cycle all letters, marked to partner"),
+        (lamplighter_automaton(), (0,), NotBiReversibleError,
+         "level 1 fails: inverse_not_reversible"),
+    ],
+    ids=["no-flip", "two-flips", "second-labeling", "first-labeling", "not-bireversible"],
+)
+def test_each_steering_refusal_names_its_level(automaton, target, error, message):
+    with pytest.raises(error) as err:
+        steer_to_word(automaton, target)
+    assert str(err.value) == message
+
+
+def _steerable_by_definition(t):
+    """The steering conditions read off a table directly: the states swap
+    on exactly one marked letter and keep every other, both labelings are
+    permutations, the second swaps the marked letter with a partner, and
+    the first cycles all letters, sending the marked letter to it."""
+    d = t.alphabet_size
+    flips = [x for x in range(d) if t.transition[0][x] == 1]
+    if len(flips) != 1 or any(
+        t.transition[1][x] != (0 if x == flips[0] else 1) for x in range(d)
+    ):
+        return False
+    if any(sorted(row) != list(range(d)) for row in t.output):
+        return False
+    marked = flips[0]
+    long_cycle, swap = t.output
+    partner = swap[marked]
+    if partner == marked or any(swap[x] != x for x in range(d) if x not in (marked, partner)):
+        return False
+    orbit, x = [marked], long_cycle[marked]
+    while x != marked:
+        orbit.append(x)
+        x = long_cycle[x]
+    return len(orbit) == d and long_cycle[marked] == partner
+
+
+def test_steering_levels_are_the_tables_the_definition_accepts():
+    # Every two-state table on 2 and 3 letters: a table is steered exactly
+    # when the definition accepts it, and is otherwise refused as not
+    # bi-reversible or, when it is, as not steerable.
+    steered = 0
+    for m in two_state_machines((2, 3)):
+        t = m.table_at(1)
+        if _steerable_by_definition(t):
+            level = engine._steering_level(m, 1)
+            assert (level.size, level.swap) == (t.alphabet_size, t.output[1])
+            assert level.partner == t.output[0][t.transition[0].index(1)]
+            steered += 1
+        else:
+            error = SteeringError if t.failure is None else NotBiReversibleError
+            with pytest.raises(error):
+                engine._steering_level(m, 1)
+    assert steered == 2 + 6
 
 
 def test_every_target_is_reached_at_small_depths():
