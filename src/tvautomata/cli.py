@@ -31,8 +31,6 @@ from .errors import (
 )
 from .families import FAMILIES, build_from_config
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
 
 def _load_automaton(args) -> Automaton:
     with open(args.config, encoding="utf-8") as fh:
@@ -55,19 +53,6 @@ def _load_automaton(args) -> Automaton:
         else:
             raise ValueError("--seed only applies to the random_bir22 builtin")
     return build_from_config(doc)
-
-
-def _state_aliases(a: Automaton) -> dict[str, int]:
-    """Names accepted for states: letters by position, q1..qn, and the
-    automaton's own names, the latter winning on collision."""
-    aliases: dict[str, int] = {}
-    for i in range(min(a.n_states, len(_LETTERS))):
-        aliases[_LETTERS[i]] = i
-    for i in range(a.n_states):
-        aliases[f"q{i + 1}"] = i
-    for i, name in enumerate(a.state_names):
-        aliases[name] = i
-    return aliases
 
 
 def _parse_letters(text: str) -> tuple[int, ...]:
@@ -137,12 +122,7 @@ def _cmd_act(args):
     a = _load_automaton(args)
     letters = _parse_letters(args.input)
     if args.state is not None:
-        aliases = _state_aliases(a)
-        if args.state not in aliases:
-            raise ValueError(
-                f"unknown state {args.state!r}; states are {', '.join(a.state_names)}"
-            )
-        q = aliases[args.state]
+        q = a.state_index(args.state)
         out, end = a.run(q, letters)
         result = {
             "input": list(letters),
@@ -155,7 +135,7 @@ def _cmd_act(args):
             f"{_fmt_letters(out)} (ends in {a.state_names[end]})"
         ]
     else:
-        word = GroupWord.parse(args.word_expr, _state_aliases(a))
+        word = GroupWord.parse(args.word_expr, a.name_index)
         out = engine.apply_word(a, word, letters)
         result = {
             "input": list(letters),

@@ -21,8 +21,9 @@ rows forward and the inverse transducer's rows backward.
 from __future__ import annotations
 
 import functools
+import types
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import perms
 from .errors import (
@@ -39,6 +40,7 @@ INVERSE_NOT_REVERSIBLE = "inverse_not_reversible"
 _DEFAULT_CHECK_DEPTH = 20
 _SANITY_DEPTH = 8
 _EMBED_CHECK_DEPTH = 64
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _check_count(value: int, what: str, least: int = 1, level: bool = False) -> None:
@@ -308,10 +310,9 @@ class BiReversibilityVerdict:
 
 @functools.cache
 def _default_names(n: int) -> tuple[str, ...]:
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if n <= len(letters):
-        return tuple(letters[:n])
-    return tuple(f"q{i}" for i in range(n))
+    if n <= len(_LETTERS):
+        return tuple(_LETTERS[:n])
+    return tuple(f"q{i}" for i in range(1, n + 1))
 
 
 class Automaton:
@@ -460,14 +461,26 @@ class Automaton:
         kind = "periodic" if self.fold else "rule"
         return f"Automaton({self.n_states} states, {kind}, sizes {self.schedule.sizes(4)}...)"
 
+    @property
+    def name_index(self) -> Mapping[str, int]:
+        """Every name of a state, mapped to its index: letters by position
+        for the first 26 states, then q1 .. qn, then the machine's own
+        names, which win on collision.  Built on each read, never kept."""
+        n = self.n_states
+        index = {x: q for q, x in enumerate(_LETTERS[:n])}
+        index.update((f"q{q + 1}", q) for q in range(n))
+        index.update(zip(self.state_names, range(n)))
+        return types.MappingProxyType(index)
+
     def state_index(self, state) -> int:
+        """A state's index, given as itself or as a name in `name_index`."""
         if isinstance(state, int):
             if not 0 <= state < self.n_states:
                 raise ValueError(f"state index {state} out of range")
             return state
         try:
-            return self.state_names.index(state)
-        except ValueError:
+            return self.name_index[state]
+        except (KeyError, TypeError):
             raise ValueError(
                 f"unknown state {state!r}; states are {', '.join(self.state_names)}"
             ) from None
@@ -545,8 +558,7 @@ class Automaton:
         With `inverse` set, act by the inverse transducer of this one
         without materializing it.
         """
-        factor = (self.state_index(state), -1 if inverse else 1)
-        out, (q,) = self.run_factors((factor,), word)
+        out, (q,) = self.run_factors(((state, -1 if inverse else 1),), word)
         return out, q
 
     def run_factors(

@@ -981,12 +981,11 @@ def _c_power_image(automaton: Automaton, n: int, letters: Sequence[int]) -> Word
     through x and 0 <= r < L, that exponent is q (sum over the cycle) +
     sum_{j<r} eps(sigma^j x); floor division keeps this true for negative
     k.  Every labeling must be a permutation; reversibility is not needed.
+    Callers check the machine's two states and the word.
     """
-    _require_two_states(automaton)
-    word = automaton.schedule.check_word(letters)
     out = []
     k = n
-    for i, x in enumerate(word, start=1):
+    for i, x in enumerate(letters, start=1):
         t = automaton.table_at(i)
         q = t.first_noninvertible_state()
         if q is not None:

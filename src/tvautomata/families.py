@@ -7,6 +7,8 @@ config (de)serialization entry points `build_from_config` / `config_of`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from typing import Callable, Optional, Sequence
 
@@ -289,9 +291,7 @@ def bellaterra_automaton() -> Automaton:
         ((1, 0), (0, 1), (0, 1)),
     )
     return _tagged(
-        Automaton.from_periodic_tables(
-            AlphabetSchedule.constant(2), (), (table,), state_names=("a", "b", "c")
-        ),
+        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (), (table,)),
         "bellaterra",
     )
 
@@ -336,19 +336,19 @@ def two_state_level(
     return LevelTable(transition, (tuple(alpha), tuple(beta)))
 
 
+@functools.cache
+def _admissible_binary_levels() -> tuple[tuple, ...]:
+    """`two_state_level` arguments of the 16 candidate binary levels, by
+    flip set and then labelings, that `LevelTable.failure` passes."""
+    labelings = ((0, 1), (1, 0))
+    candidates = itertools.product(((), (0, 1), (0,), (1,)), labelings, labelings)
+    return tuple(c for c in candidates if two_state_level(*c).failure is None)
+
+
 def admissible_binary_level_types() -> tuple[LevelTable, ...]:
     """All 12 two-state binary level tables compatible with
-    bi-reversibility, in a fixed order."""
-    ident, flip = (0, 1), (1, 0)
-    out = []
-    for flips in ((), (0, 1)):
-        for alpha in (ident, flip):
-            for beta in (ident, flip):
-                out.append(two_state_level(flips, alpha, beta))
-    for flips in ((0,), (1,)):
-        for common in (ident, flip):
-            out.append(two_state_level(flips, common, common))
-    return tuple(out)
+    bi-reversibility, in a fixed order, as new table objects each call."""
+    return tuple(two_state_level(*c) for c in _admissible_binary_levels())
 
 
 def random_admissible_level(rng: random.Random, size: int) -> LevelTable:

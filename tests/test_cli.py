@@ -125,6 +125,31 @@ def test_act_by_state(capsys, config):
     assert run(capsys, "act", "--config", config(Z2Z4), "--state", "a", "--input", "") == (
         0, "state a on  ->  (ends in a)\n", ""
     )
+    # Thirty states are named q1 .. q30, and only q30 moves a letter.
+    many = config(
+        {
+            "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},
+            "automaton": {
+                "explicit": {
+                    "states": 30,
+                    "prefix": [],
+                    "period": [
+                        {
+                            "transition": [[q, q] for q in range(30)],
+                            "output": [[0, 1]] * 29 + [[1, 0]],
+                        }
+                    ],
+                }
+            },
+        }
+    )
+    code, report, _ = run_json(
+        capsys, "act", "--config", many, "--state", "q30", "--input", "0"
+    )
+    assert code == 0
+    assert report["result"]["state"] == "q30"
+    assert report["result"]["output"] == [1]
+    assert run(capsys, "act", "--config", many, "--state", "q0", "--input", "0")[0] == 2
 
 
 def test_act_by_word_expression(capsys, config):

@@ -366,7 +366,29 @@ def test_state_lookup():
         bella.state_index("d")
     with pytest.raises(ValueError):
         bella.state_index(3)
+    assert list(bella.name_index) == ["a", "b", "c", "q1", "q2", "q3"]
+    with pytest.raises(TypeError):
+        bella.name_index["d"] = 0
     assert bellaterra_dual_automaton().state_names == ("d0", "d1")
+    assert bellaterra_dual_automaton().state_index("q2") == 1
+    assert z2z4_automaton().state_index("q1") == 0
+    # Past 26 states the default names are the q-names every machine
+    # answers to, so q{k} is the k-th state and q0 names none.
+    many = Automaton.from_periodic_tables(
+        AlphabetSchedule.constant(2), (), (LevelTable.identity(30, 2),)
+    )
+    assert many.state_names == tuple(f"q{k}" for k in range(1, 31))
+    assert many.state_index("q1") == 0
+    assert many.state_index("q30") == 29
+    assert many.state_index("z") == 25
+    with pytest.raises(ValueError, match="unknown state 'q0'"):
+        many.state_index("q0")
+    # A machine's own names win over letters and q-names.
+    swapped = Automaton.from_periodic_tables(
+        AlphabetSchedule.constant(2), (), (ODD,), state_names=("q2", "a")
+    )
+    assert (swapped.state_index("a"), swapped.state_index("q2")) == (1, 0)
+    assert swapped.state_index("q1") == 0
 
 
 def test_explicit_tables_must_fit_the_schedule():

@@ -1,0 +1,187 @@
+"""Refusals of malformed input across the public API: each case names
+the exception type and a fragment of its message."""
+
+import pytest
+
+from tvautomata import (
+    AlphabetSchedule,
+    Automaton,
+    GroupWord,
+    LevelTable,
+    NotInvertibleError,
+    NotMealyError,
+    ScheduleMismatchError,
+    build_from_config,
+    config_of,
+    cycle_transposition_automaton,
+    diagonal_automaton,
+    embed_on_subsequence,
+    orbit_at_level,
+    sym_diagonal_automaton,
+    two_state_level,
+    word_order_perm_a,
+    word_order_perm_b,
+    z2z4_automaton,
+)
+from tvautomata.schedule import MAX_ALPHABET_SIZE
+
+BINARY = AlphabetSchedule.constant(2)
+IDENT = (0, 1)
+
+
+def _explicit(doc):
+    return build_from_config(
+        {"schedule": BINARY.to_config(), "automaton": {"explicit": doc}}
+    )
+
+
+def _identity_rule(n_states):
+    return lambda level: LevelTable.identity(n_states, 2)
+
+
+REFUSALS = {
+    # core
+    "level table without states": (
+        lambda: LevelTable((), ()), ValueError, "at least one state"
+    ),
+    "automaton without states": (
+        lambda: Automaton(BINARY, 0, _identity_rule(0)), ValueError, "at least one state"
+    ),
+    "duplicate state names": (
+        lambda: Automaton.from_periodic_tables(
+            BINARY, (), (LevelTable.identity(2, 2),), state_names=("a", "a")
+        ),
+        ValueError,
+        "must be distinct",
+    ),
+    "fold with negative p": (
+        lambda: Automaton(BINARY, 2, _identity_rule(2), fold=(-1, 1)),
+        ValueError,
+        "p >= 0",
+    ),
+    "empty period": (
+        lambda: Automaton.from_periodic_tables(BINARY, (), ()),
+        ValueError,
+        "must be nonempty",
+    ),
+    "mixed state counts": (
+        lambda: Automaton.from_periodic_tables(
+            BINARY, (LevelTable.identity(3, 2),), (LevelTable.identity(2, 2),)
+        ),
+        ValueError,
+        "share one state count",
+    ),
+    "table at level 0": (
+        lambda: z2z4_automaton().table_at(0), ValueError, "levels start at 1"
+    ),
+    "rule table with the wrong state count": (
+        lambda: Automaton.from_rule(BINARY, 2, _identity_rule(3)).table_at(1),
+        ScheduleMismatchError,
+        "has 3 states, expected 2",
+    ),
+    "inverse of a labeling that is no permutation": (
+        lambda: Automaton.from_periodic_tables(
+            BINARY, (), (LevelTable(((0, 0),), ((0, 0),)),)
+        ).inverse(),
+        NotInvertibleError,
+        "level 1",
+    ),
+    "automaton shifted by -1": (
+        lambda: z2z4_automaton().shifted(-1), ValueError, "must be nonnegative"
+    ),
+    "automaton restricted to -1": (
+        lambda: z2z4_automaton().restricted(-1), ValueError, "must be nonnegative"
+    ),
+    "mealy table of a rule machine": (
+        lambda: cycle_transposition_automaton(AlphabetSchedule.ramp(1)).mealy_table(),
+        NotMealyError,
+        "explicit periodic tables",
+    ),
+    "embedding from level 0": (
+        lambda: embed_on_subsequence(z2z4_automaton(), BINARY, start=0),
+        ValueError,
+        "at least 1",
+    ),
+    # engine
+    "word expression with a stray symbol": (
+        lambda: GroupWord.parse("a$", ("a", "b")), ValueError, "cannot parse factor 'a$'"
+    ),
+    "orbit seed of the wrong length": (
+        lambda: orbit_at_level(z2z4_automaton(), 2, seed=(0,)),
+        ValueError,
+        "must have length 2",
+    ),
+    # families
+    "word-order a at 0": (
+        lambda: word_order_perm_a(0), ValueError, "positive integers only"
+    ),
+    "word-order b at 0": (
+        lambda: word_order_perm_b(0), ValueError, "positive integers only"
+    ),
+    "example 2 with equal marked letters": (
+        lambda: cycle_transposition_automaton(AlphabetSchedule.constant(3), x0=1, x1=1),
+        ValueError,
+        "must differ",
+    ),
+    "example 2 with a negative letter": (
+        lambda: cycle_transposition_automaton(AlphabetSchedule.constant(3), x0=-1),
+        ValueError,
+        "nonnegative",
+    ),
+    "diagonal levels with unequal labeling counts": (
+        lambda: diagonal_automaton(BINARY, [[IDENT]], [[IDENT, IDENT]]),
+        ValueError,
+        "one labeling per state",
+    ),
+    "diagonal machine without states": (
+        lambda: diagonal_automaton(BINARY, [], [[]]), ValueError, "at least one state"
+    ),
+    "gi starting at 1": (
+        lambda: sym_diagonal_automaton(start=1), ValueError, "at least 2"
+    ),
+    "gi without a list or a start": (
+        lambda: sym_diagonal_automaton(), ValueError, "index list or an arithmetic start"
+    ),
+    "two-state level with labelings of unequal length": (
+        lambda: two_state_level((), IDENT, (0,)), ValueError, "share one alphabet"
+    ),
+    "explicit config with wrong keys": (
+        lambda: _explicit({"states": 2}), ValueError, "needs exactly the keys"
+    ),
+    "explicit prefix that is not a list": (
+        lambda: _explicit({"states": 2, "prefix": {}, "period": []}),
+        ValueError,
+        "'prefix' must be a list",
+    ),
+    "explicit state-count mismatch": (
+        lambda: _explicit(
+            {"states": 3, "prefix": [], "period": [LevelTable.identity(2, 2).to_config()]}
+        ),
+        ValueError,
+        "has 2 states, config says 3",
+    ),
+    "config of an untagged rule machine": (
+        lambda: config_of(Automaton.from_rule(BINARY, 2, _identity_rule(2))),
+        ValueError,
+        "serializable",
+    ),
+    # schedule
+    "schedule shifted by -1": (
+        lambda: BINARY.shifted(-1), ValueError, "must be nonnegative"
+    ),
+    "prefix size past the budget": (
+        lambda: AlphabetSchedule.from_config(
+            {"prefix": [MAX_ALPHABET_SIZE + 1], "tail": {"kind": "constant", "value": 2}}
+        ),
+        ValueError,
+        "past the alphabet-size budget",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_malformed_input_is_refused(case):
+    make, error, fragment = REFUSALS[case]
+    with pytest.raises(error) as info:
+        make()
+    assert fragment in str(info.value)
