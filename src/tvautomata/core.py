@@ -321,14 +321,18 @@ class Automaton:
     It is given by a rule `table_fn` from levels to tables, an optional
     `fold=(p, m)` and an optional `identity_from`.  The fold says that
     every level past p repeats the level m below it; it must line up
-    with the schedule's own prefix and period.  A folded machine samples
-    its rule once, at levels 1 .. p + m, into one tuple indexed by level,
-    and then drops the rule; a deeper level reads the entry of its phase,
-    and `periodic_tables` is a (prefix, period) view of that tuple.  From
-    `identity_from` on every state acts trivially and the rule is not
-    consulted.  That tuple is the only table store a machine keeps: an
-    identity-tail table past it, and every table of a machine without a
-    fold, is built each time it is asked for, and a query that reads a
+    with the schedule's own prefix and period.  A folded machine keeps
+    one tuple of its tables at levels 0 .. p + m (None at 0), and every
+    table in it passes one check, against the state count and the
+    schedule's alphabet size at its level.  `from_periodic_tables` hands
+    its explicit tables to that check as they are; a rule with a fold is
+    sampled once, at levels 1 .. p + m, into the tuple and then dropped.
+    A deeper level reads the entry of its phase, and `periodic_tables`
+    is a (prefix, period) view of the tuple.  From `identity_from` on
+    every state acts trivially and the rule is not consulted.  The tuple
+    is the only table store a machine keeps: an identity-tail table past
+    it, and every table of a machine without a fold, is built each time
+    it is asked for and passes the same check, and a query that reads a
     level more than once keeps the table itself.  Levels are 1-based.
 
     A phase is a class of levels that share one table and one alphabet
@@ -365,19 +369,18 @@ class Automaton:
             raise ValueError("need at least one state")
         self.schedule = schedule
         self.n_states = n_states
-        self.state_names = (
-            tuple(state_names) if state_names is not None else _default_names(n_states)
-        )
-        if len(self.state_names) != n_states or len(set(self.state_names)) != n_states:
-            raise ValueError("state names must be distinct, one per state")
+        if state_names is None:
+            self.state_names = _default_names(n_states)
+        else:
+            self.state_names = tuple(state_names)
+            if len(self.state_names) != n_states or len(set(self.state_names)) != n_states:
+                raise ValueError("state names must be distinct, one per state")
         self._table_fn: Optional[Callable[[int], LevelTable]] = table_fn
         self.fold = fold
         self.exact_bireversible = exact_bireversible
         self.identity_from = identity_from
         # A builtin's (family id, params), set only by `families`.
         self.family: Optional[tuple[str, dict]] = None
-        # A fold's tables at levels 0 .. p + m (None at 0); the one table
-        # store a machine keeps.
         self._tables: Optional[tuple[Optional[LevelTable], ...]] = None
         if fold is None:
             return
@@ -389,9 +392,35 @@ class Automaton:
                 f"fold {fold} does not line up with the schedule "
                 f"{schedule.to_config()}"
             )
-        # Sampled while no tuple is set, so each level reads the rule.
-        self._tables = (None,) + tuple(map(self._phase_table, range(1, p + m + 1)))
+        # From `identity_from` on the rule is not consulted.
+        live = p + m + 1 if identity_from is None else identity_from
+        tables = tuple(
+            table_fn(i) if i < live else LevelTable.identity(n_states, schedule.size_at(i))
+            for i in range(1, p + m + 1)
+        )
+        self._check(1, tables)
+        # A fold's tables at levels 0 .. p + m (None at 0); the one table
+        # store a machine keeps.
+        self._tables = (None,) + tables
         self._table_fn = None
+
+    def _check(self, first: int, tables: Sequence[LevelTable]) -> None:
+        """Refuse the tables at levels `first`, `first` + 1, ... unless
+        each has this machine's state count and the schedule's alphabet
+        size at its level."""
+        n, size_at = self.n_states, self.schedule.size_at
+        for level, table in enumerate(tables, first):
+            rows = table.transition
+            if len(rows) != n:
+                raise ScheduleMismatchError(
+                    f"table at level {level} has {len(rows)} states, expected {n}"
+                )
+            size = size_at(level)
+            if len(rows[0]) != size:
+                raise ScheduleMismatchError(
+                    f"table at level {level} has alphabet size {len(rows[0])}, "
+                    f"schedule says {size}"
+                )
 
     @staticmethod
     def from_periodic_tables(
@@ -406,7 +435,9 @@ class Automaton:
         The table block is aligned with the schedule by unrolling both to
         a common prefix length and to the least common multiple of the
         two period lengths.  Ramp schedules are rejected since no finite
-        table block can match ever-growing alphabets.
+        table block can match ever-growing alphabets.  The unrolled
+        tables are kept as they are, after the check every table of a
+        machine passes.
         """
         prefix = tuple(prefix)
         period = tuple(period)
@@ -417,20 +448,20 @@ class Automaton:
             )
         if not period:
             raise ValueError("periodic table block must be nonempty")
-        n = period[0].n_states
-        if any(t.n_states != n for t in prefix + period):
-            raise ValueError("all level tables must share one state count")
-        # The rule is sampled only at levels 1 .. p + m, so it is a lookup
-        # in one tuple of those levels' tables, indexed from 1.
-        p, m = fold
-        levels = (None,) + prefix + period * -(-(p + m - len(prefix)) // len(period))
-        return Automaton(
-            schedule,
-            n,
-            levels.__getitem__,
-            state_names=state_names,
-            fold=fold,
-        )
+        n = len(period[0].transition)
+        for t in prefix + period:
+            if len(t.transition) != n:
+                raise ValueError("all level tables must share one state count")
+        # A machine without a rule takes its fold and the fold's tables,
+        # levels 1 .. p + m: the prefix, then the block unrolled, cut
+        # where a schedule prefix longer than the table prefix ends it.
+        machine = Automaton(schedule, n, None, state_names=state_names)
+        machine.fold = fold
+        last = sum(fold)
+        tables = (prefix + period * -(-(last - len(prefix)) // len(period)))[:last]
+        machine._check(1, tables)
+        machine._tables = (None,) + tables
+        return machine
 
     @staticmethod
     def from_rule(
@@ -463,13 +494,16 @@ class Automaton:
 
     @property
     def name_index(self) -> Mapping[str, int]:
-        """Every name of a state, mapped to its index: letters by position
-        for the first 26 states, then q1 .. qn, then the machine's own
-        names, which win on collision.  Built on each read, never kept."""
+        """Every name of a state, mapped to its index: the machine's own
+        names first, then letters by position for the first 26 states,
+        then q1 .. qn, none of which overrides an own name.  Built on
+        each read, never kept."""
         n = self.n_states
-        index = {x: q for q, x in enumerate(_LETTERS[:n])}
-        index.update((f"q{q + 1}", q) for q in range(n))
-        index.update(zip(self.state_names, range(n)))
+        index = dict(zip(self.state_names, range(n)))
+        for q, x in enumerate(_LETTERS[:n]):
+            index.setdefault(x, q)
+        for q in range(n):
+            index.setdefault(f"q{q + 1}", q)
         return types.MappingProxyType(index)
 
     def state_index(self, state) -> int:
@@ -507,25 +541,14 @@ class Automaton:
     def _phase_table(self, level: int) -> LevelTable:
         """The table of `level`'s phase: a fresh identity table in the
         trivial tail, a fold's entry, or else the rule's table, checked
-        against the state count and the schedule and not kept."""
+        and not kept."""
         phase = self.phase(level)
         if phase == 0:
             return LevelTable.identity(self.n_states, self.schedule.size_at(level))
         if self._tables is not None:
             return self._tables[phase]
         table = self._table_fn(phase)
-        if table.n_states != self.n_states:
-            raise ScheduleMismatchError(
-                f"table at level {phase} has {table.n_states} states, "
-                f"expected {self.n_states}"
-            )
-        # A level shares its phase's sizes (the fold lines up with the
-        # schedule), so only tables the rule produces are checked.
-        if table.alphabet_size != self.schedule.size_at(phase):
-            raise ScheduleMismatchError(
-                f"table at level {phase} has alphabet size {table.alphabet_size}, "
-                f"schedule says {self.schedule.size_at(phase)}"
-            )
+        self._check(phase, (table,))
         return table
 
     # -- phases ---------------------------------------------------------

@@ -121,7 +121,9 @@ class GroupWord:
         the identity, and so is a lone 'e' or 'id' that names no state.
 
         `names` lists the state names by index, or maps every accepted
-        name to its state index.
+        name to its state index.  An unknown name is refused with the
+        state names listed by index, a state's name being the first in
+        `names` that maps to it.
         """
         index = (
             names
@@ -140,8 +142,12 @@ class GroupWord:
                 raise ValueError(f"cannot parse factor {tok!r}")
             name, exp = m.group(1), int(m.group(2) or 1)
             if name not in index:
+                first = {}
+                for known, q in index.items():
+                    first.setdefault(q, known)
                 raise ValueError(
-                    f"unknown state {name!r}; states are {', '.join(index)}"
+                    f"unknown state {name!r}; states are "
+                    f"{', '.join(first[q] for q in sorted(first))}"
                 )
             if powers and powers[-1][0] == index[name]:
                 powers[-1][1] += exp
@@ -177,6 +183,17 @@ def _free_reduction(factors: Iterable[tuple[int, int]]) -> tuple[tuple[int, int]
 def apply_word(automaton: Automaton, word: GroupWord, letters: Sequence[int]) -> Word:
     """Act on a tree word by each factor in turn, rightmost first."""
     return automaton.run_factors(word.factors, letters)[0]
+
+
+def _over_tables(automaton: Automaton, tables: Iterable[LevelTable]) -> Automaton:
+    """`automaton` for words no longer than `tables`, its tables at
+    levels 1, 2, ... that a query has already read.  A folded machine
+    keeps its tables and is itself; any other machine would ask its rule
+    again on every read, so it is a rule over the tables read."""
+    if automaton.fold is not None:
+        return automaton
+    held = (None, *tables)
+    return Automaton.from_rule(automaton.schedule, automaton.n_states, held.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +294,14 @@ class _Context:
         automaton = self.automaton
         out = self.walk[phase] = (automaton.table_at(phase), automaton.phase(phase + 1))
         return out
+
+    def walked(self, count: int) -> Iterator[LevelTable]:
+        """The tables of levels 1 .. `count` along the walk, none of them
+        in the trivial tail."""
+        phase = self.start
+        for _ in range(count):
+            t, phase = self.walk.get(phase) or self.step(phase)
+            yield t
 
     def mk(self, root: tuple[int, ...], kids: tuple[int, ...]) -> int:
         key = (root, kids)
@@ -522,7 +547,8 @@ def _mismatch_witness(
     # up to the first letter it moves, on the tables of the context's
     # walk, which the search has already read.  With two, h^-1 moves it
     # to a word w, and `apply_word` checks that g and h send w apart,
-    # each word acting whole as it does everywhere else.
+    # each word acting whole as it does everywhere else, on the tables of
+    # the walk.
     if h is None:
         phase = ctx.start
         for level, x in enumerate(raw, start=1):
@@ -531,7 +557,7 @@ def _mismatch_witness(
             if y != x:
                 return raw
     else:
-        automaton = ctx.automaton
+        automaton = _over_tables(ctx.automaton, ctx.walked(len(raw)))
         w = apply_word(automaton, h.inverse(), raw)
         if apply_word(automaton, g, w) != apply_word(automaton, h, w):
             return w
@@ -1033,6 +1059,7 @@ class _SteeringLevel:
     partner: int           # image of the marked letter under both labelings
     swap: tuple[int, ...]
     cycle: list[int]       # c's root cycle from the marked letter on
+    table: LevelTable      # the level's table, read once
 
 
 def _steering_level(automaton: Automaton, level: int) -> _SteeringLevel:
@@ -1055,7 +1082,7 @@ def _steering_level(automaton: Automaton, level: int) -> _SteeringLevel:
         raise SteeringError(
             f"level {level}: first labeling must cycle all letters, marked to partner"
         )
-    return _SteeringLevel(d, partner, swap, _c_cycle(t, marked)[0])
+    return _SteeringLevel(d, partner, swap, _c_cycle(t, marked)[0], t)
 
 
 @dataclass(frozen=True)
@@ -1133,7 +1160,9 @@ def steer_to_word(automaton: Automaton, target: Sequence[int]) -> SteeringResult
         else:
             sign = -sign
     n1 = crt_solve(congruences)
-    # Verify c^n1 b^-1 c^n0 b factor by factor, the powers positionally.
+    # Verify c^n1 b^-1 c^n0 b factor by factor, the powers positionally,
+    # on the tables the levels were read from.
+    automaton = _over_tables(automaton, (lv.table for lv in levels))
     image = automaton.run(1, base)[0]
     image = _c_power_image(automaton, n0, image)
     image = automaton.run(1, image, inverse=True)[0]

@@ -57,6 +57,22 @@ RANDOM22 = {
     "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},
     "automaton": {"builtin": "random_bir22", "params": {"period_len": 2}},
 }
+# Thirty states are named q1 .. q30, and only q30 moves a letter.
+THIRTY = {
+    "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},
+    "automaton": {
+        "explicit": {
+            "states": 30,
+            "prefix": [],
+            "period": [
+                {
+                    "transition": [[q, q] for q in range(30)],
+                    "output": [[0, 1]] * 29 + [[1, 0]],
+                }
+            ],
+        }
+    },
+}
 
 
 @pytest.fixture
@@ -125,24 +141,7 @@ def test_act_by_state(capsys, config):
     assert run(capsys, "act", "--config", config(Z2Z4), "--state", "a", "--input", "") == (
         0, "state a on  ->  (ends in a)\n", ""
     )
-    # Thirty states are named q1 .. q30, and only q30 moves a letter.
-    many = config(
-        {
-            "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},
-            "automaton": {
-                "explicit": {
-                    "states": 30,
-                    "prefix": [],
-                    "period": [
-                        {
-                            "transition": [[q, q] for q in range(30)],
-                            "output": [[0, 1]] * 29 + [[1, 0]],
-                        }
-                    ],
-                }
-            },
-        }
-    )
+    many = config(THIRTY)
     code, report, _ = run_json(
         capsys, "act", "--config", many, "--state", "q30", "--input", "0"
     )
@@ -150,6 +149,16 @@ def test_act_by_state(capsys, config):
     assert report["result"]["state"] == "q30"
     assert report["result"]["output"] == [1]
     assert run(capsys, "act", "--config", many, "--state", "q0", "--input", "0")[0] == 2
+
+
+def test_an_unknown_name_lists_the_state_names_on_both_act_paths(capsys, config):
+    thirty = ", ".join(f"q{k}" for k in range(1, 31))
+    for doc, names in ((Z2Z4, "a, b"), (THIRTY, thirty)):
+        path = config(doc)
+        for flag, name in (("--state", "xx"), ("--word-expr", "zz")):
+            assert run(capsys, "act", "--config", path, flag, name, "--input", "0") == (
+                2, "", f"error: unknown state {name!r}; states are {names}\n"
+            )
 
 
 def test_act_by_word_expression(capsys, config):

@@ -25,6 +25,7 @@ from tvautomata import (
     diagonal_automaton,
     embed_on_subsequence,
     lamplighter_automaton,
+    random_admissible_level,
     random_bireversible_automaton,
     sym_diagonal_automaton,
     word_order_automaton,
@@ -453,6 +454,56 @@ def test_explicit_tables_are_read_level_by_level_from_one_tuple():
     other = Automaton.from_periodic_tables(schedule, (), (ODD,))
     assert not hasattr(machine, "__dict__")
     assert machine.state_names is other.state_names == ("a", "b")
+
+
+def _random_fold(rng):
+    """A constant or periodic schedule with 0-2 prefix tables and 1-3
+    period tables that line up with it: the 12 binary types, or random
+    admissible levels of sizes 2-4."""
+    p, m = rng.randrange(3), rng.randrange(1, 4)
+    binary = rng.random() < 0.5
+    if binary:
+        # Every size is 2, so the size block and the schedule prefix may
+        # have any length, and the fold may grow past (p, m).
+        types = admissible_binary_level_types()
+        block, prefix_sizes = (2,) * rng.randint(1, 3), (2,) * rng.randrange(4)
+    else:
+        # The size block's length divides m and the schedule prefix is no
+        # longer than p, so each period table meets one size.
+        length = rng.choice([k for k in (1, 2, 3) if m % k == 0])
+        block = tuple(rng.randint(2, 4) for _ in range(length))
+        prefix_sizes = tuple(rng.randint(2, 4) for _ in range(rng.randrange(p + 1)))
+    if len(block) == 1 and rng.random() < 0.5:
+        schedule = AlphabetSchedule.constant(block[0], prefix_sizes)
+    else:
+        schedule = AlphabetSchedule.periodic(block, prefix_sizes)
+    tables = [
+        rng.choice(types) if binary else random_admissible_level(rng, schedule.size_at(i))
+        for i in range(1, p + m + 1)
+    ]
+    return schedule, tuple(tables[:p]), tuple(tables[p:])
+
+
+def test_explicit_tables_and_a_rule_over_them_make_the_same_machine():
+    rng = random.Random(19)
+    for _ in range(240):
+        schedule, prefix, period = _random_fold(rng)
+        p, m = len(prefix), len(period)
+
+        def rule(i):
+            return prefix[i - 1] if i <= p else period[(i - p - 1) % m]
+
+        explicit = Automaton.from_periodic_tables(schedule, prefix, period)
+        sampled = Automaton(schedule, 2, rule, fold=schedule.aligned_fold(p, m))
+        assert explicit.fold == sampled.fold
+        (ep, eq), (sp, sq) = explicit.periodic_tables, sampled.periodic_tables
+        assert len(ep + eq) == len(sp + sq) == sum(explicit.fold)
+        assert all(x is y for x, y in zip(ep + eq, sp + sq))
+        assert (ep, eq) == (sp, sq)
+        assert explicit.state_names == sampled.state_names
+        for level in range(1, 2 * sum(explicit.fold) + 1):
+            assert explicit.table_at(level) is sampled.table_at(level)
+        assert explicit.bireversibility() == sampled.bireversibility()
 
 
 def test_a_folded_rule_is_never_sampled_past_its_fold():

@@ -36,6 +36,7 @@ from tvautomata import (
     ratio_power_image,
     reduced_words,
     relation_search,
+    steer_to_word,
     subsequence_embedding_automaton,
     sym_diagonal_automaton,
     torsion_exponent_bound,
@@ -666,10 +667,10 @@ def test_a_state_failing_at_a_repeated_phase_names_the_level_reached():
     assert (err.value.level, err.value.state) == (4, 1)
 
 
-def _counting_example2():
-    """Example 2 over ramp(1) as a rule machine that logs each level its
-    rule is asked for."""
-    inner = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
+def _counting_example2(offset=1):
+    """Example 2 over ramp(offset) as a rule machine that logs each level
+    its rule is asked for."""
+    inner = cycle_transposition_automaton(AlphabetSchedule.ramp(offset))
     calls = []
 
     def rule(level):
@@ -855,6 +856,19 @@ def test_the_two_state_calculus_reads_a_level_once():
         labeling_twist(m, level)
         letter_partition(m, level)
     assert calls == [1, 1, 2, 2, 3, 3]
+
+
+def test_steering_and_the_two_word_witness_read_each_level_once():
+    # Their checks act on the tables already read, not on the rule.
+    m, calls = _counting_example2(offset=2)
+    res = steer_to_word(m, (2, 3))
+    assert (res.n0, res.n1) == (1, 4)
+    assert calls == [1, 2]
+    aba, bab = A * B * A, B * A * B
+    for g, h in ((aba, bab), (aba * bab.inverse(), None)):
+        m, calls = _counting_example2()
+        v = decide_equal(m, g, h, budget=Budget(max_depth=10))
+        assert (v.status, v.witness, calls) == ("not_equal", (1, 1) if h else (0, 0), [1, 2])
 
 
 def test_ratio_powers_match_word_application():

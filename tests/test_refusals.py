@@ -71,6 +71,20 @@ REFUSALS = {
         ValueError,
         "share one state count",
     ),
+    "state names of the wrong length": (
+        lambda: Automaton.from_periodic_tables(
+            BINARY, (), (LevelTable.identity(2, 2),), state_names=("a",)
+        ),
+        ValueError,
+        "one per state",
+    ),
+    "explicit table with the wrong alphabet size": (
+        lambda: Automaton.from_periodic_tables(
+            AlphabetSchedule.periodic((2, 3)), (), (LevelTable.identity(2, 2),)
+        ),
+        ScheduleMismatchError,
+        "table at level 2 has alphabet size 2, schedule says 3",
+    ),
     "table at level 0": (
         lambda: z2z4_automaton().table_at(0), ValueError, "levels start at 1"
     ),
