@@ -233,18 +233,6 @@ class EqualityVerdict:
     exhausted_depth: Optional[int] = None
 
 
-def _test_word(
-    g: GroupWord, h: Optional[GroupWord]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """States and signs of the test word: g itself when h is None, else
-    g h^-1 reduced exactly as `g * h.inverse()` reduces it."""
-    if h is None:
-        return g._states_signs
-    return GroupWord(
-        g.factors + tuple([(q, -s) for q, s in reversed(h.factors)])
-    )._states_signs
-
-
 def _path(node: tuple) -> Word:
     """Letters from the root down to a search node (states, parent, letter)."""
     letters = []
@@ -432,17 +420,27 @@ def decide_equal(
     whatever its prefix: the verdict, the node count it adds and the
     letters from an entering node down to the first mismatch.
 
-    A "not_equal" verdict carries a shortest mismatch witness w found by
-    the search, already transformed so that g(w) differs from h(w).  It
-    is checked before it is returned, by acting with h^-1, g and h through
-    `apply_word`; one that fails raises VerificationFailedError.  A state
-    index past the machine's states in g or h raises ValueError before
-    the search starts, even where it cancels in g h^-1.
+    A "not_equal" verdict carries a mismatch witness.  The search finds a
+    shortest word that g h^-1 moves and checks it level by level.  With
+    two words, that word is then moved through h^-1 to a witness w, and
+    acting with g and h through `apply_word` checks that g(w) differs
+    from h(w).  A witness that fails either check raises
+    VerificationFailedError.  A state index past the machine's states in
+    g or h raises ValueError before the search starts, even where it
+    cancels in g h^-1.
     """
     _check_states(automaton, g, h)
-    return EqualityVerdict(
-        *_search(_Context(automaton), g, h, budget or _DEFAULT_BUDGET)
-    )
+    ctx = _Context(automaton)
+    word = g if h is None else g * h.inverse()
+    outcome = _search(ctx, word, budget or _DEFAULT_BUDGET)
+    if h is not None and outcome[0] == "not_equal":
+        raw = outcome[1]
+        automaton = _over_tables(automaton, ctx.walked(len(raw)))
+        w = apply_word(automaton, h.inverse(), raw)
+        if apply_word(automaton, g, w) == apply_word(automaton, h, w):
+            raise VerificationFailedError("mismatch witness failed its check")
+        outcome = (outcome[0], w, *outcome[2:])
+    return EqualityVerdict(*outcome)
 
 
 def _check_states(automaton: Automaton, *words: Optional[GroupWord]) -> None:
@@ -452,12 +450,12 @@ def _check_states(automaton: Automaton, *words: Optional[GroupWord]) -> None:
             automaton.state_index(max(word.factors)[0])
 
 
-def _search(
-    ctx: _Context, g: GroupWord, h: Optional[GroupWord], budget: Budget
-) -> _Outcome:
-    """The search `decide_equal` describes, on one machine's context.
-    Callers check the words' states against the machine first."""
-    states, signs = _test_word(g, h)
+def _search(ctx: _Context, word: GroupWord, budget: Budget) -> _Outcome:
+    """The search `decide_equal` describes, for whether one test word acts
+    trivially, on one machine's context.  A "not_equal" outcome carries
+    the word's own checked witness.  Callers check the word's states
+    against the machine first."""
+    states, signs = word._states_signs
     if not states:
         return _TRIVIAL_WORD
     finite, entry, walk = ctx.finite, ctx.entry, ctx.walk
@@ -489,7 +487,7 @@ def _search(
                 if len(outcome) == 1:
                     break
                 raw = _path(layer[outcome[1]]) + outcome[2]
-                witness = _mismatch_witness(ctx, g, h, states, signs, raw)
+                witness = _mismatch_witness(ctx, states, signs, raw)
                 return ("not_equal", witness, "periodic_bfs", explored, None)
             closure = (memo, key, explored, layer)
         found = found_at.get(next_phase)
@@ -522,7 +520,7 @@ def _search(
                     for _ in range(len(raw) - 1 - p):
                         node = node[1]
                     memo[key] = (explored - before, entering.index(node), raw[p:])
-                witness = _mismatch_witness(ctx, g, h, states, signs, raw)
+                witness = _mismatch_witness(ctx, states, signs, raw)
                 method = "periodic_bfs" if finite else "depth_bounded"
                 return ("not_equal", witness, method, explored, None)
         layer, phase, level = next_layer, next_phase, level + 1
@@ -535,32 +533,18 @@ def _search(
 
 
 def _mismatch_witness(
-    ctx: _Context,
-    g: GroupWord,
-    h: Optional[GroupWord],
-    states: tuple[int, ...],
-    signs: tuple[int, ...],
-    raw: Word,
+    ctx: _Context, states: tuple[int, ...], signs: tuple[int, ...], raw: Word
 ) -> Word:
-    # `raw` tells the test word (states, signs) from the identity.  With
-    # one word that is checked level by level through `LevelTable.step`,
-    # up to the first letter it moves, on the tables of the context's
-    # walk, which the search has already read.  With two, h^-1 moves it
-    # to a word w, and `apply_word` checks that g and h send w apart,
-    # each word acting whole as it does everywhere else, on the tables of
-    # the walk.
-    if h is None:
-        phase = ctx.start
-        for level, x in enumerate(raw, start=1):
-            t, phase = ctx.walk.get(phase) or ctx.step(phase)
-            y, states = t.step(states, signs, x, level)
-            if y != x:
-                return raw
-    else:
-        automaton = _over_tables(ctx.automaton, ctx.walked(len(raw)))
-        w = apply_word(automaton, h.inverse(), raw)
-        if apply_word(automaton, g, w) != apply_word(automaton, h, w):
-            return w
+    """`raw`, once checked to tell the test word (states, signs) from the
+    identity: stepped level by level through `LevelTable.step`, up to the
+    first letter it moves, on the tables of the context's walk, which the
+    search has already read."""
+    phase = ctx.start
+    for level, x in enumerate(raw, start=1):
+        t, phase = ctx.walk.get(phase) or ctx.step(phase)
+        y, states = t.step(states, signs, x, level)
+        if y != x:
+            return raw
     raise VerificationFailedError("mismatch witness failed its check")
 
 
@@ -571,11 +555,13 @@ def element_order(
     max_order: int = 64,
     budget: Optional[Budget] = None,
 ) -> Optional[int]:
-    """Smallest n >= 1 with g^n trivial, or None if not established."""
+    """Smallest n >= 1 with g^n trivial, or None if not established.
+    A `max_order` below 1 raises ValueError."""
+    _check_count(max_order, "max order")
     _check_states(automaton, g)
     ctx, budget = _Context(automaton), budget or _DEFAULT_BUDGET
     for n in range(1, max_order + 1):
-        status = _search(ctx, g**n, None, budget)[0]
+        status = _search(ctx, g**n, budget)[0]
         if status == "equal":
             return n
         if status == "unknown":
@@ -664,7 +650,7 @@ def relation_search(
     result = RelationSearchResult([], [], 0)
     for word in reduced_words(automaton.n_states, max_len):
         result.checked += 1
-        status = _search(ctx, word, None, budget)[0]
+        status = _search(ctx, word, budget)[0]
         if status == "equal":
             result.equal.append(word)
         elif status == "unknown":
@@ -967,9 +953,15 @@ def ratio_power_image(
     With c = (first state)(second state)^-1, the ratio is a^-1 c^-1 a, so
     its n-th power is a^-1 c^-n a: the word is fed through the first
     state, moved by c^-n as `_c_power_image` does, and fed back through
-    the first state undone.  Every labeling must be a permutation.
+    the first state undone.  The word is checked first, and each level's
+    table is read once for all three.  Every labeling must be a
+    permutation.
     """
     _require_two_states(automaton)
+    letters = automaton.schedule.check_word(letters)
+    automaton = _over_tables(
+        automaton, (automaton.table_at(i) for i in range(1, len(letters) + 1))
+    )
     image = automaton.run(0, letters)[0]
     image = _c_power_image(automaton, -n, image)
     return automaton.run(0, image, inverse=True)[0]
@@ -1236,11 +1228,9 @@ def classify_two_state_binary(automaton: Automaton) -> GroupKind:
 
     ctx = _Context(automaton)
 
+    # The machine has finitely many phases, so no query answers "unknown".
     def trivial(word: GroupWord) -> bool:
-        status = _search(ctx, word, None, _DEFAULT_BUDGET)[0]
-        if status == "unknown":
-            raise UndecidableRepresentationError("equality query did not close")
-        return status == "equal"
+        return _search(ctx, word, _DEFAULT_BUDGET)[0] == "equal"
 
     # The three relations every such machine satisfies (ab = ba,
     # a^2 = b^2, a^4 = e); a failure here means the preconditions were

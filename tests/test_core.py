@@ -25,6 +25,7 @@ from tvautomata import (
     diagonal_automaton,
     embed_on_subsequence,
     lamplighter_automaton,
+    level_groups,
     random_admissible_level,
     random_bireversible_automaton,
     sym_diagonal_automaton,
@@ -302,6 +303,21 @@ def test_restriction_to_depth_zero_is_trivial():
 def test_restriction_preserves_bireversibility():
     verdict = z2z4_automaton().restricted(3).bireversibility()
     assert verdict.holds and verdict.exact
+
+
+def test_restriction_past_an_identity_tail_keeps_the_tail():
+    z = z4_automaton()
+    cut = z.restricted(5)
+    assert (cut.identity_from, cut.fold) == (3, (5, 1))
+    assert tables_equal(cut, z, 8)
+    orders = [lg.order for lg in level_groups(z, 6)]
+    assert [lg.order for lg in level_groups(cut, 6)] == orders
+
+
+def test_machines_show_their_kind_and_first_sizes():
+    assert repr(z4_automaton()) == "Automaton(2 states, periodic, sizes (2, 2, 2, 2)...)"
+    ramp = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
+    assert repr(ramp) == "Automaton(2 states, rule, sizes (2, 3, 4, 5)...)"
 
 
 def test_restriction_over_a_growing_schedule():

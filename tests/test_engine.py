@@ -856,6 +856,13 @@ def test_the_two_state_calculus_reads_a_level_once():
         labeling_twist(m, level)
         letter_partition(m, level)
     assert calls == [1, 1, 2, 2, 3, 3]
+    # a, then c^-n, then a undone, all on the tables of levels 1 .. 3.
+    m, calls = _counting_example2()
+    c = A.inverse() * B
+    assert ratio_power_image(m, 3, (0, 1, 2)) == apply_word(
+        cycle_transposition_automaton(AlphabetSchedule.ramp(1)), c**3, (0, 1, 2)
+    )
+    assert calls == [1, 2, 3]
 
 
 def test_steering_and_the_two_word_witness_read_each_level_once():

@@ -15,10 +15,12 @@ from tvautomata import (
     config_of,
     cycle_transposition_automaton,
     diagonal_automaton,
+    element_order,
     embed_on_subsequence,
     orbit_at_level,
     sym_diagonal_automaton,
     two_state_level,
+    word_order_automaton,
     word_order_perm_a,
     word_order_perm_b,
     z2z4_automaton,
@@ -116,7 +118,24 @@ REFUSALS = {
         ValueError,
         "at least 1",
     ),
+    "embedding that fails past the eager check": (
+        lambda: embed_on_subsequence(
+            word_order_automaton(AlphabetSchedule.constant(3, prefix=[2] * 64)), BINARY
+        ),
+        ScheduleMismatchError,
+        "inner level 65 does not match host level 65",
+    ),
     # engine
+    "element order up to 0": (
+        lambda: element_order(z2z4_automaton(), GroupWord.generator(0), max_order=0),
+        ValueError,
+        "max order must be at least 1, got 0",
+    ),
+    "element order up to -3": (
+        lambda: element_order(z2z4_automaton(), GroupWord.generator(0), max_order=-3),
+        ValueError,
+        "max order must be at least 1, got -3",
+    ),
     "word expression with a stray symbol": (
         lambda: GroupWord.parse("a$", ("a", "b")), ValueError, "cannot parse factor 'a$'"
     ),
@@ -155,6 +174,16 @@ REFUSALS = {
     ),
     "gi without a list or a start": (
         lambda: sym_diagonal_automaton(), ValueError, "index list or an arithmetic start"
+    ),
+    "gi config with a non-integer index": (
+        lambda: build_from_config(
+            {
+                "schedule": BINARY.to_config(),
+                "automaton": {"builtin": "gi", "params": {"indices": [2, "3"]}},
+            }
+        ),
+        ValueError,
+        "parameter 'indices' must be a list of integers",
     ),
     "two-state level with labelings of unequal length": (
         lambda: two_state_level((), IDENT, (0,)), ValueError, "share one alphabet"

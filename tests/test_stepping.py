@@ -11,9 +11,11 @@ from tvautomata import (  # noqa: E402
     GroupWord,
     LevelTable,
     apply_word,
+    bellaterra_automaton,
     cycle_transposition_automaton,
+    decide_equal,
 )
-from tvautomata.engine import _c_power_image, _test_word  # noqa: E402
+from tvautomata.engine import _c_power_image  # noqa: E402
 
 
 def _reference_image(automaton, factors, word):
@@ -114,7 +116,7 @@ def test_positional_powers_of_c_match_the_expanded_word(automaton, n, data):
 
 
 def _made(build):
-    """What a word construction returns, or the type and text it raises."""
+    """What a call returns, or the type and text of the ValueError it raises."""
     try:
         return build()
     except ValueError as exc:
@@ -130,12 +132,16 @@ _raw_factors = st.lists(
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(_raw_factors, st.one_of(st.none(), _raw_factors))
 def test_the_search_word_is_the_product_with_the_inverse(g, h):
-    def words():
-        return GroupWord(g), None if h is None else GroupWord(h)
-
-    def product():
-        left, right = words()
-        e = left if right is None else left * right.inverse()
-        return tuple(q for q, _ in e.factors), tuple(s for _, s in e.factors)
-
-    assert _made(lambda: _test_word(*words())) == _made(product)
+    # Three states and a fold: every drawn state is in range and every
+    # search is exact.
+    m = bellaterra_automaton()
+    two = _made(lambda: decide_equal(m, GroupWord(g), None if h is None else GroupWord(h)))
+    one = _made(lambda: decide_equal(m, GroupWord(g) * GroupWord(h or ()).inverse()))
+    if isinstance(two, tuple):
+        assert two == one
+        return
+    assert (two.status, two.method, two.explored) == (one.status, one.method, one.explored)
+    if two.status == "not_equal":
+        w, left, right = two.witness, GroupWord(g), GroupWord(h or ())
+        assert apply_word(m, right, w) == one.witness
+        assert apply_word(m, left, w) != apply_word(m, right, w)
