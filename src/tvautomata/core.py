@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import types
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import perms
 from .errors import (
@@ -287,6 +287,22 @@ class LevelTable:
             return tuple(tuple(r) for r in obj)
 
         return LevelTable(rows(doc["transition"], "transition"), rows(doc["output"], "output"))
+
+
+def _act(
+    tables: Iterable[LevelTable], factors: Sequence[tuple[int, int]], word: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Feed a word through a composite of (state, sign) factors, the
+    rightmost applied first, on the tables of levels 1, 2, ... given one
+    per letter; return (output word, end states).  Callers check the
+    word's letters and the factors' states."""
+    states = tuple(q for q, _ in factors)
+    signs = tuple(s for _, s in factors)
+    out = []
+    for level, (t, x) in enumerate(zip(tables, word, strict=True), start=1):
+        y, states = t.step(states, signs, x, level)
+        out.append(y)
+    return tuple(out), states
 
 
 @dataclass(frozen=True)
@@ -593,13 +609,8 @@ class Automaton:
         The word is stepped letter by letter through all factors at once.
         """
         word = self.schedule.check_word(word)
-        states = tuple(self.state_index(q) for q, _ in factors)
-        signs = tuple(s for _, s in factors)
-        out = []
-        for i, x in enumerate(word, start=1):
-            y, states = self.table_at(i).step(states, signs, x, i)
-            out.append(y)
-        return tuple(out), states
+        factors = [(self.state_index(q), s) for q, s in factors]
+        return _act(map(self.table_at, range(1, len(word) + 1)), factors, word)
 
     # -- level predicates ----------------------------------------------
 

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import perms
-from .core import Automaton, LevelTable, _check_count
+from .core import Automaton, LevelTable, _act, _check_count
 from .errors import (
     BudgetExceededError,
     NonCoprimeModuliError,
@@ -183,17 +183,6 @@ def _free_reduction(factors: Iterable[tuple[int, int]]) -> tuple[tuple[int, int]
 def apply_word(automaton: Automaton, word: GroupWord, letters: Sequence[int]) -> Word:
     """Act on a tree word by each factor in turn, rightmost first."""
     return automaton.run_factors(word.factors, letters)[0]
-
-
-def _over_tables(automaton: Automaton, tables: Iterable[LevelTable]) -> Automaton:
-    """`automaton` for words no longer than `tables`, its tables at
-    levels 1, 2, ... that a query has already read.  A folded machine
-    keeps its tables and is itself; any other machine would ask its rule
-    again on every read, so it is a rule over the tables read."""
-    if automaton.fold is not None:
-        return automaton
-    held = (None, *tables)
-    return Automaton.from_rule(automaton.schedule, automaton.n_states, held.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +412,8 @@ def decide_equal(
     A "not_equal" verdict carries a mismatch witness.  The search finds a
     shortest word that g h^-1 moves and checks it level by level.  With
     two words, that word is then moved through h^-1 to a witness w, and
-    acting with g and h through `apply_word` checks that g(w) differs
-    from h(w).  A witness that fails either check raises
+    acting with g and h on the tables the search read checks that g(w)
+    differs from h(w).  A witness that fails either check raises
     VerificationFailedError.  A state index past the machine's states in
     g or h raises ValueError before the search starts, even where it
     cancels in g h^-1.
@@ -435,9 +424,9 @@ def decide_equal(
     outcome = _search(ctx, word, budget or _DEFAULT_BUDGET)
     if h is not None and outcome[0] == "not_equal":
         raw = outcome[1]
-        automaton = _over_tables(automaton, ctx.walked(len(raw)))
-        w = apply_word(automaton, h.inverse(), raw)
-        if apply_word(automaton, g, w) == apply_word(automaton, h, w):
+        tables = tuple(ctx.walked(len(raw)))
+        w = _act(tables, h.inverse().factors, raw)[0]
+        if _act(tables, g.factors, w)[0] == _act(tables, h.factors, w)[0]:
             raise VerificationFailedError("mismatch witness failed its check")
         outcome = (outcome[0], w, *outcome[2:])
     return EqualityVerdict(*outcome)
@@ -681,7 +670,7 @@ class _ChainLevel:
         self.tested = [0]
 
 
-def _chain_order(ctx: _Context, generators: Sequence[int]) -> int:
+def _chain_order(ctx: _Context, generators: Sequence[int], cap: int) -> int:
     """Order of the group generated by portraits, as the product
     of the basic orbit lengths of a deterministic Schreier-Sims chain
     (Sims 1970; Seress, Permutation Group Algorithms, 2003, ch. 4).
@@ -690,9 +679,12 @@ def _chain_order(ctx: _Context, generators: Sequence[int]) -> int:
     identity test is an id comparison.  A new base vertex is the
     shallowest one a residue moves.  Levels are completed deepest first;
     a residue found while completing level i joins levels i+1 .. j, and
-    completion resumes at level j.
+    completion resumes at level j.  Base points are never removed and
+    orbits only grow, so the running product of the orbit lengths bounds
+    the order from below, raised in OrderCapExceededError once past `cap`.
     """
     chain: list[_ChainLevel] = []
+    order = 1
 
     def sift(h: int, i: int) -> tuple[int, int]:
         while i < len(chain) and h != 0:
@@ -710,6 +702,7 @@ def _chain_order(ctx: _Context, generators: Sequence[int]) -> int:
             lv.generators.append(h)
 
     def residue(i: int) -> Optional[tuple[int, int]]:
+        nonlocal order
         lv = chain[i]
         k = 0
         while k < len(lv.orbit):
@@ -725,6 +718,9 @@ def _chain_order(ctx: _Context, generators: Sequence[int]) -> int:
                     lv.transversal[gamma] = (su, ctx.inverse(su))
                     lv.orbit.append(gamma)
                     lv.tested.append(0)
+                    order = order // (len(lv.orbit) - 1) * len(lv.orbit)
+                    if order > cap:
+                        raise OrderCapExceededError(cap, order)
                 elif t[0] != su:
                     h, j = sift(ctx.compose(t[1], su), i + 1)
                     if h != 0:
@@ -744,7 +740,7 @@ def _chain_order(ctx: _Context, generators: Sequence[int]) -> int:
         else:
             add(found[0], i + 1, found[1])
             i = found[1]
-    return math.prod(len(lv.orbit) for lv in chain)
+    return order
 
 
 @dataclass
@@ -804,8 +800,9 @@ def level_group(
 
     Its order is the product of the basic orbit lengths of a stabilizer
     chain over tree vertices; elements are enumerated only when
-    `element_ids` is first read.  Raises OrderCapExceededError, carrying
-    the exact order, when that order exceeds `order_cap`;
+    `element_ids` is first read.  Raises OrderCapExceededError as soon
+    as the chain shows the order exceeds `order_cap`, carrying the lower
+    bound on the order it had reached then;
     NotInvertibleError when some state does not act invertibly down to
     that level; and ValueError for a level outside 1 .. MAX_LEVEL or an
     order cap below 1.  Levels past MAX_LEVEL are refused before any
@@ -836,17 +833,9 @@ def level_groups(
 def _level_group(ctx: _Context, level: int, order_cap: int) -> LevelGroup:
     automaton = ctx.automaton
     gens = tuple(ctx.from_state(ctx.start, 1, q, level) for q in range(automaton.n_states))
-    order = _chain_order(ctx, gens)
-    if order > order_cap:
-        raise OrderCapExceededError(order_cap, order)
-    return LevelGroup(
-        automaton,
-        level,
-        automaton.schedule.leaf_count(level),
-        order,
-        gens,
-        ctx,
-    )
+    order = _chain_order(ctx, gens, order_cap)
+    leaves = automaton.schedule.leaf_count(level)
+    return LevelGroup(automaton, level, leaves, order, gens, ctx)
 
 
 def orbit_at_level(
@@ -959,12 +948,10 @@ def ratio_power_image(
     """
     _require_two_states(automaton)
     letters = automaton.schedule.check_word(letters)
-    automaton = _over_tables(
-        automaton, (automaton.table_at(i) for i in range(1, len(letters) + 1))
-    )
-    image = automaton.run(0, letters)[0]
-    image = _c_power_image(automaton, -n, image)
-    return automaton.run(0, image, inverse=True)[0]
+    tables = [automaton.table_at(i) for i in range(1, len(letters) + 1)]
+    image = _act(tables, ((0, 1),), letters)[0]
+    image = _c_power_image(tables, -n, image)
+    return _act(tables, ((0, -1),), image)[0]
 
 
 def _c_cycle(t: LevelTable, x: int) -> tuple[list[int], list[int]]:
@@ -989,7 +976,7 @@ def _c_cycle(t: LevelTable, x: int) -> tuple[list[int], list[int]]:
         cycle.append(y)
 
 
-def _c_power_image(automaton: Automaton, n: int, letters: Sequence[int]) -> Word:
+def _c_power_image(tables: Iterable[LevelTable], n: int, letters: Sequence[int]) -> Word:
     """Image of a word under c^n, c = (first state)(second state)^-1,
     computed positionally in O(length * alphabet) for any integer n.
 
@@ -999,12 +986,11 @@ def _c_power_image(automaton: Automaton, n: int, letters: Sequence[int]) -> Word
     through x and 0 <= r < L, that exponent is q (sum over the cycle) +
     sum_{j<r} eps(sigma^j x); floor division keeps this true for negative
     k.  Every labeling must be a permutation; reversibility is not needed.
-    Callers check the machine's two states and the word.
+    Callers check the letters and give two-state tables, one per letter.
     """
     out = []
     k = n
-    for i, x in enumerate(letters, start=1):
-        t = automaton.table_at(i)
+    for i, (t, x) in enumerate(zip(tables, letters, strict=True), start=1):
         q = t.first_noninvertible_state()
         if q is not None:
             raise NotInvertibleError(i, q)
@@ -1154,11 +1140,11 @@ def steer_to_word(automaton: Automaton, target: Sequence[int]) -> SteeringResult
     n1 = crt_solve(congruences)
     # Verify c^n1 b^-1 c^n0 b factor by factor, the powers positionally,
     # on the tables the levels were read from.
-    automaton = _over_tables(automaton, (lv.table for lv in levels))
-    image = automaton.run(1, base)[0]
-    image = _c_power_image(automaton, n0, image)
-    image = automaton.run(1, image, inverse=True)[0]
-    image = _c_power_image(automaton, n1, image)
+    tables = [lv.table for lv in levels]
+    image = _act(tables, ((1, 1),), base)[0]
+    image = _c_power_image(tables, n0, image)
+    image = _act(tables, ((1, -1),), image)[0]
+    image = _c_power_image(tables, n1, image)
     if image != target:
         raise VerificationFailedError(
             f"steering produced {image}, wanted {tuple(target)}"

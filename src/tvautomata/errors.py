@@ -84,12 +84,13 @@ class RelationScanTooLargeError(AutomatonError):
 
 
 class OrderCapExceededError(AutomatonError):
-    """A group's order is larger than the configured cap."""
+    """A group's order is larger than the configured cap: at least
+    `reached`, the bound past the cap at which the closure stopped."""
 
     def __init__(self, cap: int, reached: int):
         self.cap = cap
         self.reached = reached
-        super().__init__(f"group order {reached} exceeds cap {cap}")
+        super().__init__(f"group order at least {reached} exceeds cap {cap}")
 
 
 class NonCoprimeModuliError(AutomatonError):

@@ -393,9 +393,11 @@ def random_bir22_automaton(
     if prefix_len < 0 or period_len < 1:
         raise ValueError("need prefix_len >= 0 and period_len >= 1")
     rng = random.Random(seed)
-    types = admissible_binary_level_types()
-    prefix = tuple(rng.choice(types) for _ in range(prefix_len))
-    period = tuple(rng.choice(types) for _ in range(period_len))
+    levels = _admissible_binary_levels()
+    # Each type drawn is built once, so a type drawn twice is one table.
+    build = functools.cache(two_state_level)
+    prefix = tuple(build(*rng.choice(levels)) for _ in range(prefix_len))
+    period = tuple(build(*rng.choice(levels)) for _ in range(period_len))
     return _tagged(
         Automaton.from_periodic_tables(AlphabetSchedule.constant(2), prefix, period),
         "random_bir22",

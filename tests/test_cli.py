@@ -340,6 +340,33 @@ def test_levels_with_a_tight_order_cap(capsys, config):
     assert [row["order"] for row in report["result"]["orders"]] == [2]
 
 
+@pytest.mark.parametrize("size", [20, 60, 200])
+def test_levels_stop_at_the_order_cap_at_once(capsys, config, size):
+    # Example 2's level 2 over a large constant alphabet has a group far
+    # past the cap; closing it in full took 92 s over 200 letters.
+    doc = {
+        "schedule": {"prefix": [2], "tail": {"kind": "constant", "value": size}},
+        "automaton": {"builtin": "example2", "params": {}},
+    }
+    start = time.perf_counter()
+    code, report, _ = run_json(
+        capsys,
+        "levels",
+        "--config",
+        config(doc),
+        "--max-level",
+        "2",
+        "--order-cap",
+        "1000000",
+    )
+    assert time.perf_counter() - start < 5
+    capped = report["result"]["capped"]
+    assert code == 1
+    assert (capped["level"], capped["cap"]) == (2, 1_000_000)
+    assert capped["reached"] > capped["cap"]
+    assert [row["order"] for row in report["result"]["orders"]] == [2]
+
+
 def test_levels_to_the_level_budget(capsys, config):
     code, out, err = run(
         capsys, "levels", "--config", config(Z2Z4), "--max-level", str(MAX_LEVEL)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from tvautomata import (
     OrderCapExceededError,
     RelationScanTooLargeError,
     UnboundedScheduleError,
+    VerificationFailedError,
     apply_word,
     bellaterra_automaton,
     bellaterra_dual_automaton,
@@ -231,7 +233,7 @@ def test_stepping_backward_through_a_noninvertible_row_names_level_and_state():
         lambda: apply_word(m, B.inverse(), (0, 0)),
         lambda: decide_equal(m, B.inverse()),
         lambda: level_group(m, 2),
-        lambda: _c_power_image(m, 1, (0, 0)),
+        lambda: _c_power_image(map(m.table_at, (1, 2)), 1, (0, 0)),
         lambda: ratio_power_image(m, 1, (0, 0)),
     ]
     for call in calls:
@@ -532,11 +534,42 @@ def test_truncation_maps_level_groups_onto_shallower_ones():
 
 
 def test_level_group_order_cap():
+    # The closure stops at the first orbit growth past the cap: the
+    # order of bellaterra_dual's level 2 is 48, and 12 is the bound the
+    # chain has reached when it passes 10.
     with pytest.raises(OrderCapExceededError) as err:
         level_group(bellaterra_dual_automaton(), 2, order_cap=10)
     assert err.value.cap == 10
-    assert err.value.reached == 48
-    assert str(err.value) == "group order 48 exceeds cap 10"
+    assert err.value.reached == 12
+    assert str(err.value) == "group order at least 12 exceeds cap 10"
+
+
+def test_a_cap_at_the_order_returns_it_and_one_below_raises_with_it():
+    # 48 is passed only at the chain's last orbit point.
+    assert level_group(bellaterra_dual_automaton(), 2, order_cap=48).order == 48
+    with pytest.raises(OrderCapExceededError) as err:
+        level_group(bellaterra_dual_automaton(), 2, order_cap=47)
+    assert (err.value.cap, err.value.reached) == (47, 48)
+
+
+def test_a_huge_level_group_stops_at_its_cap():
+    # Level 4 takes about a second to close in full; level 6 would run
+    # out of memory.
+    m = cycle_transposition_automaton(AlphabetSchedule.periodic([3, 4]))
+    start = time.perf_counter()
+    with pytest.raises(OrderCapExceededError) as err:
+        level_group(m, 6, order_cap=10**7)
+    assert time.perf_counter() - start < 5
+    assert err.value.reached > err.value.cap == 10**7
+
+
+def test_an_element_order_past_the_group_order_fails_its_check():
+    lg = level_group(z2z4_automaton(), 2)
+    a = lg.generator_ids[0]
+    assert lg.element_order(a) == 4
+    lg.order = 1
+    with pytest.raises(VerificationFailedError, match="element order exceeds group order"):
+        lg.element_order(a)
 
 
 def test_chain_orders_match_element_enumeration():

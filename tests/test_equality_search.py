@@ -34,7 +34,9 @@ from tvautomata import (  # noqa: E402
     reduced_words,
     relation_search,
     word_order_automaton,
+    z2z4_automaton,
 )
+from tvautomata import engine  # noqa: E402
 
 
 def _reference_step(table, states, signs, x, level):
@@ -383,6 +385,25 @@ def test_a_false_recalled_mismatch_fails_its_check():
     types[2].period_closures[key] = (count, index, ())
     with pytest.raises(VerificationFailedError):
         decide_equal(_binary_fold([types[1]], period), a)
+
+
+def test_a_pair_witness_both_words_send_alike_fails_its_check(monkeypatch):
+    # With the word action made the identity, g and h send the witness to
+    # itself, while the search's own check of g h^-1 still passes.
+    a, b = GroupWord.generator(0), GroupWord.generator(1)
+    m = z2z4_automaton()
+    assert decide_equal(m, a, b).status == "not_equal"
+    monkeypatch.setattr(engine, "_act", lambda tables, factors, word: (tuple(word), ()))
+    with pytest.raises(VerificationFailedError, match="mismatch witness failed its check"):
+        decide_equal(m, a, b)
+
+
+def test_a_classification_whose_relations_fail_is_refused(monkeypatch):
+    monkeypatch.setattr(
+        engine, "_search", lambda *args: ("not_equal", (0,), "periodic_bfs", 1, None)
+    )
+    with pytest.raises(VerificationFailedError, match="defining relations failed to hold"):
+        classify_two_state_binary(z2z4_automaton())
 
 
 def test_recalled_outcomes_are_told_apart_by_signs_and_entering_states():

@@ -330,6 +330,24 @@ def test_seeded_machine_is_deterministic():
         random_bir22_automaton(1, period_len=0)
 
 
+def _drawn_from_every_type(seed, prefix_len, period_len):
+    """random_bir22's tables as drawn from all 12 built types."""
+    rng = random.Random(seed)
+    types = admissible_binary_level_types()
+    prefix = tuple(rng.choice(types) for _ in range(prefix_len))
+    return prefix, tuple(rng.choice(types) for _ in range(period_len))
+
+
+def test_seeded_machines_draw_the_types_a_full_type_list_draws():
+    for seed, prefix_len, period_len in itertools.product(range(51), range(3), (1, 2)):
+        machine = random_bir22_automaton(seed, prefix_len, period_len)
+        expected = _drawn_from_every_type(seed, prefix_len, period_len)
+        assert machine.periodic_tables == expected, seed
+        # A type drawn twice is one table object.
+        drawn = sum(machine.periodic_tables, ())
+        assert len({id(t) for t in drawn}) == len(set(drawn)), seed
+
+
 # -- spreading the free machine over a subsequence --------------------
 
 

@@ -112,7 +112,8 @@ def test_positional_powers_of_c_match_the_expanded_word(automaton, n, data):
     sizes = automaton.schedule.sizes(length)
     letters = tuple(data.draw(st.integers(0, d - 1)) for d in sizes)
     c = GroupWord.generator(0) * GroupWord.generator(1).inverse()
-    assert _c_power_image(automaton, n, letters) == apply_word(automaton, c**n, letters)
+    tables = map(automaton.table_at, range(1, length + 1))
+    assert _c_power_image(tables, n, letters) == apply_word(automaton, c**n, letters)
 
 
 def _made(build):
