@@ -44,8 +44,11 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _check_count(value: int, what: str, least: int = 1, level: bool = False) -> None:
-    """Refuse a count below `least` and, when it names a level, one past
-    MAX_LEVEL, with a ValueError."""
+    """Refuse a count that is not an integer (true and false included),
+    one below `least` and, when it names a level, one past MAX_LEVEL,
+    with a ValueError."""
+    if not is_config_int(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{what} must be at least {least}, got {value}")
     if level and value > MAX_LEVEL:

@@ -670,6 +670,26 @@ class _ChainLevel:
         self.tested = [0]
 
 
+def _elements(
+    ctx: _Context, generators: Sequence[int], limit: int
+) -> Optional[tuple[int, ...]]:
+    """The elements of the group generated by portraits, breadth-first
+    from the identity as products of generators, or None once more than
+    `limit` are found.  A level group acts on a finite set, so the powers
+    of a generator reach its inverse."""
+    elements = [0]
+    seen = {0}
+    for current in elements:
+        for g in generators:
+            new = ctx.compose(g, current)
+            if new not in seen:
+                if len(elements) == limit:
+                    return None
+                seen.add(new)
+                elements.append(new)
+    return tuple(elements)
+
+
 def _chain_order(ctx: _Context, generators: Sequence[int], cap: int) -> int:
     """Order of the group generated by portraits, as the product
     of the basic orbit lengths of a deterministic Schreier-Sims chain
@@ -747,10 +767,11 @@ def _chain_order(ctx: _Context, generators: Sequence[int], cap: int) -> int:
 class LevelGroup:
     """The permutation group induced on one level's words.
 
-    `order` comes from a stabilizer chain and is exact.  Elements are
-    portrait ids into the context that built it, where 0 is the identity;
-    `element_ids` enumerates them on first access, in discovery order
-    starting from the identity.
+    `order` is exact: a group of at most 16 elements is counted by
+    listing it, a larger one by a stabilizer chain.  Elements are portrait
+    ids into the context that built it, where 0 is the identity;
+    `element_ids` lists them in discovery order of generator products,
+    breadth-first from the identity.
     """
 
     automaton: Automaton
@@ -762,21 +783,14 @@ class LevelGroup:
 
     @functools.cached_property
     def element_ids(self) -> tuple[int, ...]:
-        """Every element, found breadth-first from the identity."""
-        ctx, gens = self.context, self.generator_ids
-        steps = gens + tuple(ctx.inverse(g) for g in gens)
-        seen = {0}
-        elements = [0]
-        queue = deque([0])
-        while queue:
-            current = queue.popleft()
-            for step in steps:
-                new = ctx.compose(current, step)
-                if new not in seen:
-                    seen.add(new)
-                    elements.append(new)
-                    queue.append(new)
-        return tuple(elements)
+        """Every element, as products of generators; there must be `order`."""
+        elements = _elements(self.context, self.generator_ids, self.order)
+        if elements is None or len(elements) != self.order:
+            found = f"more than {self.order}" if elements is None else len(elements)
+            raise VerificationFailedError(
+                f"group has {found} elements, order says {self.order}"
+            )
+        return elements
 
     def element_order(self, pid: int) -> int:
         ctx = self.context
@@ -798,15 +812,17 @@ def level_group(
 ) -> LevelGroup:
     """The group the states induce on all words of one length.
 
-    Its order is the product of the basic orbit lengths of a stabilizer
-    chain over tree vertices; elements are enumerated only when
-    `element_ids` is first read.  Raises OrderCapExceededError as soon
-    as the chain shows the order exceeds `order_cap`, carrying the lower
-    bound on the order it had reached then;
+    A group of at most 16 elements (and at most `order_cap`) is listed
+    as products of generators, kept in that order as `element_ids`; a
+    larger one is counted by a stabilizer chain over tree vertices and
+    listed only when `element_ids` is first read.  Raises
+    OrderCapExceededError as soon as the chain shows the order exceeds
+    `order_cap`, carrying the lower bound on the order it had reached then;
     NotInvertibleError when some state does not act invertibly down to
-    that level; and ValueError for a level outside 1 .. MAX_LEVEL or an
-    order cap below 1.  Levels past MAX_LEVEL are refused before any
-    portrait is built, since portraits recurse two frames per level.
+    that level; and ValueError for a level outside 1 .. MAX_LEVEL, an
+    order cap below 1, or either of them not an integer.  Levels past
+    MAX_LEVEL are refused before any portrait is built, since portraits
+    recurse two frames per level.
     """
     _check_count(level, "level", level=True)
     _check_count(order_cap, "order cap")
@@ -833,9 +849,15 @@ def level_groups(
 def _level_group(ctx: _Context, level: int, order_cap: int) -> LevelGroup:
     automaton = ctx.automaton
     gens = tuple(ctx.from_state(ctx.start, 1, q, level) for q in range(automaton.n_states))
-    order = _chain_order(ctx, gens, order_cap)
+    # Up to about 16 elements, listing products of generators is cheaper
+    # than building a chain; past that, or past the cap, the chain counts.
+    elements = _elements(ctx, gens, min(order_cap, 16))
+    order = _chain_order(ctx, gens, order_cap) if elements is None else len(elements)
     leaves = automaton.schedule.leaf_count(level)
-    return LevelGroup(automaton, level, leaves, order, gens, ctx)
+    group = LevelGroup(automaton, level, leaves, order, gens, ctx)
+    if elements is not None:
+        vars(group)["element_ids"] = elements  # the cached property's value
+    return group
 
 
 def orbit_at_level(

@@ -35,6 +35,8 @@ from tvautomata import (
     level_groups,
     orbit_at_level,
     NonCoprimeModuliError,
+    random_admissible_level,
+    random_bir22_automaton,
     ratio_power_image,
     reduced_words,
     relation_search,
@@ -471,11 +473,17 @@ def brute_force_level_group(a: Automaton, level: int) -> set:
         p = tuple(index[a.run(q, w)[0]] for w in leaves)
         gens.add(p)
         gens.add(perms.invert(p))
-    closure = set(gens)
-    frontier = list(gens)
+    return leaf_closure(list(gens))
+
+
+def leaf_closure(generators) -> set:
+    """Every product of the given permutations of one set, the identity
+    included."""
+    identity = tuple(range(len(generators[0])))
+    closure, frontier = {identity}, [identity]
     while frontier:
         g = frontier.pop()
-        for h in gens:
+        for h in generators:
             c = tuple(g[h[i]] for i in range(len(h)))
             if c not in closure:
                 closure.add(c)
@@ -580,6 +588,97 @@ def test_chain_orders_match_element_enumeration():
             except OrderCapExceededError:
                 break
             assert len(lg.element_ids) == lg.order, (a.family, k)
+
+
+def _chain_outcome(a: Automaton, level: int, cap: int):
+    """A level's order, or the cap error's bound and message, from the
+    stabilizer chain alone."""
+    ctx = engine._Context(a)
+    gens = tuple(ctx.from_state(ctx.start, 1, q, level) for q in range(a.n_states))
+    try:
+        return engine._chain_order(ctx, gens, cap)
+    except OrderCapExceededError as err:
+        return err.reached, str(err)
+
+
+def test_enumerated_level_groups_match_the_chain_on_random_folds():
+    # Every group here has at most 8 elements, so level_group lists it;
+    # machines with the same tables are compared as leaf permutations once.
+    compared = set()
+    for seed, prefix_len, period_len in itertools.product(range(200), range(3), (1, 2)):
+        a = random_bir22_automaton(seed, prefix_len, period_len)
+        tables = (prefix_len, period_len, a.periodic_tables)
+        for k, lg in enumerate(level_groups(a, 8), 1):
+            assert lg.order == _chain_outcome(a, k, 10**6), (seed, prefix_len, period_len, k)
+            if tables not in compared:
+                gens = [leaf_permutation(lg, g) for g in lg.generator_ids]
+                elements = element_leaf_permutations(lg)
+                assert len(elements) == lg.order
+                assert set(elements) == leaf_closure(gens), (seed, prefix_len, period_len, k)
+        compared.add(tables)
+
+
+def _ternary_fold(seed: int) -> Automaton:
+    rng = random.Random(seed)
+    period = tuple(random_admissible_level(rng, 3) for _ in range(2))
+    return Automaton.from_periodic_tables(AlphabetSchedule.constant(3), (), period)
+
+
+def test_every_cap_gives_the_chains_outcome():
+    # Orders 12, 18 and 24 sit on both sides of the 16-element switch,
+    # as do lamplighter levels 2-4 (orders 8, 32 and 64).
+    cases = [(_ternary_fold(seed), 2, order) for seed, order in ((9, 12), (5, 18), (24, 24))]
+    cases += [(lamplighter_automaton(), k, order) for k, order in ((2, 8), (3, 32), (4, 64))]
+    for a, level, order in cases:
+        assert _chain_outcome(a, level, 10**6) == order
+        for cap in range(1, order + 2):
+            try:
+                outcome = level_group(a, level, order_cap=cap).order
+            except OrderCapExceededError as err:
+                outcome = err.reached, str(err)
+            assert outcome == _chain_outcome(a, level, cap), (a.family, level, cap)
+            assert (outcome == order) == (cap >= order)
+
+
+def _rotation_machine(size: int) -> Automaton:
+    """Level groups cyclic of order `size`: state 0 rotates the letter
+    and moves to state 1, which copies it."""
+    rotate = tuple((x + 1) % size for x in range(size))
+    table = LevelTable(((1,) * size, (1,) * size), (rotate, tuple(range(size))))
+    return Automaton.from_periodic_tables(AlphabetSchedule.constant(size), (), (table,))
+
+
+def test_groups_of_at_most_16_elements_are_counted_without_the_chain(monkeypatch):
+    chain_orders = []
+
+    def chain_order(ctx, gens, cap):
+        chain_orders.append(chain(ctx, gens, cap))
+        return chain_orders[-1]
+
+    chain = engine._chain_order
+    monkeypatch.setattr(engine, "_chain_order", chain_order)
+    small = level_group(_rotation_machine(16), 2)
+    assert (small.order, chain_orders) == (16, [])
+    assert len(small.element_ids) == 16
+    assert level_group(_rotation_machine(17), 2).order == 17
+    assert chain_orders == [17]
+
+
+def test_element_ids_check_the_order():
+    # Level 2 of bellaterra_dual has 48 elements, past the enumeration,
+    # so its order comes from the chain.
+    lg = level_group(bellaterra_dual_automaton(), 2)
+    assert lg.order == 48
+    lg.order = 47
+    with pytest.raises(VerificationFailedError) as err:
+        lg.element_ids
+    assert str(err.value) == "group has more than 47 elements, order says 47"
+    lg.order = 49
+    with pytest.raises(VerificationFailedError) as err:
+        lg.element_ids
+    assert str(err.value) == "group has 48 elements, order says 49"
+    lg.order = 48
+    assert len(lg.element_ids) == 48
 
 
 def test_level_orders_match_sympy():

@@ -6,6 +6,7 @@ import pytest
 from tvautomata import (
     AlphabetSchedule,
     Automaton,
+    Budget,
     GroupWord,
     LevelTable,
     NotInvertibleError,
@@ -17,7 +18,10 @@ from tvautomata import (
     diagonal_automaton,
     element_order,
     embed_on_subsequence,
+    level_group,
+    level_groups,
     orbit_at_level,
+    relation_search,
     sym_diagonal_automaton,
     two_state_level,
     word_order_automaton,
@@ -135,6 +139,52 @@ REFUSALS = {
         lambda: element_order(z2z4_automaton(), GroupWord.generator(0), max_order=-3),
         ValueError,
         "max order must be at least 1, got -3",
+    ),
+    "level 2.5": (
+        lambda: level_group(z2z4_automaton(), 2.5),
+        ValueError,
+        "level must be an integer, got 2.5",
+    ),
+    "level true": (
+        lambda: level_group(z2z4_automaton(), True),
+        ValueError,
+        "level must be an integer, got True",
+    ),
+    "order cap 10.0": (
+        lambda: level_group(z2z4_automaton(), 2, order_cap=10.0),
+        ValueError,
+        "order cap must be an integer, got 10.0",
+    ),
+    "level sweep to 2.5": (
+        lambda: level_groups(z2z4_automaton(), 2.5),
+        ValueError,
+        "max level must be an integer, got 2.5",
+    ),
+    "orbit at level 1.5": (
+        lambda: orbit_at_level(z2z4_automaton(), 1.5),
+        ValueError,
+        "level must be an integer, got 1.5",
+    ),
+    "relation search up to 2.5": (
+        lambda: relation_search(z2z4_automaton(), 2.5),
+        ValueError,
+        "word length must be an integer, got 2.5",
+    ),
+    "element order up to 2.5": (
+        lambda: element_order(z2z4_automaton(), GroupWord.generator(0), max_order=2.5),
+        ValueError,
+        "max order must be an integer, got 2.5",
+    ),
+    "depth budget 2.5": (
+        lambda: Budget(max_depth=2.5), ValueError, "depth budget must be an integer, got 2.5"
+    ),
+    "state budget 10.5": (
+        lambda: Budget(max_states=10.5), ValueError, "state budget must be an integer, got 10.5"
+    ),
+    "bi-reversibility up to true": (
+        lambda: z2z4_automaton().bireversibility(True),
+        ValueError,
+        "check depth must be an integer, got True",
     ),
     "word expression with a stray symbol": (
         lambda: GroupWord.parse("a$", ("a", "b")), ValueError, "cannot parse factor 'a$'"
