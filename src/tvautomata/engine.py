@@ -52,6 +52,9 @@ MAX_WORD_FACTORS = 10**6
 MAX_ORBIT_WORDS = 200_000
 MAX_ORBIT_LETTERS = 4_000_000
 
+# Most elements `LevelGroup.element_ids` lists; a larger order is refused.
+MAX_GROUP_ELEMENTS = 200_000
+
 # Most reduced words `relation_search` checks in one scan, and most
 # factors in all of them: one state has only two words per length, so
 # its scans are bounded by their factors.
@@ -770,8 +773,9 @@ class LevelGroup:
     `order` is exact: a group of at most 16 elements is counted by
     listing it, a larger one by a stabilizer chain.  Elements are portrait
     ids into the context that built it, where 0 is the identity;
-    `element_ids` lists them in discovery order of generator products,
-    breadth-first from the identity.
+    `element_ids` lists them, when first read, in discovery order of
+    generator products, breadth-first from the identity, up to
+    MAX_GROUP_ELEMENTS.
     """
 
     automaton: Automaton
@@ -783,7 +787,10 @@ class LevelGroup:
 
     @functools.cached_property
     def element_ids(self) -> tuple[int, ...]:
-        """Every element, as products of generators; there must be `order`."""
+        """Every element, as products of generators; there must be `order`,
+        and an order past MAX_GROUP_ELEMENTS is refused before listing."""
+        if self.order > MAX_GROUP_ELEMENTS:
+            raise OrderCapExceededError(MAX_GROUP_ELEMENTS, self.order)
         elements = _elements(self.context, self.generator_ids, self.order)
         if elements is None or len(elements) != self.order:
             found = f"more than {self.order}" if elements is None else len(elements)
@@ -812,10 +819,10 @@ def level_group(
 ) -> LevelGroup:
     """The group the states induce on all words of one length.
 
-    A group of at most 16 elements (and at most `order_cap`) is listed
-    as products of generators, kept in that order as `element_ids`; a
-    larger one is counted by a stabilizer chain over tree vertices and
-    listed only when `element_ids` is first read.  Raises
+    A group of at most 16 elements (and at most `order_cap`) is counted
+    by listing products of generators, a larger one by a stabilizer
+    chain over tree vertices; `element_ids` lists either when first
+    read, up to MAX_GROUP_ELEMENTS elements.  Raises
     OrderCapExceededError as soon as the chain shows the order exceeds
     `order_cap`, carrying the lower bound on the order it had reached then;
     NotInvertibleError when some state does not act invertibly down to
@@ -854,10 +861,7 @@ def _level_group(ctx: _Context, level: int, order_cap: int) -> LevelGroup:
     elements = _elements(ctx, gens, min(order_cap, 16))
     order = _chain_order(ctx, gens, order_cap) if elements is None else len(elements)
     leaves = automaton.schedule.leaf_count(level)
-    group = LevelGroup(automaton, level, leaves, order, gens, ctx)
-    if elements is not None:
-        vars(group)["element_ids"] = elements  # the cached property's value
-    return group
+    return LevelGroup(automaton, level, leaves, order, gens, ctx)
 
 
 def orbit_at_level(

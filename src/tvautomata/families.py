@@ -620,11 +620,10 @@ def _explicit_from_config(schedule: AlphabetSchedule, doc: object) -> Automaton:
             raise ValueError(f"'{part}' must be a list of level tables")
     prefix = tuple(LevelTable.from_config(t) for t in doc["prefix"])
     period = tuple(LevelTable.from_config(t) for t in doc["period"])
-    for t in prefix + period:
-        if t.n_states != states:
-            raise ValueError(
-                f"level table has {t.n_states} states, config says {states}"
-            )
+    # The block's first table sets the machine's state count, and
+    # `Automaton._check` holds every other table to it.
+    if period and period[0].n_states != states:
+        raise ValueError(f"level table has {period[0].n_states} states, config says {states}")
     return Automaton.from_periodic_tables(schedule, prefix, period)
 
 

@@ -152,14 +152,17 @@ class AlphabetSchedule:
         return AlphabetSchedule((), Periodic(tail.values[turns:] + tail.values[:turns]))
 
     def check_word(self, word: Sequence[int]) -> tuple[int, ...]:
-        """Return `word` as a tuple, raising InvalidWordError on a bad
-        letter, or on a word longer than MAX_LEVEL over a ramp tail."""
+        """Return `word` as a tuple, raising InvalidWordError on a letter
+        that is not an integer (nor a bool) or not in its level's
+        alphabet, or on a word longer than MAX_LEVEL over a ramp tail."""
         if isinstance(self.tail, Ramp) and len(word) > MAX_LEVEL:
             raise InvalidWordError(
                 f"word of {len(word)} letters is longer than the supported "
                 f"{MAX_LEVEL} over a ramp schedule"
             )
         for i, x in enumerate(word):
+            if not is_config_int(x):
+                raise InvalidWordError(f"letter {x!r} at position {i} is not an integer")
             if not (0 <= x < self.size_at(i + 1)):
                 raise InvalidWordError(
                     f"letter {x} at position {i} is outside alphabet of size "

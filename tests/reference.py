@@ -2,10 +2,10 @@
 
 None of this runs in the library: the inverses of the word-order
 permutations and the word action built on them, the shortlex word list
-they are checked on, table-by-table machine comparison, the words of
-one level, level-group elements written out as permutations of those
-words, and every small two-state table with bi-reversibility read off
-its definition.
+they are checked on, table-by-table machine comparison, a word's image
+folded over raw table rows, the words of one level, level-group
+elements written out as permutations of those words, and every small
+two-state table with bi-reversibility read off its definition.
 """
 
 from itertools import islice, product
@@ -67,6 +67,32 @@ def tables_equal(a: Automaton, b: Automaton, up_to: int) -> bool:
     if a.n_states != b.n_states:
         return False
     return all(a.table_at(i) == b.table_at(i) for i in range(1, up_to + 1))
+
+
+def raw_image(
+    table_at: Callable[[int], LevelTable],
+    factors: Sequence[tuple[int, int]],
+    word: Sequence[int],
+) -> tuple[int, ...]:
+    """The image of a word under (state, sign) factors, folded factor by
+    factor over raw table rows: the rightmost factor runs through the
+    whole word before the next one starts, and a negative factor looks
+    its letter up in the output row.  `table_at` gives the table of a
+    level, counted from 1."""
+    tables = [table_at(level) for level in range(1, len(word) + 1)]
+    out = list(word)
+    for q0, sign in reversed(factors):
+        q = q0
+        for i, x in enumerate(out):
+            t = tables[i]
+            if sign > 0:
+                out[i] = t.output[q][x]
+                q = t.transition[q][x]
+            else:
+                y = t.output[q].index(x)
+                out[i] = y
+                q = t.transition[q][y]
+    return tuple(out)
 
 
 def words_at_level(schedule: AlphabetSchedule, level: int) -> Iterator[tuple[int, ...]]:

@@ -694,6 +694,16 @@ def test_a_builtin_name_that_is_not_a_string_exits_2(capsys, config):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_an_embedding_that_mismatches_past_the_eager_window_exits_2(capsys, config):
+    ramp = {"prefix": [], "tail": {"kind": "ramp", "value": {"offset": 1}}}
+    host = {"prefix": [1] + [j + 1 for j in range(1, 65)], "tail": ramp["tail"]}
+    params = {"inner": _builtin("example2", ramp), "start": 2}
+    path = config(_builtin("embed_subsequence", host, params))
+    code, out, err = run(capsys, "check", "--config", path, "--depth", "70")
+    assert (code, out) == (2, "")
+    assert err == "error: table at level 66 has alphabet size 66, schedule says 67\n"
+
+
 def _nested_embedding_text(depth):
     # Written out by hand: json.dumps recurses once per nesting level.
     inner = json.dumps(Z2Z4)

@@ -759,3 +759,35 @@ def test_embedding_checks_the_schedule_match():
     inner = cycle_transposition_automaton(AlphabetSchedule.constant(3))
     with pytest.raises(ScheduleMismatchError):
         embed_on_subsequence(inner, AlphabetSchedule.constant(2), 2, 2)
+
+
+def test_a_ramp_embedding_that_mismatches_past_the_eager_window_is_refused_by_its_table():
+    # Inner level j has j + 1 letters, and so has host level j + 1 up to
+    # level 65; past the prefix the host ramp runs one letter ahead.
+    inner = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
+    host = AlphabetSchedule.ramp(1, prefix=[1] + [j + 1 for j in range(1, 65)])
+    spread = embed_on_subsequence(inner, host, 2)
+    assert spread.table_at(65) == inner.table_at(64)
+    with pytest.raises(ScheduleMismatchError) as err:
+        spread.table_at(66)
+    assert str(err.value) == "table at level 66 has alphabet size 66, schedule says 67"
+
+
+def test_explicit_tables_and_a_rule_are_refused_with_one_message():
+    binary, two_three = AlphabetSchedule.constant(2), AlphabetSchedule.periodic((2, 3))
+    cases = [
+        # (schedule, table prefix, table block, level of the bad table)
+        (binary, (LevelTable.identity(3, 2),), (LevelTable.identity(2, 2),), 1),
+        (binary, (), (LevelTable.identity(2, 2), LevelTable.identity(3, 2)), 2),
+        (two_three, (), (LevelTable.identity(2, 2),), 2),
+        (two_three, (LevelTable.identity(2, 3),), (LevelTable.identity(2, 2),), 1),
+    ]
+    for schedule, prefix, period, level in cases:
+        with pytest.raises(ScheduleMismatchError) as explicit:
+            Automaton.from_periodic_tables(schedule, prefix, period)
+        tables = prefix + period
+        rule = Automaton.from_rule(schedule, 2, lambda i: tables[(i - 1) % len(tables)])
+        with pytest.raises(ScheduleMismatchError) as ruled:
+            rule.table_at(level)
+        assert str(explicit.value) == str(ruled.value)
+        assert str(ruled.value).startswith(f"table at level {level} has ")

@@ -681,6 +681,28 @@ def test_element_ids_check_the_order():
     assert len(lg.element_ids) == 48
 
 
+def test_element_ids_refuse_a_group_past_the_element_budget():
+    group = level_group(lamplighter_automaton(), 16, order_cap=10**13)
+    assert group.order == 2**20 > engine.MAX_GROUP_ELEMENTS
+    start = time.perf_counter()
+    with pytest.raises(OrderCapExceededError) as err:
+        group.element_ids
+    with pytest.raises(OrderCapExceededError):
+        group.max_element_order()
+    assert time.perf_counter() - start < 1
+    assert (err.value.cap, err.value.reached) == (engine.MAX_GROUP_ELEMENTS, 2**20)
+
+
+def test_element_ids_list_a_group_exactly_at_the_budget(monkeypatch):
+    # Level 2 of bellaterra_dual has 48 elements.
+    monkeypatch.setattr(engine, "MAX_GROUP_ELEMENTS", 48)
+    assert len(level_group(bellaterra_dual_automaton(), 2).element_ids) == 48
+    monkeypatch.setattr(engine, "MAX_GROUP_ELEMENTS", 47)
+    with pytest.raises(OrderCapExceededError) as err:
+        level_group(bellaterra_dual_automaton(), 2).element_ids
+    assert str(err.value) == "group order at least 48 exceeds cap 47"
+
+
 def test_level_orders_match_sympy():
     combinatorics = pytest.importorskip("sympy.combinatorics")
     example2 = cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4)))

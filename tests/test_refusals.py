@@ -8,10 +8,12 @@ from tvautomata import (
     Automaton,
     Budget,
     GroupWord,
+    InvalidWordError,
     LevelTable,
     NotInvertibleError,
     NotMealyError,
     ScheduleMismatchError,
+    apply_word,
     build_from_config,
     config_of,
     cycle_transposition_automaton,
@@ -22,6 +24,7 @@ from tvautomata import (
     level_groups,
     orbit_at_level,
     relation_search,
+    steer_to_word,
     sym_diagonal_automaton,
     two_state_level,
     word_order_automaton,
@@ -74,8 +77,8 @@ REFUSALS = {
         lambda: Automaton.from_periodic_tables(
             BINARY, (LevelTable.identity(3, 2),), (LevelTable.identity(2, 2),)
         ),
-        ValueError,
-        "share one state count",
+        ScheduleMismatchError,
+        "table at level 1 has 3 states, expected 2",
     ),
     "state names of the wrong length": (
         lambda: Automaton.from_periodic_tables(
@@ -127,7 +130,7 @@ REFUSALS = {
             word_order_automaton(AlphabetSchedule.constant(3, prefix=[2] * 64)), BINARY
         ),
         ScheduleMismatchError,
-        "inner level 65 does not match host level 65",
+        "table at level 65 has alphabet size 3, schedule says 2",
     ),
     # engine
     "element order up to 0": (
@@ -188,6 +191,38 @@ REFUSALS = {
     ),
     "word expression with a stray symbol": (
         lambda: GroupWord.parse("a$", ("a", "b")), ValueError, "cannot parse factor 'a$'"
+    ),
+    "run with a float letter": (
+        lambda: z2z4_automaton().run(0, (1.0,)),
+        InvalidWordError,
+        "letter 1.0 at position 0 is not an integer",
+    ),
+    "run with a string letter": (
+        lambda: z2z4_automaton().run(0, ("1",)),
+        InvalidWordError,
+        "letter '1' at position 0 is not an integer",
+    ),
+    "run with a boolean letter": (
+        lambda: z2z4_automaton().run(0, (True, 0)),
+        InvalidWordError,
+        "letter True at position 0 is not an integer",
+    ),
+    "word applied to a float letter": (
+        lambda: apply_word(z2z4_automaton(), GroupWord.generator(0), (0, 1.0)),
+        InvalidWordError,
+        "letter 1.0 at position 1 is not an integer",
+    ),
+    "orbit seed with a float letter": (
+        lambda: orbit_at_level(z2z4_automaton(), 1, seed=(1.0,)),
+        InvalidWordError,
+        "letter 1.0 at position 0 is not an integer",
+    ),
+    "steering target with a float letter": (
+        lambda: steer_to_word(
+            cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4))), (2.0, 3)
+        ),
+        InvalidWordError,
+        "letter 2.0 at position 0 is not an integer",
     ),
     "orbit seed of the wrong length": (
         lambda: orbit_at_level(z2z4_automaton(), 2, seed=(0,)),
