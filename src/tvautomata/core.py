@@ -21,6 +21,7 @@ rows forward and the inverse transducer's rows backward.
 from __future__ import annotations
 
 import functools
+import math
 import types
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -39,7 +40,6 @@ INVERSE_NOT_REVERSIBLE = "inverse_not_reversible"
 
 _DEFAULT_CHECK_DEPTH = 20
 _SANITY_DEPTH = 8
-_EMBED_CHECK_DEPTH = 64
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -408,8 +408,7 @@ class Automaton:
             raise ValueError("a fold needs p >= 0 and m >= 1")
         if schedule.aligned_fold(p, m) != (p, m):
             raise ScheduleMismatchError(
-                f"fold {fold} does not line up with the schedule "
-                f"{schedule.to_config()}"
+                f"fold {fold} does not line up with {schedule}"
             )
         # From `identity_from` on the rule is not consulted.
         live = p + m + 1 if identity_from is None else identity_from
@@ -453,7 +452,7 @@ class Automaton:
 
         The table block is aligned with the schedule by unrolling both to
         a common prefix length and to the least common multiple of the
-        two period lengths.  Ramp schedules are rejected since no finite
+        two period lengths.  Growing schedules are rejected since no finite
         table block can match ever-growing alphabets.  The unrolled
         tables, the whole prefix and at least one block, are kept as they
         are after `_check`, against the first block table's state count.
@@ -742,18 +741,22 @@ def embed_on_subsequence(
 
     Level start + (j-1)*step of the result carries level j of `inner`;
     all other levels act trivially.  The inner schedule must match the
-    host schedule along those positions.  The match is verified eagerly
-    for the first `_EMBED_CHECK_DEPTH` (64) inner levels; every table
-    then passes `_check`.
+    host schedule along those positions, and the match is decided at
+    construction.  From inner level `first` on both sides are past their
+    prefixes, their slots repeat with period T, the lcm of the two block
+    lengths, and on each residue class mod T each size is affine in the
+    inner level; so levels 1 .. first + 2T - 1 settle every level.
     """
     if start < 1 or step < 1:
         raise ValueError("start and step must be at least 1")
-    for j in range(1, _EMBED_CHECK_DEPTH + 1):
-        if inner.schedule.size_at(j) != host.size_at(start + (j - 1) * step):
+    own = inner.schedule
+    first = max(len(own.prefix) + 1, (len(host.prefix) - start) // step + 2)
+    for j in range(1, first + 2 * math.lcm(len(own.block), len(host.block))):
+        level = start + (j - 1) * step
+        if own.size_at(j) != host.size_at(level):
             raise ScheduleMismatchError(
-                f"inner level {j} has size {inner.schedule.size_at(j)} but host "
-                f"level {start + (j - 1) * step} has size "
-                f"{host.size_at(start + (j - 1) * step)}"
+                f"inner level {j} has size {own.size_at(j)} but host "
+                f"level {level} has size {host.size_at(level)}"
             )
 
     def fn(i: int) -> LevelTable:

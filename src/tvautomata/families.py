@@ -144,12 +144,9 @@ def cycle_transposition_automaton(
 
 
 def _min_size(schedule: AlphabetSchedule) -> int:
-    """Smallest alphabet size over all levels."""
-    structure = schedule.periodic_structure()
-    if structure is None:
-        # A ramp tail only grows from its first level on.
-        return min(schedule.sizes(len(schedule.prefix) + 1))
-    return min((*schedule.prefix, *structure[1]))
+    """Smallest alphabet size over all levels: tail slopes are
+    nonnegative, so each slot is smallest in its first repetition."""
+    return min((*schedule.prefix, *(base for base, _ in schedule.block)))
 
 
 def diagonal_automaton(

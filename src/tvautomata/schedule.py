@@ -1,16 +1,18 @@
 """Alphabet schedules: the sequence of alphabet sizes, one per tree level.
 
 Levels are numbered from 1.  A schedule is a finite prefix of explicit
-sizes followed by an infinite tail, which is either constant, periodic,
-or a ramp growing by one per level.  Letters of the level-i alphabet are
-0 .. size_at(i) - 1.
+sizes followed by an infinite tail that repeats a block of (base, slope)
+slots: slot j of the k-th repetition (k >= 0) has size base_j + slope_j*k.
+A constant tail is one slot of slope 0, a periodic tail one slot of slope
+0 per size, and a ramp growing by one per level one slot of slope 1.
+Letters of the level-i alphabet are 0 .. size_at(i) - 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 from .errors import InvalidWordError
 
@@ -21,12 +23,12 @@ MAX_ALPHABET_SIZE = 10_000
 
 # The level budget: the deepest level a check depth, an orbit level, an
 # equality search's depth budget or a level group may name, and the
-# longest word a schedule with a ramp tail accepts.  Portraits, which
+# longest word a schedule with a growing tail accepts.  Portraits, which
 # level groups and orbits both build, recurse two frames per level, so a
 # much deeper level overflows the default interpreter stack (under
-# pytest, levels up to about 475 run); over a ramp, tables this deep
-# already hold hundreds of letters, and stepping a word builds one table
-# per letter.
+# pytest, levels up to about 475 run); over a growing tail, tables this
+# deep already hold hundreds of letters, and stepping a word builds one
+# table per letter.
 MAX_LEVEL = 450
 
 
@@ -36,104 +38,76 @@ def is_config_int(value: object) -> bool:
 
 
 @dataclass(frozen=True)
-class Constant:
-    value: int
-
-    def __post_init__(self):
-        if self.value < 1:
-            raise ValueError("alphabet sizes must be at least 1")
-
-
-@dataclass(frozen=True)
-class Periodic:
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
-            raise ValueError("periodic tail needs at least one size")
-        if any(v < 1 for v in self.values):
-            raise ValueError("alphabet sizes must be at least 1")
-
-
-@dataclass(frozen=True)
-class Ramp:
-    """Tail whose size at absolute level i is i + offset."""
-
-    offset: int = 0
-
-    def __post_init__(self):
-        if self.offset < 0:
-            raise ValueError("ramp offset must be nonnegative")
-
-
-Tail = Union[Constant, Periodic, Ramp]
-
-
-@dataclass(frozen=True)
 class AlphabetSchedule:
     prefix: tuple[int, ...]
-    tail: Tail
+    block: tuple[tuple[int, int], ...]
+    # The block's sizes when every slope is 0 (a bounded tail), else
+    # None; derived once, since folds and sizes read it on every call.
+    _sizes: Optional[tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(self.prefix))
-        if any(v < 1 for v in self.prefix):
+        object.__setattr__(self, "block", tuple((b, s) for b, s in self.block))
+        if not self.block:
+            raise ValueError("periodic tail needs at least one size")
+        if any(v < 1 for v in self.prefix) or any(b < 1 for b, _ in self.block):
             raise ValueError("alphabet sizes must be at least 1")
+        if any(s < 0 for _, s in self.block):
+            raise ValueError("tail slopes must be nonnegative")
+        bounded = all(s == 0 for _, s in self.block)
+        object.__setattr__(self, "_sizes", tuple(b for b, _ in self.block) if bounded else None)
 
     @staticmethod
     def constant(value: int, prefix: Sequence[int] = ()) -> "AlphabetSchedule":
-        return AlphabetSchedule(tuple(prefix), Constant(value))
+        return AlphabetSchedule(prefix, ((value, 0),))
 
     @staticmethod
     def periodic(values: Sequence[int], prefix: Sequence[int] = ()) -> "AlphabetSchedule":
-        return AlphabetSchedule(tuple(prefix), Periodic(tuple(values)))
+        return AlphabetSchedule(prefix, tuple((v, 0) for v in values))
 
     @staticmethod
     def ramp(offset: int = 0, prefix: Sequence[int] = ()) -> "AlphabetSchedule":
-        return AlphabetSchedule(tuple(prefix), Ramp(offset))
+        """Sizes past the prefix are level + offset."""
+        if offset < 0:
+            raise ValueError("ramp offset must be nonnegative")
+        return AlphabetSchedule(prefix, ((len(prefix) + 1 + offset, 1),))
 
     def size_at(self, level: int) -> int:
         """Alphabet size at a 1-based level."""
         if level < 1:
             raise ValueError(f"levels start at 1, got {level}")
-        if level <= len(self.prefix):
-            return self.prefix[level - 1]
-        tail = self.tail
-        if isinstance(tail, Constant):
-            return tail.value
-        if isinstance(tail, Periodic):
-            return tail.values[(level - len(self.prefix) - 1) % len(tail.values)]
-        return level + tail.offset
+        prefix, sizes = self.prefix, self._sizes
+        if level <= len(prefix):
+            return prefix[level - 1]
+        if sizes is not None:
+            return sizes[(level - len(prefix) - 1) % len(sizes)]
+        turns, slot = divmod(level - len(prefix) - 1, len(self.block))
+        base, slope = self.block[slot]
+        return base + slope * turns
 
     def sizes(self, count: int) -> tuple[int, ...]:
         return tuple(self.size_at(i) for i in range(1, count + 1))
 
     def bound(self) -> int | None:
         """Supremum of all sizes, or None when the schedule is unbounded."""
-        if isinstance(self.tail, Ramp):
+        if self._sizes is None:
             return None
-        tail_max = (
-            self.tail.value if isinstance(self.tail, Constant) else max(self.tail.values)
-        )
-        return max((*self.prefix, tail_max))
+        return max((*self.prefix, *self._sizes))
 
     def periodic_structure(self) -> tuple[int, tuple[int, ...]] | None:
-        """(prefix length, repeating size block), or None for a ramp tail."""
-        if isinstance(self.tail, Constant):
-            return len(self.prefix), (self.tail.value,)
-        if isinstance(self.tail, Periodic):
-            return len(self.prefix), self.tail.values
-        return None
+        """(prefix length, repeating size block), or None for a growing tail."""
+        if self._sizes is None:
+            return None
+        return len(self.prefix), self._sizes
 
     def aligned_fold(self, p: int, m: int) -> tuple[int, int] | None:
         """The least fold at or past (p, m) that lines up with this
         schedule: its p covers the schedule's prefix and its period is a
-        multiple of the size block's length.  None for a ramp tail, which
-        no fold lines up with."""
-        structure = self.periodic_structure()
-        if structure is None:
+        multiple of the size block's length.  None for a growing tail,
+        which no fold lines up with."""
+        if self._sizes is None:
             return None
-        return max(p, structure[0]), math.lcm(m, len(structure[1]))
+        return max(p, len(self.prefix)), math.lcm(m, len(self._sizes))
 
     def shifted(self, count: int) -> "AlphabetSchedule":
         """The schedule with the first `count` levels dropped."""
@@ -141,21 +115,22 @@ class AlphabetSchedule:
             raise ValueError("shift count must be nonnegative")
         if count == 0:
             return self
-        tail = self.tail
-        if isinstance(tail, Ramp):
-            return AlphabetSchedule(self.prefix[count:], Ramp(tail.offset + count))
         if count <= len(self.prefix):
-            return AlphabetSchedule(self.prefix[count:], tail)
-        if isinstance(tail, Constant):
-            return AlphabetSchedule((), tail)
-        turns = (count - len(self.prefix)) % len(tail.values)
-        return AlphabetSchedule((), Periodic(tail.values[turns:] + tail.values[:turns]))
+            return AlphabetSchedule(self.prefix[count:], self.block)
+        # The new first level is slot `slot` of repetition `turns`; slots
+        # before it come next in repetition turns + 1.
+        turns, slot = divmod(count - len(self.prefix), len(self.block))
+        block = tuple(
+            (base + slope * (turns + (j < slot)), slope)
+            for j, (base, slope) in enumerate(self.block)
+        )
+        return AlphabetSchedule((), block[slot:] + block[:slot])
 
     def check_word(self, word: Sequence[int]) -> tuple[int, ...]:
         """Return `word` as a tuple, raising InvalidWordError on a letter
         that is not an integer (nor a bool) or not in its level's
-        alphabet, or on a word longer than MAX_LEVEL over a ramp tail."""
-        if isinstance(self.tail, Ramp) and len(word) > MAX_LEVEL:
+        alphabet, or on a word longer than MAX_LEVEL over a growing tail."""
+        if self._sizes is None and len(word) > MAX_LEVEL:
             raise InvalidWordError(
                 f"word of {len(word)} letters is longer than the supported "
                 f"{MAX_LEVEL} over a ramp schedule"
@@ -171,27 +146,31 @@ class AlphabetSchedule:
         return tuple(word)
 
     def leaf_count(self, level: int) -> int:
-        """The product of the sizes at levels 1 .. level, in closed form."""
+        """The product of the sizes at levels 1 .. level, in closed form:
+        a slot met n times gives base^n, or base (base + slope) ...
+        (base + (n - 1) slope) when it grows."""
         p = len(self.prefix)
         count = math.prod(self.prefix[: max(level, 0)])
         if level <= p:
             return count
-        structure = self.periodic_structure()
-        if structure is None:
-            offset = self.tail.offset
-            return count * math.prod(range(p + 1 + offset, level + offset + 1))
-        block = structure[1]
-        turns, part = divmod(level - p, len(block))
-        return count * math.prod(block) ** turns * math.prod(block[:part])
+        turns, part = divmod(level - p, len(self.block))
+        for j, (base, slope) in enumerate(self.block):
+            n = turns + (j < part)
+            count *= base**n if slope == 0 else math.prod(range(base, base + slope * n, slope))
+        return count
 
     def to_config(self) -> dict:
-        tail = self.tail
-        if isinstance(tail, Constant):
-            doc = {"kind": "constant", "value": tail.value}
-        elif isinstance(tail, Periodic):
-            doc = {"kind": "periodic", "value": list(tail.values)}
+        """The config of a constant, periodic or ramp tail; a ValueError
+        for any other block."""
+        (base, slope), width = self.block[0], len(self.block)
+        if width == 1 and slope == 1 and base > len(self.prefix):
+            doc = {"kind": "ramp", "value": {"offset": base - len(self.prefix) - 1}}
+        elif width == 1 and slope == 0:
+            doc = {"kind": "constant", "value": base}
+        elif self._sizes is not None:
+            doc = {"kind": "periodic", "value": list(self._sizes)}
         else:
-            doc = {"kind": "ramp", "value": {"offset": tail.offset}}
+            raise ValueError(f"no schedule config kind writes the tail block {self.block}")
         return {"prefix": list(self.prefix), "tail": doc}
 
     @staticmethod
@@ -221,19 +200,18 @@ class AlphabetSchedule:
         if kind == "constant":
             if not is_config_int(value):
                 raise ValueError("constant tail value must be an integer")
-            tail: Tail = Constant(within_budget(value, "constant tail size"))
-        elif kind == "periodic":
+            return AlphabetSchedule.constant(within_budget(value, "constant tail size"), prefix)
+        if kind == "periodic":
             if not isinstance(value, list) or not all(is_config_int(v) for v in value):
                 raise ValueError("periodic tail value must be a list of integers")
-            tail = Periodic(tuple(within_budget(v, "periodic tail size") for v in value))
-        elif kind == "ramp":
+            sizes = [within_budget(v, "periodic tail size") for v in value]
+            return AlphabetSchedule.periodic(sizes, prefix)
+        if kind == "ramp":
             if (
                 not isinstance(value, dict)
                 or set(value) != {"offset"}
                 or not is_config_int(value["offset"])
             ):
                 raise ValueError("ramp tail value must be an object {'offset': int}")
-            tail = Ramp(within_budget(value["offset"], "ramp offset"))
-        else:
-            raise ValueError(f"unknown tail kind {kind!r}")
-        return AlphabetSchedule(tuple(prefix), tail)
+            return AlphabetSchedule.ramp(within_budget(value["offset"], "ramp offset"), prefix)
+        raise ValueError(f"unknown tail kind {kind!r}")

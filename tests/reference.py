@@ -3,15 +3,24 @@
 None of this runs in the library: the inverses of the word-order
 permutations and the word action built on them, the shortlex word list
 they are checked on, table-by-table machine comparison, a word's image
-folded over raw table rows, the words of one level, level-group
-elements written out as permutations of those words, and every small
-two-state table with bi-reversibility read off its definition.
+folded over raw table rows and one letter stepped over them, the words
+of one level, level-group
+elements written out as permutations of those words, every small
+two-state table with bi-reversibility read off its definition, and the
+sizes of each schedule config kind read off its definition.
 """
 
 from itertools import islice, product
 from typing import Callable, Iterator, Sequence
 
-from tvautomata import AlphabetSchedule, Automaton, LevelGroup, LevelTable, reduced_words
+from tvautomata import (
+    AlphabetSchedule,
+    Automaton,
+    LevelGroup,
+    LevelTable,
+    NotInvertibleError,
+    reduced_words,
+)
 from tvautomata import word_order_perm_a, word_order_perm_b
 
 
@@ -95,6 +104,27 @@ def raw_image(
     return tuple(out)
 
 
+def raw_step(
+    table: LevelTable, states: Sequence[int], signs: Sequence[int], x: int, level: int
+) -> tuple[int, tuple[int, ...]]:
+    """Step letter x of a level through (state, sign) factors over raw
+    rows, rightmost factor first: the output letter and the new states.
+    A negative factor looks its letter up in a row that must be a
+    permutation, else NotInvertibleError."""
+    new_states = list(states)
+    for i in range(len(states) - 1, -1, -1):
+        q, row = states[i], table.output[states[i]]
+        if signs[i] > 0:
+            new_states[i] = table.transition[q][x]
+            x = row[x]
+        else:
+            if sorted(row) != list(range(len(row))):
+                raise NotInvertibleError(level, q)
+            x = row.index(x)
+            new_states[i] = table.transition[q][x]
+    return x, tuple(new_states)
+
+
 def words_at_level(schedule: AlphabetSchedule, level: int) -> Iterator[tuple[int, ...]]:
     """All words of the given length in lexicographic order."""
     if level == 0:
@@ -143,3 +173,17 @@ def is_bireversible_table(t: LevelTable) -> bool:
         if len({t.transition[q][t.output[q].index(x)] for q in states}) != t.n_states:
             return False
     return True
+
+
+def config_kind_size(prefix: Sequence[int], kind: str, value, level: int) -> int:
+    """The alphabet size at a 1-based level of a schedule config: a
+    prefix size, else the constant, the periodic list's entry, or for a
+    ramp with offset `value` the level plus the offset."""
+    if level <= len(prefix):
+        return prefix[level - 1]
+    if kind == "constant":
+        return value
+    if kind == "periodic":
+        return value[(level - len(prefix) - 1) % len(value)]
+    assert kind == "ramp"
+    return level + value

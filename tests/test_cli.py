@@ -701,7 +701,7 @@ def test_an_embedding_that_mismatches_past_the_eager_window_exits_2(capsys, conf
     path = config(_builtin("embed_subsequence", host, params))
     code, out, err = run(capsys, "check", "--config", path, "--depth", "70")
     assert (code, out) == (2, "")
-    assert err == "error: table at level 66 has alphabet size 66, schedule says 67\n"
+    assert err == "error: inner level 65 has size 66 but host level 66 has size 67\n"
 
 
 def _nested_embedding_text(depth):

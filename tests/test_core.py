@@ -766,11 +766,24 @@ def test_a_ramp_embedding_that_mismatches_past_the_eager_window_is_refused_by_it
     # level 65; past the prefix the host ramp runs one letter ahead.
     inner = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
     host = AlphabetSchedule.ramp(1, prefix=[1] + [j + 1 for j in range(1, 65)])
-    spread = embed_on_subsequence(inner, host, 2)
-    assert spread.table_at(65) == inner.table_at(64)
     with pytest.raises(ScheduleMismatchError) as err:
-        spread.table_at(66)
-    assert str(err.value) == "table at level 66 has alphabet size 66, schedule says 67"
+        embed_on_subsequence(inner, host, 2)
+    assert str(err.value) == "inner level 65 has size 66 but host level 66 has size 67"
+
+
+def test_an_embedding_is_checked_at_two_levels_past_both_prefixes():
+    # Host sizes 2, 2, 3, 4, ...: the host ramp meets the binary inner
+    # schedule at level 2, its first level, and leaves it at level 3.
+    with pytest.raises(ScheduleMismatchError, match="inner level 3 has size 2 but host level 3"):
+        embed_on_subsequence(z2z4_automaton(), AlphabetSchedule.ramp(0, prefix=[2]))
+
+
+def test_a_ramp_embedding_that_matches_at_every_level_is_accepted():
+    # Host level j + 1 has j + 1 letters past its one-letter first level.
+    inner = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
+    spread = embed_on_subsequence(inner, AlphabetSchedule.ramp(0, prefix=[1]), 2)
+    assert spread.table_at(1).is_identity()
+    assert spread.table_at(101) == inner.table_at(100)
 
 
 def test_explicit_tables_and_a_rule_are_refused_with_one_message():

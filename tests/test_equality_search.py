@@ -38,27 +38,14 @@ from tvautomata import (  # noqa: E402
 )
 from tvautomata import engine  # noqa: E402
 
-
-def _reference_step(table, states, signs, x, level):
-    new_states = list(states)
-    for i in range(len(states) - 1, -1, -1):
-        q, row = states[i], table.output[states[i]]
-        if signs[i] > 0:
-            new_states[i] = table.transition[q][x]
-            x = row[x]
-        else:
-            if sorted(row) != list(range(len(row))):
-                raise NotInvertibleError(level, q)
-            x = row.index(x)
-            new_states[i] = table.transition[q][x]
-    return x, tuple(new_states)
+from reference import raw_step  # noqa: E402
 
 
 def _reference_image(automaton, word, letters):
     states, signs = [q for q, _ in word.factors], [s for _, s in word.factors]
     out = []
     for level, x in enumerate(letters, start=1):
-        y, states = _reference_step(automaton.table_at(level), states, signs, x, level)
+        y, states = raw_step(automaton.table_at(level), states, signs, x, level)
         out.append(y)
     return tuple(out)
 
@@ -87,7 +74,7 @@ def _reference_decide(automaton, g, h, budget):
             continue
         table = automaton.table_at(phase)
         for x in range(table.alphabet_size):
-            y, new_states = _reference_step(table, states, signs, x, level)
+            y, new_states = raw_step(table, states, signs, x, level)
             if y != x:
                 path, at = [x], node
                 while parents[at] is not None:

@@ -130,7 +130,7 @@ REFUSALS = {
             word_order_automaton(AlphabetSchedule.constant(3, prefix=[2] * 64)), BINARY
         ),
         ScheduleMismatchError,
-        "table at level 65 has alphabet size 3, schedule says 2",
+        "inner level 65 has size 3 but host level 65 has size 2",
     ),
     # engine
     "element order up to 0": (

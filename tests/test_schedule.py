@@ -1,11 +1,19 @@
+import itertools
+import json
 import math
 
 import pytest
 
-from tvautomata import AlphabetSchedule, InvalidWordError
-from tvautomata.schedule import MAX_LEVEL, Constant, Periodic, Ramp
+from tvautomata import (
+    AlphabetSchedule,
+    InvalidWordError,
+    cycle_transposition_automaton,
+    level_groups,
+    relation_search,
+)
+from tvautomata.schedule import MAX_LEVEL
 
-from reference import words_at_level
+from reference import config_kind_size, words_at_level
 
 
 def test_constant_tail_sizes():
@@ -133,15 +141,17 @@ def test_shift_composes():
 
 def test_size_validation_on_construction():
     with pytest.raises(ValueError):
-        Constant(0)
+        AlphabetSchedule.constant(0)
     with pytest.raises(ValueError):
-        Periodic(())
+        AlphabetSchedule.periodic(())
     with pytest.raises(ValueError):
-        Periodic((1, 0))
+        AlphabetSchedule.periodic((1, 0))
     with pytest.raises(ValueError):
-        Ramp(-1)
+        AlphabetSchedule.ramp(-1)
     with pytest.raises(ValueError):
         AlphabetSchedule.constant(2, prefix=(0,))
+    with pytest.raises(ValueError, match="slopes must be nonnegative"):
+        AlphabetSchedule((), ((2, -1),))
 
 
 def test_periodic_structure():
@@ -221,3 +231,66 @@ def test_config_rejects_malformed_documents():
     ):
         with pytest.raises(ValueError):
             AlphabetSchedule.from_config(bad)
+
+
+_KIND_PREFIXES = [(), (3,), (2, 5, 1), (4,) * 7]
+_KIND_TAILS = [
+    *(("constant", v) for v in (1, 2, 5)),
+    *(("periodic", vs) for vs in ([3, 4], [2, 5, 1], [1, 1, 6, 2])),
+    *(("ramp", offset) for offset in (0, 1, 3, 10)),
+]
+
+
+@pytest.mark.parametrize(
+    "prefix, kind, value",
+    [(prefix, *tail) for prefix, tail in itertools.product(_KIND_PREFIXES, _KIND_TAILS)],
+    ids=lambda v: str(list(v)) if isinstance(v, tuple) else str(v),
+)
+def test_each_config_kind_matches_its_definition_to_level_500(prefix, kind, value):
+    doc = {
+        "prefix": list(prefix),
+        "tail": {"kind": kind, "value": {"offset": value} if kind == "ramp" else value},
+    }
+    schedule = AlphabetSchedule.from_config(doc)
+    expected = [config_kind_size(prefix, kind, value, level) for level in range(1, 501)]
+    assert list(schedule.sizes(500)) == expected
+    assert schedule.bound() == (None if kind == "ramp" else max(expected))
+    for count in (1, 2, 3, 7, 50):
+        assert list(schedule.shifted(count).sizes(500 - count)) == expected[count:]
+    leaves = 1
+    for level in range(1, 501):
+        leaves *= expected[level - 1]
+        assert schedule.leaf_count(level) == leaves
+    assert json.dumps(schedule.to_config()) == json.dumps(doc)
+
+
+def test_a_one_size_periodic_tail_is_the_constant_tail():
+    assert AlphabetSchedule.periodic([3], prefix=(2,)) == AlphabetSchedule.constant(3, prefix=(2,))
+    assert AlphabetSchedule.periodic([3]).to_config()["tail"] == {"kind": "constant", "value": 3}
+
+
+def test_to_config_refuses_a_block_no_kind_writes():
+    for block in (((2, 0), (3, 1)), ((3, 2),), ((1, 1),)):
+        with pytest.raises(ValueError, match="no schedule config kind"):
+            AlphabetSchedule((2,), block).to_config()
+
+
+def test_example2_over_an_alternating_block():
+    # Sizes 2, 3, 2, 4, 2, 5, ...: bounded levels recur forever.
+    schedule = AlphabetSchedule((), ((2, 0), (3, 1)))
+    assert schedule.sizes(8) == (2, 3, 2, 4, 2, 5, 2, 6)
+    assert schedule.bound() is None and schedule.aligned_fold(0, 1) is None
+    assert schedule.shifted(3).sizes(5) == schedule.sizes(8)[3:]
+    assert [schedule.leaf_count(k) for k in range(1, 9)] == [
+        math.prod(schedule.sizes(k)) for k in range(1, 9)
+    ]
+    machine = cycle_transposition_automaton(schedule)
+    assert [g.order for g in level_groups(machine, 3)] == [2, 36, 36]
+    found = relation_search(machine, 7)
+    assert (found.checked, found.equal, found.unknown) == (4372, [], [])
+
+
+def test_example2_needs_every_slot_s_first_size():
+    # The growing slot starts at 5 letters, the bounded one stays at 2.
+    with pytest.raises(ValueError, match="smallest level has 2"):
+        cycle_transposition_automaton(AlphabetSchedule((), ((5, 1), (2, 0))), x1=2)
