@@ -13,9 +13,13 @@ or an identity tail leaves finitely many distinct levels, so decisions
 downstream are exact; a bare rule is checked up to a depth unless the
 construction carries a guarantee.  A folded machine keeps its tables;
 every other table is built on request and kept only by the query that
-reads it.  Every letter is stepped by
-`LevelTable.step`, which reads the table's cached signed rows: its own
-rows forward and the inverse transducer's rows backward.
+reads it.  The size-determined builtins of `families` share their
+tables over a bounded schedule through one process-wide LRU of at most
+16 tables, so machines folded over the same sizes hold the same table
+objects; over a ramp they still build each table per request.  Every
+letter is stepped by `LevelTable.step`, which reads the table's cached
+signed rows: its own rows forward and the inverse transducer's rows
+backward.
 """
 
 from __future__ import annotations
@@ -41,6 +45,12 @@ INVERSE_NOT_REVERSIBLE = "inverse_not_reversible"
 _DEFAULT_CHECK_DEPTH = 20
 _SANITY_DEPTH = 8
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+# The most letters a rule's fold may sample: the sum of the alphabet
+# sizes over its levels 1 .. p + m.  Explicit tables are not sampled and
+# not counted.  A long period of wide alphabets would otherwise build
+# table after table until memory runs out.
+MAX_FOLD_LETTERS = 1_000_000
 
 
 def _check_count(value: int, what: str, least: int = 1, level: bool = False) -> None:
@@ -352,7 +362,12 @@ class Automaton:
     is the only table store a machine keeps: an identity-tail table past
     it, and every table of a machine without a fold, is built each time
     it is asked for and passes the same check, and a query that reads a
-    level more than once keeps the table itself.  Levels are 1-based.
+    level more than once keeps the table itself.  A rule may hand out
+    tables other machines hold too: the size-determined builtins do over
+    a bounded schedule, from one LRU of at most 16 tables, so their
+    cached rows and search memos serve every machine with those sizes.
+    A rule's fold may sample at most MAX_FOLD_LETTERS letters over its
+    levels 1 .. p + m.  Levels are 1-based.
 
     A phase is a class of levels that share one table and one alphabet
     size, named by an int: its representative level, or 0 for the
@@ -409,6 +424,12 @@ class Automaton:
         if schedule.aligned_fold(p, m) != (p, m):
             raise ScheduleMismatchError(
                 f"fold {fold} does not line up with {schedule}"
+            )
+        letters = sum(map(schedule.size_at, range(1, p + m + 1)))
+        if letters > MAX_FOLD_LETTERS:
+            raise ValueError(
+                f"fold over levels 1 .. {p + m} samples {letters} letters, "
+                f"past the budget of {MAX_FOLD_LETTERS}"
             )
         # From `identity_from` on the rule is not consulted.
         live = p + m + 1 if identity_from is None else identity_from

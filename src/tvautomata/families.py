@@ -74,6 +74,31 @@ def _diagonal_rows(n_states: int, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(q for _ in range(size)) for q in range(n_states))
 
 
+# How many size-keyed tables the process keeps.  A 10,000-letter
+# two-state table with its signed rows takes 1.8 MB (tracemalloc), so at
+# worst the shared tables take about 29 MB, plus the search memos that
+# queries leave on them.
+MAX_SHARED_TABLES = 16
+
+
+@functools.lru_cache(maxsize=MAX_SHARED_TABLES)
+def _shared_table(build: Callable[..., LevelTable], *key: int) -> LevelTable:
+    return build(*key)
+
+
+def _size_rule(
+    schedule: AlphabetSchedule, build: Callable[..., LevelTable], *params: int
+) -> Callable[[int], LevelTable]:
+    """The rule of a builtin whose table at a level is `build(size,
+    *params)`.  Over a bounded schedule, exactly when the builtin gets a
+    fold, tables come from one process-wide LRU of MAX_SHARED_TABLES, so
+    every machine with those sizes holds the same table objects, with
+    their cached signed rows, `failure` verdicts and search memos.  Over
+    a growing schedule every table is built fresh, so a ramp keeps none."""
+    make = build if schedule.bound() is None else functools.partial(_shared_table, build)
+    return lambda level: make(schedule.size_at(level), *params)
+
+
 def _order_preserving_labeling(formula: Callable[[int], int], size: int) -> tuple[int, ...]:
     """Restrict a 1-based integer bijection to {1..size} as a 0-based
     permutation, routing out-of-range images through the order-preserving
@@ -88,22 +113,27 @@ def _order_preserving_labeling(formula: Callable[[int], int], size: int) -> tupl
 # Named constructions.
 
 
+def _word_order_table(size: int) -> LevelTable:
+    return LevelTable(
+        _diagonal_rows(2, size),
+        (
+            _order_preserving_labeling(word_order_perm_a, size),
+            _order_preserving_labeling(word_order_perm_b, size),
+        ),
+    )
+
+
 def word_order_automaton(schedule: AlphabetSchedule) -> Automaton:
     """Two-state diagonal automaton whose labelings restrict the word-order
     permutations a (state q1) and b (state q2) to each level alphabet."""
-
-    def fn(level: int) -> LevelTable:
-        size = schedule.size_at(level)
-        return LevelTable(
-            _diagonal_rows(2, size),
-            (
-                _order_preserving_labeling(word_order_perm_a, size),
-                _order_preserving_labeling(word_order_perm_b, size),
-            ),
-        )
-
     return _tagged(
-        Automaton(schedule, 2, fn, fold=schedule.aligned_fold(0, 1), exact_bireversible=True),
+        Automaton(
+            schedule,
+            2,
+            _size_rule(schedule, _word_order_table),
+            fold=schedule.aligned_fold(0, 1),
+            exact_bireversible=True,
+        ),
         "example1",
     )
 
@@ -128,19 +158,23 @@ def cycle_transposition_automaton(
             f"smallest level has {low}"
         )
 
-    def fn(level: int) -> LevelTable:
-        size = schedule.size_at(level)
-        tau = perms.transposition(size, x0, x1)
-        pi = perms.from_cycles(
-            size, [[x0, x1] + [x for x in range(size) if x not in (x0, x1)]]
-        )
-        return two_state_level((x0,), pi, tau)
-
     return _tagged(
-        Automaton(schedule, 2, fn, fold=schedule.aligned_fold(0, 1), exact_bireversible=True),
+        Automaton(
+            schedule,
+            2,
+            _size_rule(schedule, _cycle_transposition_table, x0, x1),
+            fold=schedule.aligned_fold(0, 1),
+            exact_bireversible=True,
+        ),
         "example2",
         {"x0": x0, "x1": x1},
     )
+
+
+def _cycle_transposition_table(size: int, x0: int, x1: int) -> LevelTable:
+    tau = perms.transposition(size, x0, x1)
+    pi = perms.from_cycles(size, [[x0, x1] + [x for x in range(size) if x not in (x0, x1)]])
+    return two_state_level((x0,), pi, tau)
 
 
 def _min_size(schedule: AlphabetSchedule) -> int:
@@ -227,24 +261,23 @@ def sym_diagonal_automaton(
     else:
         raise ValueError("need a finite index list or an arithmetic start")
 
-    def fn(level: int) -> LevelTable:
-        size = schedule.size_at(level)
-        return LevelTable(
-            _diagonal_rows(2, size),
-            (perms.rotation(size), perms.transposition(size, 0, 1)),
-        )
-
     return _tagged(
         Automaton(
             schedule,
             2,
-            fn,
+            _size_rule(schedule, _sym_table),
             fold=schedule.aligned_fold(0, 1),
             exact_bireversible=True,
             identity_from=identity_from,
         ),
         "gi",
         params,
+    )
+
+
+def _sym_table(size: int) -> LevelTable:
+    return LevelTable(
+        _diagonal_rows(2, size), (perms.rotation(size), perms.transposition(size, 0, 1))
     )
 
 
@@ -267,13 +300,18 @@ def z4_automaton() -> Automaton:
     return _tagged(z2z4_automaton().restricted(2), "z4")
 
 
+_LAMPLIGHTER = LevelTable(((0, 1), (1, 0)), ((0, 1), (1, 0)))
+
+
 def lamplighter_automaton() -> Automaton:
     """Binary Mealy machine with transition and output both q xor x."""
-    table = LevelTable(((0, 1), (1, 0)), ((0, 1), (1, 0)))
     return _tagged(
-        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (), (table,)),
+        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (), (_LAMPLIGHTER,)),
         "lamplighter",
     )
+
+
+_BELLATERRA = LevelTable(((2, 2), (0, 1), (1, 0)), ((1, 0), (0, 1), (0, 1)))
 
 
 def bellaterra_automaton() -> Automaton:
@@ -283,19 +321,27 @@ def bellaterra_automaton() -> Automaton:
     the letter, with b staying on 1 and going to a on 0, and c going to b
     on 0 and to a on 1.
     """
-    table = LevelTable(
-        ((2, 2), (0, 1), (1, 0)),
-        ((1, 0), (0, 1), (0, 1)),
-    )
     return _tagged(
-        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (), (table,)),
+        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (), (_BELLATERRA,)),
         "bellaterra",
     )
 
 
+@functools.cache
+def _bellaterra_dual() -> Automaton:
+    """The dual machine, built on first use; callers copy it."""
+    return bellaterra_automaton().dual()
+
+
 def bellaterra_dual_automaton() -> Automaton:
     """The state-letter dual: two states acting on a ternary alphabet."""
-    return _tagged(bellaterra_automaton().dual(), "bellaterra_dual")
+    dual = _bellaterra_dual()
+    return _tagged(
+        Automaton.from_periodic_tables(
+            dual.schedule, (), (dual.mealy_table(),), state_names=dual.state_names
+        ),
+        "bellaterra_dual",
+    )
 
 
 def subsequence_embedding_automaton(
@@ -334,18 +380,19 @@ def two_state_level(
 
 
 @functools.cache
-def _admissible_binary_levels() -> tuple[tuple, ...]:
-    """`two_state_level` arguments of the 16 candidate binary levels, by
-    flip set and then labelings, that `LevelTable.failure` passes."""
+def _binary_level_types() -> tuple[LevelTable, ...]:
+    """The 12 of the 16 candidate binary two-state levels, by flip set
+    and then labelings, that `LevelTable.failure` passes: built on first
+    use and shared by every `random_bir22` machine."""
     labelings = ((0, 1), (1, 0))
     candidates = itertools.product(((), (0, 1), (0,), (1,)), labelings, labelings)
-    return tuple(c for c in candidates if two_state_level(*c).failure is None)
+    return tuple(t for t in itertools.starmap(two_state_level, candidates) if t.failure is None)
 
 
 def admissible_binary_level_types() -> tuple[LevelTable, ...]:
     """All 12 two-state binary level tables compatible with
     bi-reversibility, in a fixed order, as new table objects each call."""
-    return tuple(two_state_level(*c) for c in _admissible_binary_levels())
+    return tuple(LevelTable(t.transition, t.output) for t in _binary_level_types())
 
 
 def random_admissible_level(rng: random.Random, size: int) -> LevelTable:
@@ -390,11 +437,9 @@ def random_bir22_automaton(
     if prefix_len < 0 or period_len < 1:
         raise ValueError("need prefix_len >= 0 and period_len >= 1")
     rng = random.Random(seed)
-    levels = _admissible_binary_levels()
-    # Each type drawn is built once, so a type drawn twice is one table.
-    build = functools.cache(two_state_level)
-    prefix = tuple(build(*rng.choice(levels)) for _ in range(prefix_len))
-    period = tuple(build(*rng.choice(levels)) for _ in range(period_len))
+    types = _binary_level_types()
+    prefix = tuple(rng.choice(types) for _ in range(prefix_len))
+    period = tuple(rng.choice(types) for _ in range(period_len))
     return _tagged(
         Automaton.from_periodic_tables(AlphabetSchedule.constant(2), prefix, period),
         "random_bir22",

@@ -8,6 +8,7 @@ import pytest
 from tvautomata import (
     FAMILIES,
     AlphabetSchedule,
+    Automaton,
     GroupWord,
     LevelTable,
     ScheduleMismatchError,
@@ -20,10 +21,13 @@ from tvautomata import (
     decide_equal,
     diagonal_automaton,
     lamplighter_automaton,
+    level_group,
     random_admissible_level,
     random_bir22_automaton,
     random_bireversible_automaton,
+    reduced_words,
     relation_search,
+    steer_to_word,
     subsequence_embedding_automaton,
     sym_diagonal_automaton,
     two_state_level,
@@ -34,6 +38,7 @@ from tvautomata import (
     z4_automaton,
 )
 from tvautomata import families, perms
+from tvautomata.errors import AutomatonError
 
 from reference import (
     shortlex_words,
@@ -467,3 +472,114 @@ def test_embeddings_nest_up_to_the_stated_limit():
     for depth in (33, 3000):
         with pytest.raises(ValueError, match="nest deeper than the supported 32"):
             build_from_config(_nested_embedding(depth))
+
+
+# -- size-keyed tables shared across machines -------------------------
+
+
+def _example2_config(tail, prefix=()):
+    return {
+        "schedule": AlphabetSchedule.periodic(tail, prefix).to_config(),
+        "automaton": {"builtin": "example2", "params": {}},
+    }
+
+
+def _with_fresh_tables(machine):
+    """The same machine over new copies of its tables, which share no
+    cached rows or search memos with any other machine."""
+    prefix, period = (
+        tuple(LevelTable(t.transition, t.output) for t in tables)
+        for tables in machine.periodic_tables
+    )
+    return Automaton.from_periodic_tables(machine.schedule, prefix, period)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except AutomatonError as e:
+        return type(e), str(e)
+
+
+def _answers(machine):
+    """Equality verdicts, level orders to level 2 and steering outcomes,
+    each asked of its own machine from `machine()`."""
+    c = GroupWord.generator(0) * GroupWord.generator(1).inverse()
+    # Powers of c fix the first levels, so their searches reach the
+    # period and, behind a prefix, its memo.
+    words = list(reduced_words(2, 3)) + [c**k for k in (4, 6, 8, 12)]
+    out = []
+    for g, h in [(g, None) for g in words] + list(zip(words, words[1:])):
+        v = decide_equal(machine(), g, h)
+        out.append((v.status, v.witness, v.explored))
+    for k in (1, 2):
+        out.append(_outcome(lambda: level_group(machine(), k).order))
+    for target in ((2,), (0, 3), (1, 2), (2, 1, 4)):
+        r = _outcome(steer_to_word, machine(), target)
+        out.append(r if isinstance(r, tuple) else (r.base_word, r.n0, r.n1))
+    return out
+
+
+def test_shared_tables_answer_as_fresh_tables_do():
+    # Tails that share their first size and differ after it, with and
+    # without a prefix: the period memos of one table then serve several
+    # periods.
+    docs = [
+        _example2_config(tail, prefix)
+        for prefix in ((), (5,))
+        for tail in ((3, 4), (3, 5), (4, 3), (3, 4, 5))
+    ]
+    for order in (docs, docs[::-1]):
+        for doc in order:
+            shared = _answers(lambda: build_from_config(doc))
+            fresh = _answers(lambda: _with_fresh_tables(build_from_config(doc)))
+            assert shared == fresh, doc["schedule"]
+
+
+def test_bounded_builtins_share_their_tables():
+    docs = [
+        config_of(word_order_automaton(AlphabetSchedule.periodic((3, 5), prefix=(4,)))),
+        _example2_config((3, 4, 6, 8)),
+        config_of(cycle_transposition_automaton(AlphabetSchedule.constant(5), x0=2, x1=0)),
+        config_of(sym_diagonal_automaton([2, 3, 4, 3])),
+    ]
+    for doc in docs:
+        one, two = build_from_config(doc), build_from_config(doc)
+        # gi acts trivially past its list, on identity tables of its own.
+        last = 4 if doc["automaton"]["builtin"] == "gi" else 2 * sum(one.fold)
+        for i in range(1, last + 1):
+            assert one.table_at(i) is two.table_at(i), (doc, i)
+    a = build_from_config(_example2_config((3, 4)))
+    b = build_from_config(_example2_config((4, 3), prefix=(3,)))
+    assert a.table_at(1) is b.table_at(1) is b.table_at(3)
+
+
+def test_the_shared_tables_stay_within_their_bound():
+    assert families.MAX_SHARED_TABLES == 16
+    for size in range(3, 41):
+        cycle_transposition_automaton(AlphabetSchedule.constant(size))
+    info = families._shared_table.cache_info()
+    assert info.currsize == info.maxsize == families.MAX_SHARED_TABLES
+    # A growing schedule builds its tables fresh.
+    ramp = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
+    assert ramp.table_at(2) is not ramp.table_at(2)
+
+
+def test_fixed_builtins_share_their_tables():
+    for build in (
+        lamplighter_automaton,
+        bellaterra_automaton,
+        bellaterra_dual_automaton,
+        z2z4_automaton,
+    ):
+        one, two = build(), build()
+        assert one is not two
+        pairs = zip(sum(one.periodic_tables, ()), sum(two.periodic_tables, ()))
+        assert all(x is y for x, y in pairs), build
+    drawn = random_bir22_automaton(5, 2, 2).periodic_tables
+    again = random_bir22_automaton(5, 2, 2).periodic_tables
+    assert all(x is y for x, y in zip(sum(drawn, ()), sum(again, ())))
+    # The type list hands out copies, which share no memos.
+    types = admissible_binary_level_types()
+    assert types == families._binary_level_types()
+    assert not set(map(id, types)) & set(map(id, families._binary_level_types()))

@@ -1,6 +1,8 @@
 """Refusals of malformed input across the public API: each case names
 the exception type and a fragment of its message."""
 
+import json
+
 import pytest
 
 from tvautomata import (
@@ -32,6 +34,8 @@ from tvautomata import (
     word_order_perm_b,
     z2z4_automaton,
 )
+from tvautomata import cli
+from tvautomata.core import MAX_FOLD_LETTERS
 from tvautomata.schedule import MAX_ALPHABET_SIZE
 
 BINARY = AlphabetSchedule.constant(2)
@@ -46,6 +50,10 @@ def _explicit(doc):
 
 def _identity_rule(n_states):
     return lambda level: LevelTable.identity(n_states, 2)
+
+
+def _unreachable_rule(level):
+    raise AssertionError(f"table at level {level} built before the refusal")
 
 
 REFUSALS = {
@@ -288,6 +296,13 @@ REFUSALS = {
         ValueError,
         "has 2 states, config says 3",
     ),
+    "rule fold past the letter budget": (
+        lambda: Automaton(
+            AlphabetSchedule.periodic([10_000] * 101), 2, _unreachable_rule, fold=(0, 101)
+        ),
+        ValueError,
+        "fold over levels 1 .. 101 samples 1010000 letters, past the budget of 1000000",
+    ),
     "config of an untagged rule machine": (
         lambda: config_of(Automaton.from_rule(BINARY, 2, _identity_rule(2))),
         ValueError,
@@ -313,3 +328,23 @@ def test_malformed_input_is_refused(case):
     with pytest.raises(error) as info:
         make()
     assert fragment in str(info.value)
+
+
+def test_a_fold_past_the_letter_budget_exits_2_before_building(capsys, tmp_path):
+    # 3,000 sizes of up to 9,999 letters: 15,010,648 letters in one
+    # period, which ran into MemoryError when every table was built.
+    sizes = [2 + (i * 7919) % 9998 for i in range(3000)]
+    doc = {
+        "schedule": {"prefix": [], "tail": {"kind": "periodic", "value": sizes}},
+        "automaton": {"builtin": "example2", "params": {}},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["check", "--config", str(path), "--depth", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"error: fold over levels 1 .. 3000 samples {sum(sizes)} letters, "
+        f"past the budget of {MAX_FOLD_LETTERS}\n"
+    )
+    assert sum(sizes) == 15_010_648
