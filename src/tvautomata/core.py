@@ -13,10 +13,7 @@ or an identity tail leaves finitely many distinct levels, so decisions
 downstream are exact; a bare rule is checked up to a depth unless the
 construction carries a guarantee.  A folded machine keeps its tables;
 every other table is built on request and kept only by the query that
-reads it.  The size-determined builtins of `families` share their
-tables over a bounded schedule through one process-wide LRU of at most
-16 tables, so machines folded over the same sizes hold the same table
-objects; over a ramp they still build each table per request.  Every
+reads it.  A rule may hand out tables other machines hold too.  Every
 letter is stepped by `LevelTable.step`, which reads the table's cached
 signed rows: its own rows forward and the inverse transducer's rows
 backward.
@@ -36,7 +33,7 @@ from .errors import (
     NotMealyError,
     ScheduleMismatchError,
 )
-from .schedule import MAX_LEVEL, AlphabetSchedule, is_config_int
+from .schedule import MAX_LEVEL, AlphabetSchedule, _check_ints, is_config_int
 
 NOT_INVERTIBLE = "not_invertible"
 NOT_REVERSIBLE = "not_reversible"
@@ -57,8 +54,7 @@ def _check_count(value: int, what: str, least: int = 1, level: bool = False) -> 
     """Refuse a count that is not an integer (true and false included),
     one below `least` and, when it names a level, one past MAX_LEVEL,
     with a ValueError."""
-    if not is_config_int(value):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+    _check_ints((value,), what)
     if value < least:
         raise ValueError(f"{what} must be at least {least}, got {value}")
     if level and value > MAX_LEVEL:
@@ -95,10 +91,12 @@ class LevelTable:
         if len(self.output) != n:
             raise ValueError("transition and output tables disagree on state count")
         for row in self.transition:
-            if len(row) != d or any(not 0 <= q < n for q in row):
+            _check_ints(row, "transition entry")
+            if len(row) != d or min(row) < 0 or max(row) >= n:
                 raise ValueError("transition entries must be states")
         for row in self.output:
-            if len(row) != d or any(not 0 <= x < d for x in row):
+            _check_ints(row, "output entry")
+            if len(row) != d or min(row) < 0 or max(row) >= d:
                 raise ValueError("output entries must be letters")
         object.__setattr__(self, "_hash", hash((self.transition, self.output)))
 
@@ -115,6 +113,7 @@ class LevelTable:
 
     @staticmethod
     def identity(n_states: int, size: int) -> "LevelTable":
+        _check_ints((n_states, size), "identity table size")
         row = tuple(range(size))
         return LevelTable(
             tuple(tuple(q for _ in range(size)) for q in range(n_states)),
@@ -363,11 +362,9 @@ class Automaton:
     it, and every table of a machine without a fold, is built each time
     it is asked for and passes the same check, and a query that reads a
     level more than once keeps the table itself.  A rule may hand out
-    tables other machines hold too: the size-determined builtins do over
-    a bounded schedule, from one LRU of at most 16 tables, so their
-    cached rows and search memos serve every machine with those sizes.
-    A rule's fold may sample at most MAX_FOLD_LETTERS letters over its
-    levels 1 .. p + m.  Levels are 1-based.
+    tables other machines hold too.  A rule's fold may sample at most
+    MAX_FOLD_LETTERS letters over its levels 1 .. p + m.  Levels are
+    1-based.
 
     A phase is a class of levels that share one table and one alphabet
     size, named by an int: its representative level, or 0 for the
@@ -399,6 +396,7 @@ class Automaton:
         exact_bireversible: bool = False,
         identity_from: Optional[int] = None,
     ):
+        _check_ints((n_states,), "state count")
         if n_states < 1:
             raise ValueError("need at least one state")
         self.schedule = schedule
@@ -416,9 +414,12 @@ class Automaton:
         # A builtin's (family id, params), set only by `families`.
         self.family: Optional[tuple[str, dict]] = None
         self._tables: Optional[tuple[Optional[LevelTable], ...]] = None
+        if identity_from is not None:
+            _check_ints((identity_from,), "identity level")
         if fold is None:
             return
         p, m = fold
+        _check_ints(fold, "fold length")
         if p < 0 or m < 1:
             raise ValueError("a fold needs p >= 0 and m >= 1")
         if schedule.aligned_fold(p, m) != (p, m):
@@ -543,7 +544,7 @@ class Automaton:
 
     def state_index(self, state) -> int:
         """A state's index, given as itself or as a name in `name_index`."""
-        if isinstance(state, int):
+        if is_config_int(state):
             if not 0 <= state < self.n_states:
                 raise ValueError(f"state index {state} out of range")
             return state
@@ -707,6 +708,7 @@ class Automaton:
 
     def restricted(self, depth: int) -> "Automaton":
         """Keep the first `depth` levels, act trivially beyond them."""
+        _check_ints((depth,), "restriction depth")
         if depth < 0:
             raise ValueError("restriction depth must be nonnegative")
         ident = depth + 1
@@ -768,6 +770,8 @@ def embed_on_subsequence(
     lengths, and on each residue class mod T each size is affine in the
     inner level; so levels 1 .. first + 2T - 1 settle every level.
     """
+    _check_ints((start,), "embedding start")
+    _check_ints((step,), "embedding step")
     if start < 1 or step < 1:
         raise ValueError("start and step must be at least 1")
     own = inner.schedule

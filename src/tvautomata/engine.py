@@ -39,6 +39,7 @@ from .errors import (
     UnboundedScheduleError,
     VerificationFailedError,
 )
+from .schedule import _check_ints
 
 Word = tuple[int, ...]
 
@@ -73,7 +74,8 @@ class GroupWord:
     Factors are (state index, sign) pairs with a nonnegative state index
     and sign +1 or -1.  The constructor takes any such factors and keeps
     them freely reduced, so equal reduced words compare equal; a bad
-    sign or a negative index raises ValueError.  The leftmost factor is
+    sign, a negative index or a state or sign that is not an integer
+    (true and false included) raises ValueError.  The leftmost factor is
     applied last when the word acts on tree words.
     """
 
@@ -102,6 +104,7 @@ class GroupWord:
         return GroupWord(tuple((q, -s) for q, s in reversed(self.factors)))
 
     def __pow__(self, n: int) -> "GroupWord":
+        _check_ints((n,), "exponent")
         base = self if n >= 0 else self.inverse()
         return GroupWord(base.factors * abs(n))
 
@@ -172,6 +175,9 @@ def _free_reduction(factors: Iterable[tuple[int, int]]) -> tuple[tuple[int, int]
     """Cancel adjacent inverse factors, checking every factor on the way."""
     stack: list[tuple[int, int]] = []
     for q, s in factors:
+        if type(q) is not int or type(s) is not int:
+            _check_ints((q,), "state index")
+            _check_ints((s,), "sign")
         if s not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if q < 0:
@@ -973,6 +979,7 @@ def ratio_power_image(
     permutation.
     """
     _require_two_states(automaton)
+    _check_ints((n,), "exponent")
     letters = automaton.schedule.check_word(letters)
     tables = [automaton.table_at(i) for i in range(1, len(letters) + 1)]
     image = _act(tables, ((0, 1),), letters)[0]

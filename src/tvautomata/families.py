@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 from . import perms
 from .core import Automaton, LevelTable, embed_on_subsequence
 from .errors import ScheduleMismatchError
-from .schedule import AlphabetSchedule, is_config_int
+from .schedule import AlphabetSchedule, _check_ints, is_config_int
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +71,10 @@ def _tagged(automaton: Automaton, family: str, params: Optional[dict] = None) ->
 
 
 def _diagonal_rows(n_states: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """The transition of a diagonal table: every state keeps itself on
+    every letter.  Its letter columns, and those of its inverse (which
+    also keeps each state), list every state once, so a diagonal table
+    whose labelings are permutations is bi-reversible."""
     return tuple(tuple(q for _ in range(size)) for q in range(n_states))
 
 
@@ -86,23 +90,45 @@ def _shared_table(build: Callable[..., LevelTable], *key: int) -> LevelTable:
     return build(*key)
 
 
-def _size_rule(
-    schedule: AlphabetSchedule, build: Callable[..., LevelTable], *params: int
-) -> Callable[[int], LevelTable]:
-    """The rule of a builtin whose table at a level is `build(size,
-    *params)`.  Over a bounded schedule, exactly when the builtin gets a
-    fold, tables come from one process-wide LRU of MAX_SHARED_TABLES, so
+def _size_builtin(
+    schedule: AlphabetSchedule,
+    build: Callable[..., LevelTable],
+    *params: int,
+    identity_from: Optional[int] = None,
+) -> Automaton:
+    """The two-state builtin whose table at a level is `build(size,
+    *params)` for the level's alphabet size: example 1, example 2 and gi.
+
+    Each builder's table is bi-reversible at every size it is built for,
+    by the lemma in its docstring, so the machine claims exactness at
+    every level.  Over a bounded schedule the machine gets the aligned
+    fold, and exactly then its tables come from one process-wide LRU of
+    at most MAX_SHARED_TABLES tables keyed by (builder, size, params):
     every machine with those sizes holds the same table objects, with
-    their cached signed rows, `failure` verdicts and search memos.  Over
-    a growing schedule every table is built fresh, so a ramp keeps none."""
-    make = build if schedule.bound() is None else functools.partial(_shared_table, build)
-    return lambda level: make(schedule.size_at(level), *params)
+    their cached signed rows, `failure` verdicts and equality-search
+    memos.  Over a growing schedule there is no fold and every table is
+    built fresh on request, so a ramp keeps none."""
+    fold = schedule.aligned_fold(0, 1)
+    make = build if fold is None else functools.partial(_shared_table, build)
+    return Automaton(
+        schedule,
+        2,
+        lambda level: make(schedule.size_at(level), *params),
+        fold=fold,
+        exact_bireversible=True,
+        identity_from=identity_from,
+    )
 
 
 def _order_preserving_labeling(formula: Callable[[int], int], size: int) -> tuple[int, ...]:
     """Restrict a 1-based integer bijection to {1..size} as a 0-based
     permutation, routing out-of-range images through the order-preserving
-    bijection onto the letters missed by the in-range images."""
+    bijection onto the letters missed by the in-range images.
+
+    The result is a permutation at every size: the formula is injective,
+    so the in-range images are distinct and miss exactly as many letters
+    as there are out-of-range images, and each of those takes one spare
+    letter."""
     images = [formula(x) for x in range(1, size + 1)]
     in_range = {v for v in images if v <= size}
     spare = iter(sorted(set(range(1, size + 1)) - in_range))
@@ -114,6 +140,8 @@ def _order_preserving_labeling(formula: Callable[[int], int], size: int) -> tupl
 
 
 def _word_order_table(size: int) -> LevelTable:
+    """Example 1 at any size, 1 included: diagonal with the labelings of
+    `_order_preserving_labeling`, so bi-reversible."""
     return LevelTable(
         _diagonal_rows(2, size),
         (
@@ -126,16 +154,7 @@ def _word_order_table(size: int) -> LevelTable:
 def word_order_automaton(schedule: AlphabetSchedule) -> Automaton:
     """Two-state diagonal automaton whose labelings restrict the word-order
     permutations a (state q1) and b (state q2) to each level alphabet."""
-    return _tagged(
-        Automaton(
-            schedule,
-            2,
-            _size_rule(schedule, _word_order_table),
-            fold=schedule.aligned_fold(0, 1),
-            exact_bireversible=True,
-        ),
-        "example1",
-    )
+    return _tagged(_size_builtin(schedule, _word_order_table), "example1")
 
 
 def cycle_transposition_automaton(
@@ -147,11 +166,13 @@ def cycle_transposition_automaton(
     remaining letters in ascending order; state q2 by the transposition
     (x0 x1).  Needs every level alphabet to contain both letters.
     """
+    _check_ints((x0, x1), "marked letter")
     if x0 == x1:
         raise ValueError("the marked letters must differ")
     if min(x0, x1) < 0:
         raise ValueError("letters are nonnegative")
-    low = _min_size(schedule)
+    # Tail slopes are nonnegative, so a slot is smallest in its first turn.
+    low = min((*schedule.prefix, *(base for base, _ in schedule.block)))
     if low <= max(x0, x1):
         raise ValueError(
             f"every level needs at least {max(x0, x1) + 1} letters, "
@@ -159,28 +180,22 @@ def cycle_transposition_automaton(
         )
 
     return _tagged(
-        Automaton(
-            schedule,
-            2,
-            _size_rule(schedule, _cycle_transposition_table, x0, x1),
-            fold=schedule.aligned_fold(0, 1),
-            exact_bireversible=True,
-        ),
+        _size_builtin(schedule, _cycle_transposition_table, x0, x1),
         "example2",
         {"x0": x0, "x1": x1},
     )
 
 
 def _cycle_transposition_table(size: int, x0: int, x1: int) -> LevelTable:
+    """Example 2 at one size holding the distinct letters x0 and x1.
+
+    Both states flip exactly on x0, so every letter column of the
+    transition lists both states.  Both labelings are permutations and
+    send x0 to x1, so the inverse flips both states exactly on x1 and is
+    reversible too: the table is bi-reversible."""
     tau = perms.transposition(size, x0, x1)
     pi = perms.from_cycles(size, [[x0, x1] + [x for x in range(size) if x not in (x0, x1)]])
     return two_state_level((x0,), pi, tau)
-
-
-def _min_size(schedule: AlphabetSchedule) -> int:
-    """Smallest alphabet size over all levels: tail slopes are
-    nonnegative, so each slot is smallest in its first repetition."""
-    return min((*schedule.prefix, *(base for base, _ in schedule.block)))
 
 
 def diagonal_automaton(
@@ -205,6 +220,7 @@ def diagonal_automaton(
         raise ValueError("every level needs one labeling per state")
     for lv in levels + block:
         for row in lv:
+            _check_ints(row, "labeling entry")
             perms.check_permutation(row)
     n = counts.pop()
     if n < 1:
@@ -240,18 +256,16 @@ def sym_diagonal_automaton(
     alphabets.
     """
     listed = tuple(indices) if indices is not None else ()
-    if any(i < 2 for i in listed):
+    sizes = listed if start is None else listed + (start,)
+    _check_ints(sizes, "gi index")
+    if any(i < 2 for i in sizes):
         raise ValueError("indices must be at least 2")
     params: dict = {}
     if listed:
         params["indices"] = list(listed)
     if start is not None:
-        if start < 2:
-            raise ValueError("indices must be at least 2")
         if start < len(listed) + 1:
-            raise ValueError(
-                "arithmetic tail must not lag behind the level number"
-            )
+            raise ValueError("arithmetic tail must not lag behind the level number")
         params["start"] = start
         schedule = AlphabetSchedule.ramp(start - len(listed) - 1, prefix=listed)
         identity_from = None
@@ -261,37 +275,33 @@ def sym_diagonal_automaton(
     else:
         raise ValueError("need a finite index list or an arithmetic start")
 
-    return _tagged(
-        Automaton(
-            schedule,
-            2,
-            _size_rule(schedule, _sym_table),
-            fold=schedule.aligned_fold(0, 1),
-            exact_bireversible=True,
-            identity_from=identity_from,
-        ),
-        "gi",
-        params,
-    )
+    return _tagged(_size_builtin(schedule, _sym_table, identity_from=identity_from), "gi", params)
 
 
 def _sym_table(size: int) -> LevelTable:
+    """gi at one size, at least 2: diagonal with the rotation and the
+    transposition (0 1) as labelings, so bi-reversible."""
     return LevelTable(
         _diagonal_rows(2, size), (perms.rotation(size), perms.transposition(size, 0, 1))
     )
 
 
+# The fixed builtins' schedules and tables, built once at import and
+# shared by every machine built from them.
+_BINARY = AlphabetSchedule.constant(2)
+_TERNARY = AlphabetSchedule.constant(3)
 _Z2Z4_ODD = LevelTable(((0, 1), (1, 0)), ((1, 0), (1, 0)))
 _Z2Z4_EVEN = LevelTable(((0, 0), (1, 1)), ((1, 0), (0, 1)))
+_LAMPLIGHTER = LevelTable(((0, 1), (1, 0)), ((0, 1), (1, 0)))
+_BELLATERRA = LevelTable(((2, 2), (0, 1), (1, 0)), ((1, 0), (0, 1), (0, 1)))
+# `bellaterra_automaton().dual()`: the letters of _BELLATERRA as states.
+_BELLATERRA_DUAL = LevelTable(((1, 0, 0), (0, 1, 1)), ((2, 0, 1), (2, 1, 0)))
 
 
 def z2z4_automaton() -> Automaton:
     """Binary period-2 machine: odd levels flip the state on letter 1 and
     both labelings flip; even levels are diagonal with q1 flipping."""
-    return _tagged(
-        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (), (_Z2Z4_ODD, _Z2Z4_EVEN)),
-        "z2z4",
-    )
+    return _tagged(Automaton.from_periodic_tables(_BINARY, (), (_Z2Z4_ODD, _Z2Z4_EVEN)), "z2z4")
 
 
 def z4_automaton() -> Automaton:
@@ -300,18 +310,9 @@ def z4_automaton() -> Automaton:
     return _tagged(z2z4_automaton().restricted(2), "z4")
 
 
-_LAMPLIGHTER = LevelTable(((0, 1), (1, 0)), ((0, 1), (1, 0)))
-
-
 def lamplighter_automaton() -> Automaton:
     """Binary Mealy machine with transition and output both q xor x."""
-    return _tagged(
-        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (), (_LAMPLIGHTER,)),
-        "lamplighter",
-    )
-
-
-_BELLATERRA = LevelTable(((2, 2), (0, 1), (1, 0)), ((1, 0), (0, 1), (0, 1)))
+    return _tagged(Automaton.from_periodic_tables(_BINARY, (), (_LAMPLIGHTER,)), "lamplighter")
 
 
 def bellaterra_automaton() -> Automaton:
@@ -321,24 +322,15 @@ def bellaterra_automaton() -> Automaton:
     the letter, with b staying on 1 and going to a on 0, and c going to b
     on 0 and to a on 1.
     """
-    return _tagged(
-        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (), (_BELLATERRA,)),
-        "bellaterra",
-    )
-
-
-@functools.cache
-def _bellaterra_dual() -> Automaton:
-    """The dual machine, built on first use; callers copy it."""
-    return bellaterra_automaton().dual()
+    return _tagged(Automaton.from_periodic_tables(_BINARY, (), (_BELLATERRA,)), "bellaterra")
 
 
 def bellaterra_dual_automaton() -> Automaton:
-    """The state-letter dual: two states acting on a ternary alphabet."""
-    dual = _bellaterra_dual()
+    """The state-letter dual: two states d0 and d1 acting on a ternary
+    alphabet."""
     return _tagged(
         Automaton.from_periodic_tables(
-            dual.schedule, (), (dual.mealy_table(),), state_names=dual.state_names
+            _TERNARY, (), (_BELLATERRA_DUAL,), state_names=("d0", "d1")
         ),
         "bellaterra_dual",
     )
@@ -418,6 +410,7 @@ def random_bireversible_automaton(
 ) -> Automaton:
     """Random bi-reversible two-state automaton over a bounded schedule,
     with explicit tables drawn level by level."""
+    _check_ints((prefix_len, period_len), "block length")
     fold = schedule.aligned_fold(prefix_len, period_len)
     if fold is None:
         raise ScheduleMismatchError("needs a constant or periodic schedule tail")
@@ -434,6 +427,7 @@ def random_bir22_automaton(
 ) -> Automaton:
     """Seeded random binary machine built from the 12 admissible level
     types; identical seeds give identical tables."""
+    _check_ints((seed, prefix_len, period_len), "random_bir22 parameter")
     if prefix_len < 0 or period_len < 1:
         raise ValueError("need prefix_len >= 0 and period_len >= 1")
     rng = random.Random(seed)
@@ -441,7 +435,7 @@ def random_bir22_automaton(
     prefix = tuple(rng.choice(types) for _ in range(prefix_len))
     period = tuple(rng.choice(types) for _ in range(period_len))
     return _tagged(
-        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), prefix, period),
+        Automaton.from_periodic_tables(_BINARY, prefix, period),
         "random_bir22",
         {"seed": seed, "prefix_len": prefix_len, "period_len": period_len},
     )

@@ -37,6 +37,14 @@ def is_config_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_ints(values: Sequence, what: str) -> None:
+    """Refuse the first of `values` that is not an integer (true and
+    false included) with a ValueError naming it as one `what`."""
+    for v in values:
+        if type(v) is not int and not is_config_int(v):
+            raise ValueError(f"{what} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class AlphabetSchedule:
     prefix: tuple[int, ...]
@@ -50,12 +58,15 @@ class AlphabetSchedule:
         object.__setattr__(self, "block", tuple((b, s) for b, s in self.block))
         if not self.block:
             raise ValueError("periodic tail needs at least one size")
-        if any(v < 1 for v in self.prefix) or any(b < 1 for b, _ in self.block):
+        bases, slopes = zip(*self.block)
+        sizes = self.prefix + bases
+        _check_ints(sizes, "alphabet size")
+        _check_ints(slopes, "tail slope")
+        if min(sizes) < 1:
             raise ValueError("alphabet sizes must be at least 1")
-        if any(s < 0 for _, s in self.block):
+        if min(slopes) < 0:
             raise ValueError("tail slopes must be nonnegative")
-        bounded = all(s == 0 for _, s in self.block)
-        object.__setattr__(self, "_sizes", tuple(b for b, _ in self.block) if bounded else None)
+        object.__setattr__(self, "_sizes", None if any(slopes) else bases)
 
     @staticmethod
     def constant(value: int, prefix: Sequence[int] = ()) -> "AlphabetSchedule":
@@ -68,6 +79,7 @@ class AlphabetSchedule:
     @staticmethod
     def ramp(offset: int = 0, prefix: Sequence[int] = ()) -> "AlphabetSchedule":
         """Sizes past the prefix are level + offset."""
+        _check_ints((offset,), "ramp offset")
         if offset < 0:
             raise ValueError("ramp offset must be nonnegative")
         return AlphabetSchedule(prefix, ((len(prefix) + 1 + offset, 1),))
@@ -111,6 +123,7 @@ class AlphabetSchedule:
 
     def shifted(self, count: int) -> "AlphabetSchedule":
         """The schedule with the first `count` levels dropped."""
+        _check_ints((count,), "shift count")
         if count < 0:
             raise ValueError("shift count must be nonnegative")
         if count == 0:

@@ -39,6 +39,7 @@ from tvautomata import (
 )
 from tvautomata import families, perms
 from tvautomata.errors import AutomatonError
+from tvautomata.schedule import MAX_ALPHABET_SIZE
 
 from reference import (
     shortlex_words,
@@ -536,19 +537,39 @@ def test_shared_tables_answer_as_fresh_tables_do():
             assert shared == fresh, doc["schedule"]
 
 
+def test_each_size_recipe_is_bireversible_at_every_size():
+    # The lemmas in the builders' docstrings, which back the one
+    # `exact_bireversible=True` of `families`: every size up to 200 and
+    # the widest sizes a schedule config may give.
+    sizes = [*range(2, 201), *range(MAX_ALPHABET_SIZE - 2, MAX_ALPHABET_SIZE + 1)]
+    for size in [1] + sizes:
+        assert families._word_order_table(size).failure is None, size
+    for size in sizes:
+        assert families._sym_table(size).failure is None, size
+        for x0, x1 in {(0, 1), (1, 0), (size - 1, 0), (0, size - 1)}:
+            table = families._cycle_transposition_table(size, x0, x1)
+            assert table.failure is None, (size, x0, x1)
+
+
 def test_bounded_builtins_share_their_tables():
     docs = [
         config_of(word_order_automaton(AlphabetSchedule.periodic((3, 5), prefix=(4,)))),
         _example2_config((3, 4, 6, 8)),
         config_of(cycle_transposition_automaton(AlphabetSchedule.constant(5), x0=2, x1=0)),
         config_of(sym_diagonal_automaton([2, 3, 4, 3])),
+        # Growing schedules: no fold, and so no shared table.
+        config_of(word_order_automaton(AlphabetSchedule.ramp(0))),
+        config_of(cycle_transposition_automaton(AlphabetSchedule.ramp(1))),
+        config_of(sym_diagonal_automaton([3], start=3)),
     ]
     for doc in docs:
         one, two = build_from_config(doc), build_from_config(doc)
+        folded = doc["schedule"]["tail"]["kind"] != "ramp"
+        assert (one.fold is not None) == folded, doc
         # gi acts trivially past its list, on identity tables of its own.
-        last = 4 if doc["automaton"]["builtin"] == "gi" else 2 * sum(one.fold)
+        last = 4 if doc["automaton"]["builtin"] == "gi" or not folded else 2 * sum(one.fold)
         for i in range(1, last + 1):
-            assert one.table_at(i) is two.table_at(i), (doc, i)
+            assert (one.table_at(i) is two.table_at(i)) == folded, (doc, i)
     a = build_from_config(_example2_config((3, 4)))
     b = build_from_config(_example2_config((4, 3), prefix=(3,)))
     assert a.table_at(1) is b.table_at(1) is b.table_at(3)
@@ -560,9 +581,14 @@ def test_the_shared_tables_stay_within_their_bound():
         cycle_transposition_automaton(AlphabetSchedule.constant(size))
     info = families._shared_table.cache_info()
     assert info.currsize == info.maxsize == families.MAX_SHARED_TABLES
-    # A growing schedule builds its tables fresh.
-    ramp = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
-    assert ramp.table_at(2) is not ramp.table_at(2)
+    # A growing schedule builds its tables fresh, past the LRU.
+    for ramp in (
+        cycle_transposition_automaton(AlphabetSchedule.ramp(1)),
+        word_order_automaton(AlphabetSchedule.ramp(0)),
+        sym_diagonal_automaton(start=2),
+    ):
+        assert ramp.table_at(2) is not ramp.table_at(2)
+    assert families._shared_table.cache_info() == info
 
 
 def test_fixed_builtins_share_their_tables():

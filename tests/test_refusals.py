@@ -2,6 +2,7 @@
 the exception type and a fragment of its message."""
 
 import json
+import random
 
 import pytest
 
@@ -20,11 +21,15 @@ from tvautomata import (
     config_of,
     cycle_transposition_automaton,
     diagonal_automaton,
+    decide_equal,
     element_order,
     embed_on_subsequence,
     level_group,
     level_groups,
     orbit_at_level,
+    random_bir22_automaton,
+    ratio_power_image,
+    random_bireversible_automaton,
     relation_search,
     steer_to_word,
     sym_diagonal_automaton,
@@ -40,6 +45,7 @@ from tvautomata.schedule import MAX_ALPHABET_SIZE
 
 BINARY = AlphabetSchedule.constant(2)
 IDENT = (0, 1)
+P34 = AlphabetSchedule.periodic((3, 4))
 
 
 def _explicit(doc):
@@ -105,6 +111,41 @@ REFUSALS = {
     "table at level 0": (
         lambda: z2z4_automaton().table_at(0), ValueError, "levels start at 1"
     ),
+    "automaton with a float state count": (
+        lambda: Automaton(BINARY, 2.0, _identity_rule(2)),
+        ValueError,
+        "state count must be an integer, got 2.0",
+    ),
+    "automaton with a float identity level": (
+        lambda: Automaton(BINARY, 2, _identity_rule(2), identity_from=2.5),
+        ValueError,
+        "identity level must be an integer, got 2.5",
+    ),
+    "identity table over 2.0 letters": (
+        lambda: LevelTable.identity(2, 2.0),
+        ValueError,
+        "identity table size must be an integer, got 2.0",
+    ),
+    "automaton with a float fold": (
+        lambda: Automaton(BINARY, 2, _identity_rule(2), fold=(0, 1.0)),
+        ValueError,
+        "fold length must be an integer, got 1.0",
+    ),
+    "level table with a float entry run": (
+        lambda: Automaton.from_periodic_tables(
+            BINARY, (), (LevelTable(((0, 0), (1, 1)), ((0, 1), (1, 0.0))),)
+        ).run(0, (1,)),
+        ValueError,
+        "output entry must be an integer, got 0.0",
+    ),
+    "level table with a boolean transition entry": (
+        lambda: LevelTable(((0, True), (1, 0)), (IDENT, IDENT)),
+        ValueError,
+        "transition entry must be an integer, got True",
+    ),
+    "run from state true": (
+        lambda: z2z4_automaton().run(True, (0,)), ValueError, "unknown state True"
+    ),
     "rule table with the wrong state count": (
         lambda: Automaton.from_rule(BINARY, 2, _identity_rule(3)).table_at(1),
         ScheduleMismatchError,
@@ -120,6 +161,11 @@ REFUSALS = {
     "automaton shifted by -1": (
         lambda: z2z4_automaton().shifted(-1), ValueError, "must be nonnegative"
     ),
+    "automaton restricted to 1.5": (
+        lambda: z2z4_automaton().restricted(1.5),
+        ValueError,
+        "restriction depth must be an integer, got 1.5",
+    ),
     "automaton restricted to -1": (
         lambda: z2z4_automaton().restricted(-1), ValueError, "must be nonnegative"
     ),
@@ -132,6 +178,16 @@ REFUSALS = {
         lambda: embed_on_subsequence(z2z4_automaton(), BINARY, start=0),
         ValueError,
         "at least 1",
+    ),
+    "embedding from level 1.5": (
+        lambda: embed_on_subsequence(z2z4_automaton(), BINARY, start=1.5),
+        ValueError,
+        "embedding start must be an integer, got 1.5",
+    ),
+    "embedding with step true": (
+        lambda: embed_on_subsequence(z2z4_automaton(), BINARY, step=True),
+        ValueError,
+        "embedding step must be an integer, got True",
     ),
     "embedding that fails past the eager check": (
         lambda: embed_on_subsequence(
@@ -197,6 +253,25 @@ REFUSALS = {
         ValueError,
         "check depth must be an integer, got True",
     ),
+    "group word with a float state decided": (
+        lambda: decide_equal(z2z4_automaton(), GroupWord(((0.5, 1),))),
+        ValueError,
+        "state index must be an integer, got 0.5",
+    ),
+    "group word with a boolean state": (
+        lambda: GroupWord(((True, 1),)), ValueError, "state index must be an integer, got True"
+    ),
+    "group word to the power 1.5": (
+        lambda: GroupWord.generator(0) ** 1.5, ValueError, "exponent must be an integer, got 1.5"
+    ),
+    "ratio power 1.5": (
+        lambda: ratio_power_image(cycle_transposition_automaton(P34), 1.5, (0, 1)),
+        ValueError,
+        "exponent must be an integer, got 1.5",
+    ),
+    "group word with a float sign": (
+        lambda: GroupWord(((0, 1.0),)), ValueError, "sign must be an integer, got 1.0"
+    ),
     "word expression with a stray symbol": (
         lambda: GroupWord.parse("a$", ("a", "b")), ValueError, "cannot parse factor 'a$'"
     ),
@@ -249,6 +324,17 @@ REFUSALS = {
         ValueError,
         "must differ",
     ),
+    "example 2 with a float marked letter": (
+        lambda: cycle_transposition_automaton(P34, x0=0.0),
+        ValueError,
+        "marked letter must be an integer, got 0.0",
+    ),
+    # 0.0 == 0 would find the integer build's tables in the shared LRU.
+    "example 2 with a float marked letter after an integer build": (
+        lambda: [cycle_transposition_automaton(P34, x0=x0) for x0 in (0, 0.0)],
+        ValueError,
+        "marked letter must be an integer, got 0.0",
+    ),
     "example 2 with a negative letter": (
         lambda: cycle_transposition_automaton(AlphabetSchedule.constant(3), x0=-1),
         ValueError,
@@ -261,6 +347,14 @@ REFUSALS = {
     ),
     "diagonal machine without states": (
         lambda: diagonal_automaton(BINARY, [], [[]]), ValueError, "at least one state"
+    ),
+    "gi with a float index": (
+        lambda: sym_diagonal_automaton([2.5, 3]), ValueError, "gi index must be an integer, got 2.5"
+    ),
+    "gi starting at 2.0": (
+        lambda: sym_diagonal_automaton(start=2.0),
+        ValueError,
+        "gi index must be an integer, got 2.0",
     ),
     "gi starting at 1": (
         lambda: sym_diagonal_automaton(start=1), ValueError, "at least 2"
@@ -277,6 +371,21 @@ REFUSALS = {
         ),
         ValueError,
         "parameter 'indices' must be a list of integers",
+    ),
+    "diagonal labeling with a float entry": (
+        lambda: diagonal_automaton(BINARY, [], [[(0.0, 1)]]),
+        ValueError,
+        "labeling entry must be an integer, got 0.0",
+    ),
+    "random_bir22 with a float prefix length": (
+        lambda: random_bir22_automaton(1, 1.5),
+        ValueError,
+        "random_bir22 parameter must be an integer, got 1.5",
+    ),
+    "random machine with a float period length": (
+        lambda: random_bireversible_automaton(random.Random(1), BINARY, 0, 1.0),
+        ValueError,
+        "block length must be an integer, got 1.0",
     ),
     "two-state level with labelings of unequal length": (
         lambda: two_state_level((), IDENT, (0,)), ValueError, "share one alphabet"
@@ -311,6 +420,32 @@ REFUSALS = {
     # schedule
     "schedule shifted by -1": (
         lambda: BINARY.shifted(-1), ValueError, "must be nonnegative"
+    ),
+    "periodic schedule with a float size": (
+        lambda: AlphabetSchedule.periodic([3, 4.0]),
+        ValueError,
+        "alphabet size must be an integer, got 4.0",
+    ),
+    "constant schedule of size true": (
+        lambda: AlphabetSchedule.constant(True),
+        ValueError,
+        "alphabet size must be an integer, got True",
+    ),
+    "schedule prefix with a float size": (
+        lambda: AlphabetSchedule.constant(2, prefix=[2.0]),
+        ValueError,
+        "alphabet size must be an integer, got 2.0",
+    ),
+    "tail block with a float slope": (
+        lambda: AlphabetSchedule((), ((2, 0.5),)),
+        ValueError,
+        "tail slope must be an integer, got 0.5",
+    ),
+    "ramp with a float offset": (
+        lambda: AlphabetSchedule.ramp(1.5), ValueError, "ramp offset must be an integer, got 1.5"
+    ),
+    "schedule shifted by 1.5": (
+        lambda: BINARY.shifted(1.5), ValueError, "shift count must be an integer, got 1.5"
     ),
     "prefix size past the budget": (
         lambda: AlphabetSchedule.from_config(
