@@ -38,20 +38,6 @@ def _load_automaton(args) -> Automaton:
             doc = json.load(fh)
         except RecursionError:
             raise ValueError("config nests too deeply to decode") from None
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        if (
-            isinstance(doc, dict)
-            and isinstance(doc.get("automaton"), dict)
-            and doc["automaton"].get("builtin") == "random_bir22"
-        ):
-            # Params that are not an object are left for the builder to refuse.
-            auto = doc["automaton"]
-            params = auto.get("params", {})
-            if isinstance(params, dict):
-                doc = {**doc, "automaton": {**auto, "params": {**params, "seed": seed}}}
-        else:
-            raise ValueError("--seed only applies to the random_bir22 builtin")
     return build_from_config(doc)
 
 
@@ -135,7 +121,7 @@ def _cmd_act(args):
             f"{_fmt_letters(out)} (ends in {a.state_names[end]})"
         ]
     else:
-        word = GroupWord.parse(args.word_expr, a.name_index)
+        word = GroupWord.parse(args.word_expr, a)
         out = engine.apply_word(a, word, letters)
         result = {
             "input": list(letters),
@@ -269,12 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, config=True):
         if config:
             sp.add_argument("--config", required=True, help="path to a JSON config")
-            sp.add_argument(
-                "--seed",
-                type=int,
-                default=None,
-                help="seed override for the random_bir22 builtin",
-            )
         sp.add_argument(
             "--format", choices=("text", "json"), default="text", help="report format"
         )
@@ -337,7 +317,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 # Parsed arguments that the JSON report does not echo as options.
-_NOT_OPTIONS = frozenset({"command", "handler", "format", "seed"})
+_NOT_OPTIONS = frozenset({"command", "handler", "format"})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

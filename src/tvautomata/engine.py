@@ -20,7 +20,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import perms
 from .core import Automaton, LevelTable, _act, _check_count
@@ -120,45 +120,33 @@ class GroupWord:
         )
 
     @staticmethod
-    def parse(
-        text: str, names: Union[Sequence[str], Mapping[str, int]]
-    ) -> "GroupWord":
-        """Parse expressions like 'a b^-1' or 'a^3*b'.  An empty text is
-        the identity, and so is a lone 'e' or 'id' that names no state.
-
-        `names` lists the state names by index, or maps every accepted
-        name to its state index.  An unknown name is refused with the
-        state names listed by index, a state's name being the first in
-        `names` that maps to it.
+    def parse(text: str, automaton: Automaton) -> "GroupWord":
+        """Parse expressions like 'a b^-1' or 'a^3*b' into a word in the
+        states of `automaton`.  An empty text is the identity, and so is
+        a lone 'e' or 'id' that is not in its `name_index`.  Every name
+        resolves through `automaton.state_index`, which refuses an
+        unknown one.
         """
-        index = (
-            names
-            if isinstance(names, Mapping)
-            else {name: q for q, name in enumerate(names)}
-        )
         tokens = [t for t in re.split(r"[\s*]+", text.strip()) if t]
-        if not tokens or (tokens in (["e"], ["id"]) and tokens[0] not in index):
+        if not tokens or (tokens in (["e"], ["id"]) and tokens[0] not in automaton.name_index):
             return GroupWord.identity()
         # Adjacent powers of one state are summed before anything is
         # expanded, so the cap applies to the word's actual length.
         powers: list[list[int]] = []
+        # `state_index` builds `name_index` on each call, so each name is resolved once.
+        resolved: dict[str, int] = {}
         for tok in tokens:
             m = re.fullmatch(r"([A-Za-z]\w*)(?:\^(-?\d+))?", tok)
             if m is None:
                 raise ValueError(f"cannot parse factor {tok!r}")
             name, exp = m.group(1), int(m.group(2) or 1)
-            if name not in index:
-                first = {}
-                for known, q in index.items():
-                    first.setdefault(q, known)
-                raise ValueError(
-                    f"unknown state {name!r}; states are "
-                    f"{', '.join(first[q] for q in sorted(first))}"
-                )
-            if powers and powers[-1][0] == index[name]:
+            q = resolved.get(name)
+            if q is None:
+                q = resolved[name] = automaton.state_index(name)
+            if powers and powers[-1][0] == q:
                 powers[-1][1] += exp
             else:
-                powers.append([index[name], exp])
+                powers.append([q, exp])
         total = sum(abs(exp) for _, exp in powers)
         if total > MAX_WORD_FACTORS:
             raise ValueError(

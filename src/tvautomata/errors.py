@@ -33,7 +33,9 @@ class UnboundedScheduleError(AutomatonError):
 
 
 class NotTwoStateError(AutomatonError):
-    """Classification applies to two-state transducers only."""
+    """An operation applies to two-state transducers only: the
+    classification, `letter_partition`, `labeling_twist`,
+    `ratio_power_image`, `torsion_exponent_bound` and `steer_to_word`."""
 
 
 class NotBinaryError(AutomatonError):
@@ -49,7 +51,8 @@ class UndecidableRepresentationError(AutomatonError):
 
 
 class BudgetExceededError(AutomatonError):
-    """A search exceeded its depth or state budget."""
+    """A search exceeded its state budget; one that reaches its depth
+    budget instead ends "unknown"."""
 
     def __init__(self, kind: str, limit: int):
         self.kind = kind

@@ -7,15 +7,17 @@ config (de)serialization entry points `build_from_config` / `config_of`.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
+import threading
 from typing import Callable, Optional, Sequence
 
 from . import perms
-from .core import Automaton, LevelTable, embed_on_subsequence
+from .core import Automaton, LevelTable, _default_names, embed_on_subsequence
 from .errors import ScheduleMismatchError
-from .schedule import AlphabetSchedule, _check_ints, is_config_int
+from .schedule import MAX_ALPHABET_SIZE, AlphabetSchedule, _check_ints, is_config_int
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +80,36 @@ def _diagonal_rows(n_states: int, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(q for _ in range(size)) for q in range(n_states))
 
 
-# How many size-keyed tables the process keeps.  A 10,000-letter
-# two-state table with its signed rows takes 1.8 MB (tracemalloc), so at
-# worst the shared tables take about 29 MB, plus the search memos that
-# queries leave on them.
-MAX_SHARED_TABLES = 16
+# The most letters the shared size-keyed tables may hold, each charged
+# its alphabet size plus four letters for its own objects.  Under
+# tracemalloc a two-state table with its signed rows takes at most about
+# 181 bytes per charged letter (1.8 MB at 10,000 letters, 0.8 kB at 2),
+# so at worst they take about 29 MB, plus the search memos left on them.
+MAX_SHARED_LETTERS = 16 * MAX_ALPHABET_SIZE
+_TABLE_CHARGE = 4
+
+# The shared tables by (builder, size, params), least recently used
+# first, the letters they are charged, and the lock that keeps the two in
+# step across threads.
+_shared_tables: collections.OrderedDict = collections.OrderedDict()
+_shared_letters = 0
+_shared_lock = threading.Lock()
 
 
-@functools.lru_cache(maxsize=MAX_SHARED_TABLES)
-def _shared_table(build: Callable[..., LevelTable], *key: int) -> LevelTable:
-    return build(*key)
+def _shared_table(build: Callable[..., LevelTable], size: int, *params: int) -> LevelTable:
+    global _shared_letters
+    key = (build, size, *params)
+    with _shared_lock:
+        table = _shared_tables.pop(key, None)
+        if table is None:
+            table = build(size, *params)
+            _shared_letters += size + _TABLE_CHARGE
+        _shared_tables[key] = table
+        # Only a table wider than the whole budget drops itself, last.
+        while _shared_letters > MAX_SHARED_LETTERS:
+            (_, dropped, *_), _ = _shared_tables.popitem(last=False)
+            _shared_letters -= dropped + _TABLE_CHARGE
+    return table
 
 
 def _size_builtin(
@@ -102,12 +124,13 @@ def _size_builtin(
     Each builder's table is bi-reversible at every size it is built for,
     by the lemma in its docstring, so the machine claims exactness at
     every level.  Over a bounded schedule the machine gets the aligned
-    fold, and exactly then its tables come from one process-wide LRU of
-    at most MAX_SHARED_TABLES tables keyed by (builder, size, params):
-    every machine with those sizes holds the same table objects, with
-    their cached signed rows, `failure` verdicts and equality-search
-    memos.  Over a growing schedule there is no fold and every table is
-    built fresh on request, so a ramp keeps none."""
+    fold, and exactly then its tables come from one process-wide LRU
+    keyed by (builder, size, params) that holds at most
+    MAX_SHARED_LETTERS charged letters: every machine with those sizes
+    holds the same table objects, with their cached signed rows,
+    `failure` verdicts and equality-search memos.  Over a growing
+    schedule there is no fold and every table is built fresh on request,
+    so a ramp keeps none."""
     fold = schedule.aligned_fold(0, 1)
     make = build if fold is None else functools.partial(_shared_table, build)
     return Automaton(
@@ -202,8 +225,6 @@ def diagonal_automaton(
     schedule: AlphabetSchedule,
     prefix_labelings: Sequence[Sequence[Sequence[int]]],
     period_labelings: Sequence[Sequence[Sequence[int]]],
-    *,
-    state_names: Optional[Sequence[str]] = None,
 ) -> Automaton:
     """Diagonal automaton from explicit per-level labeling blocks.
 
@@ -231,7 +252,7 @@ def diagonal_automaton(
 
     return _tagged(
         Automaton.from_periodic_tables(
-            schedule, tuple(map(table, levels)), tuple(map(table, block)), state_names=state_names
+            schedule, tuple(map(table, levels)), tuple(map(table, block))
         ),
         "diagonal",
         {
@@ -643,10 +664,10 @@ def build_from_config(doc: object) -> Automaton:
 
 
 def _explicit_from_config(schedule: AlphabetSchedule, doc: object) -> Automaton:
-    if not isinstance(doc, dict) or set(doc) != {"states", "prefix", "period"}:
+    if not isinstance(doc, dict) or set(doc) - {"names"} != {"states", "prefix", "period"}:
         raise ValueError(
             "explicit automaton config needs exactly the keys "
-            "'states', 'prefix' and 'period'"
+            "'states', 'prefix' and 'period', and may carry 'names'"
         )
     states = doc["states"]
     if not is_config_int(states) or states < 1:
@@ -654,20 +675,23 @@ def _explicit_from_config(schedule: AlphabetSchedule, doc: object) -> Automaton:
     for part in ("prefix", "period"):
         if not isinstance(doc[part], list):
             raise ValueError(f"'{part}' must be a list of level tables")
+    names = doc.get("names", [])
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ValueError("'names' must be a list of state name strings")
     prefix = tuple(LevelTable.from_config(t) for t in doc["prefix"])
     period = tuple(LevelTable.from_config(t) for t in doc["period"])
     # The block's first table sets the machine's state count, and
     # `Automaton._check` holds every other table to it.
     if period and period[0].n_states != states:
         raise ValueError(f"level table has {period[0].n_states} states, config says {states}")
-    return Automaton.from_periodic_tables(schedule, prefix, period)
+    return Automaton.from_periodic_tables(schedule, prefix, period, state_names=doc.get("names"))
 
 
 def config_of(a: Automaton) -> dict:
     """Serialize an automaton back to a config document.
 
     Builtins keep their family id and parameters; anything else must
-    carry explicit periodic tables.
+    carry explicit periodic tables, and names that are not the defaults.
     """
     if a.family is not None:
         family, params = a.family
@@ -680,13 +704,11 @@ def config_of(a: Automaton) -> dict:
             "only builtin families and explicit periodic automata are serializable"
         )
     prefix, period = a.periodic_tables
-    return {
-        "schedule": a.schedule.to_config(),
-        "automaton": {
-            "explicit": {
-                "states": a.n_states,
-                "prefix": [t.to_config() for t in prefix],
-                "period": [t.to_config() for t in period],
-            }
-        },
+    explicit = {
+        "states": a.n_states,
+        "prefix": [t.to_config() for t in prefix],
+        "period": [t.to_config() for t in period],
     }
+    if a.state_names != _default_names(a.n_states):
+        explicit["names"] = list(a.state_names)
+    return {"schedule": a.schedule.to_config(), "automaton": {"explicit": explicit}}

@@ -11,10 +11,12 @@ from typing import Iterable, Sequence
 
 
 def is_permutation(p: Sequence[int]) -> bool:
+    """Whether `p` lists every integer of range(len(p)) once; an entry
+    that is not an int (true and false included) makes it false."""
     n = len(p)
     seen = [False] * n
     for x in p:
-        if not (0 <= x < n) or seen[x]:
+        if type(x) is not int or not (0 <= x < n) or seen[x]:
             return False
         seen[x] = True
     return True

@@ -53,10 +53,6 @@ E2_22 = {
     "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},
     "automaton": {"builtin": "example2", "params": {}},
 }
-RANDOM22 = {
-    "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},
-    "automaton": {"builtin": "random_bir22", "params": {"period_len": 2}},
-}
 # Thirty states are named q1 .. q30, and only q30 moves a letter.
 THIRTY = {
     "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},
@@ -225,6 +221,18 @@ def test_act_word_expression_takes_state_aliases(capsys, config):
     )
     assert code == 2
     assert "unknown state 'x1'" in err
+
+
+def test_an_explicit_config_names_its_states(capsys, config):
+    doc = tvautomata.config_of(tvautomata.bellaterra_automaton().dual())
+    assert doc["automaton"]["explicit"]["names"] == ["d0", "d1"]
+    path = config(doc)
+    code, report, _ = run_json(
+        capsys, "act", "--config", path, "--word-expr", "d0 d1^-1", "--input", "2,1,0"
+    )
+    assert (code, report["result"]["word"]) == (0, "d0 d1^-1")
+    code, report, _ = run_json(capsys, "act", "--config", path, "--state", "d1", "--input", "0")
+    assert (code, report["result"]["state"]) == (0, "d1")
 
 
 def test_a_state_named_e_is_that_state_in_a_word_expression(capsys, config):
@@ -600,29 +608,20 @@ def test_list_builtins(capsys):
         assert fid in ids
 
 
-# -- seeds, determinism, and config errors ----------------------------
+# -- determinism and config errors ------------------------------------
 
 
-def test_seed_selects_the_random_machine(capsys, config):
-    path = config(RANDOM22)
-    code, first, _ = run(
-        capsys, "check", "--config", path, "--seed", "5", "--format", "json"
-    )
-    assert code in (0, 1)
-    _, second, _ = run(
-        capsys, "check", "--config", path, "--seed", "5", "--format", "json"
-    )
-    assert first == second
-    code, _, err = run(capsys, "check", "--config", config(Z2Z4), "--seed", "5")
-    assert code == 2
-    assert "--seed" in err
-
-
-@pytest.mark.parametrize("params", [5, [["seed", 9]]], ids=["number", "pairs"])
-def test_seed_leaves_params_that_are_not_an_object_to_be_refused(capsys, config, params):
-    doc = {**RANDOM22, "automaton": {"builtin": "random_bir22", "params": params}}
-    code, out, err = run(capsys, "check", "--config", config(doc), "--seed", "3")
-    assert (code, out, err) == (2, "", "error: 'params' must be an object\n")
+def test_seed_is_no_option(capsys, config):
+    # A config's params are a builtin's only input: `params.seed` picks
+    # the random_bir22 machine.
+    path = config(_builtin("random_bir22", Z2Z4["schedule"], {"seed": 5, "period_len": 2}))
+    first = run(capsys, "check", "--config", path, "--format", "json")
+    assert first[0] in (0, 1)
+    assert run(capsys, "check", "--config", path, "--format", "json") == first
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--config", path, "--seed", "5"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_json_reports_are_deterministic(capsys, config):
@@ -766,12 +765,14 @@ def _slots(doc):
 
 
 def _mutated_configs(st):
-    """Builtin and explicit configs, perhaps nested in one more
-    `embed_subsequence`, then changed in one to three places: a key
-    dropped or renamed, or a value replaced by a bool, str, float, null,
-    list, object, family or tail-kind name (known or not) or small
-    integer (at most 64, so that no alphabet grows large)."""
-    bases = all_builtin_configs() + [_one_state(), E2_22]
+    """Builtin and explicit configs, one of them with state names,
+    perhaps nested in one more `embed_subsequence`, then changed in one
+    to three places: a key dropped or renamed, or a value replaced by a
+    bool, str, float, null, list, object, family or tail-kind name
+    (known or not) or small integer (at most 64, so that no alphabet
+    grows large)."""
+    named = tvautomata.config_of(tvautomata.bellaterra_automaton().dual())
+    bases = all_builtin_configs() + [_one_state(), E2_22, named]
     names = sorted(tvautomata.FAMILIES) + ["constant", "periodic", "ramp", "mystery"]
     values = st.one_of(
         st.booleans(),
@@ -817,12 +818,10 @@ def test_mutated_configs_exit_0_1_or_2_and_never_raise(tmp_path):
     path = tmp_path / "fuzzed.json"
 
     @hypothesis.settings(max_examples=250, deadline=None, database=None)
-    @hypothesis.given(_mutated_configs(st), st.one_of(st.none(), st.integers(-3, 64)))
-    def check(doc, seed):
+    @hypothesis.given(_mutated_configs(st))
+    def check(doc):
         path.write_text(json.dumps(doc))
         argv = ["check", "--config", str(path), "--depth", "3"]
-        if seed is not None:
-            argv += ["--seed", str(seed)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -103,8 +103,6 @@ def test_a_negative_state_index_is_refused():
         GroupWord(((-1, 1),))
     with pytest.raises(ValueError, match="negative"):
         GroupWord.generator(-2)
-    with pytest.raises(ValueError, match="negative"):
-        GroupWord.parse("a b", {"a": 0, "b": -1})
 
 
 def test_equality_queries_check_state_indices():
@@ -140,27 +138,36 @@ def test_word_inverse_reverses_and_flips():
     assert w.length == 3
 
 
+def _identity_machine(n_states, state_names=None):
+    table = LevelTable.identity(n_states, 2)
+    return Automaton.from_periodic_tables(
+        AlphabetSchedule.constant(2), (), (table,), state_names=state_names
+    )
+
+
 def test_word_display_and_parse():
-    names = ("a", "b")
+    z = z2z4_automaton()
     w = A * B.inverse() * B.inverse()
-    assert w.display(names) == "a b^-1 b^-1"
-    assert E.display(names) == "e"
-    assert GroupWord.parse("a b^-1 b^-1", names) == w
-    assert GroupWord.parse("a b^-2", names) == w
-    assert GroupWord.parse("e", names) == E
-    assert GroupWord.parse("a * a^-1", names) == E
+    assert w.display(z.state_names) == "a b^-1 b^-1"
+    assert E.display(z.state_names) == "e"
+    assert GroupWord.parse("a b^-1 b^-1", z) == w
+    assert GroupWord.parse("a b^-2", z) == w
+    assert GroupWord.parse("e", z) == E
+    assert GroupWord.parse("a * a^-1", z) == E
+    # Every name of `name_index` resolves, a machine's own names first.
+    assert GroupWord.parse("q1 q2^-1", z) == A * B.inverse()
+    assert GroupWord.parse("d1 b", bellaterra_dual_automaton()) == B * B
     # A state named e (or id) is that state, alone as in a product.
-    five = ("a", "b", "c", "d", "e")
     for text in ("e", "e^1", "e * e e^-1"):
-        assert GroupWord.parse(text, five) == GroupWord.generator(4)
-    assert GroupWord.parse("id", {"id": 1}) == GroupWord.generator(1)
-    with pytest.raises(ValueError):
-        GroupWord.parse("a c", names)
+        assert GroupWord.parse(text, _identity_machine(5)) == GroupWord.generator(4)
+    assert GroupWord.parse("id", _identity_machine(2, ("x", "id"))) == GroupWord.generator(1)
+    with pytest.raises(ValueError, match="unknown state 'c'; states are a, b"):
+        GroupWord.parse("a c", z)
     # Adjacent powers are summed first, so only the summed length is capped.
-    assert GroupWord.parse("a^5 a^-2 b", names) == A**3 * B
-    assert GroupWord.parse(f"a^{10 * MAX_WORD_FACTORS} a^{-10 * MAX_WORD_FACTORS}", names) == E
+    assert GroupWord.parse("a^5 a^-2 b", z) == A**3 * B
+    assert GroupWord.parse(f"a^{10 * MAX_WORD_FACTORS} a^{-10 * MAX_WORD_FACTORS}", z) == E
     with pytest.raises(ValueError, match="factors"):
-        GroupWord.parse(f"a^{MAX_WORD_FACTORS} b", names)
+        GroupWord.parse(f"a^{MAX_WORD_FACTORS} b", z)
 
 
 def test_apply_word_is_right_to_left():

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -20,6 +22,7 @@ from tvautomata import (
     cycle_transposition_automaton,
     decide_equal,
     diagonal_automaton,
+    embed_on_subsequence,
     lamplighter_automaton,
     level_group,
     random_admissible_level,
@@ -38,7 +41,7 @@ from tvautomata import (
     z4_automaton,
 )
 from tvautomata import families, perms
-from tvautomata.errors import AutomatonError
+from tvautomata.errors import AutomatonError, NotMealyError
 from tvautomata.schedule import MAX_ALPHABET_SIZE
 
 from reference import (
@@ -370,42 +373,81 @@ def test_embedded_machine_stays_bireversible_and_relation_free():
 # -- config registry --------------------------------------------------
 
 
-def all_builtin_configs():
+def all_builtin_machines():
     return [
-        config_of(z2z4_automaton()),
-        config_of(z4_automaton()),
-        config_of(lamplighter_automaton()),
-        config_of(bellaterra_automaton()),
-        config_of(bellaterra_dual_automaton()),
-        config_of(word_order_automaton(AlphabetSchedule.ramp(0))),
-        config_of(cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4)))),
-        config_of(sym_diagonal_automaton([2, 3, 4])),
-        config_of(sym_diagonal_automaton(start=2)),
-        config_of(
-            diagonal_automaton(AlphabetSchedule.constant(2), (), (((1, 0), (0, 1)),))
-        ),
-        config_of(random_bir22_automaton(3, prefix_len=1, period_len=2)),
-        config_of(
-            subsequence_embedding_automaton(
-                cycle_transposition_automaton(AlphabetSchedule.constant(4)),
-                AlphabetSchedule.constant(4),
-                start=2,
-                step=2,
-            )
+        z2z4_automaton(),
+        z4_automaton(),
+        lamplighter_automaton(),
+        bellaterra_automaton(),
+        bellaterra_dual_automaton(),
+        word_order_automaton(AlphabetSchedule.ramp(0)),
+        cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4))),
+        sym_diagonal_automaton([2, 3, 4]),
+        sym_diagonal_automaton(start=2),
+        diagonal_automaton(AlphabetSchedule.constant(2), (), (((1, 0), (0, 1)),)),
+        random_bir22_automaton(3, prefix_len=1, period_len=2),
+        subsequence_embedding_automaton(
+            cycle_transposition_automaton(AlphabetSchedule.constant(4)),
+            AlphabetSchedule.constant(4),
+            start=2,
+            step=2,
         ),
     ]
 
 
+def all_builtin_configs():
+    return [config_of(machine) for machine in all_builtin_machines()]
+
+
+def _assert_round_trip(machine, up_to):
+    """`config_of` then `build_from_config` keeps the names, the family
+    tag and the tables, and writes the same config again."""
+    doc = config_of(machine)
+    rebuilt = build_from_config(doc)
+    assert rebuilt.state_names == machine.state_names, doc
+    assert rebuilt.family == machine.family, doc
+    assert tables_equal(rebuilt, machine, up_to), doc
+    assert config_of(rebuilt) == doc
+
+
 def test_every_builtin_config_round_trips():
-    docs = all_builtin_configs()
-    assert {doc["automaton"]["builtin"] for doc in docs} == set(FAMILIES)
-    for doc in docs:
-        rebuilt = build_from_config(doc)
-        tag = doc["automaton"]
-        assert rebuilt.family == (tag["builtin"], tag["params"])
-        assert config_of(rebuilt) == doc
-        again = build_from_config(config_of(rebuilt))
-        assert tables_equal(rebuilt, again, 40)
+    machines = all_builtin_machines()
+    assert {m.family[0] for m in machines} == set(FAMILIES)
+    for machine in machines:
+        _assert_round_trip(machine, 40)
+
+
+def _derived_machines(build):
+    """The shift, inverse, restriction and both embeddings of a builtin
+    over a constant schedule, and its dual where it has one."""
+    machine = build()
+    host = AlphabetSchedule.periodic((machine.schedule.size_at(1), 4))
+    derived = [
+        machine.shifted(1),
+        machine.inverse(),
+        machine.restricted(3),
+        embed_on_subsequence(machine, host, 1, 2),
+        subsequence_embedding_automaton(machine, host, 1, 2),
+    ]
+    try:
+        derived.append(machine.dual())
+    except NotMealyError:
+        assert build is z2z4_automaton
+    return derived
+
+
+@pytest.mark.parametrize(
+    "build", [z2z4_automaton, bellaterra_dual_automaton, bellaterra_automaton]
+)
+def test_derived_machines_round_trip_with_their_names(build):
+    # The duals and every machine derived from bellaterra_dual are named
+    # d0, d1, ...; the rest keep the default names a, b, ....
+    for machine in _derived_machines(build):
+        _assert_round_trip(machine, 12)
+        auto = config_of(machine)["automaton"]
+        if "explicit" in auto:
+            # An explicit config carries names only when they are not the defaults.
+            assert ("names" in auto["explicit"]) == (machine.state_names[0] == "d0")
 
 
 def test_restricted_and_dual_machines_carry_their_family():
@@ -575,20 +617,66 @@ def test_bounded_builtins_share_their_tables():
     assert a.table_at(1) is b.table_at(1) is b.table_at(3)
 
 
-def test_the_shared_tables_stay_within_their_bound():
-    assert families.MAX_SHARED_TABLES == 16
+def _shared_sizes():
+    return [size for _, size, *_ in families._shared_tables]
+
+
+def test_the_shared_tables_stay_within_their_bound(monkeypatch):
+    assert families.MAX_SHARED_LETTERS == 16 * MAX_ALPHABET_SIZE
+
+    def charged():
+        return sum(size + families._TABLE_CHARGE for size in _shared_sizes())
+
+    # Seventeen sizes fit, so a rebuild builds no table.
+    schedule = AlphabetSchedule.periodic(range(3, 20))
+    first, again = (cycle_transposition_automaton(schedule) for _ in range(2))
+    assert all(first.table_at(i) is again.table_at(i) for i in range(1, 18))
+    assert families._shared_letters == charged() <= families.MAX_SHARED_LETTERS
+    # Past the budget the least recently used tables go first.
+    monkeypatch.setattr(families, "MAX_SHARED_LETTERS", 100)
     for size in range(3, 41):
         cycle_transposition_automaton(AlphabetSchedule.constant(size))
-    info = families._shared_table.cache_info()
-    assert info.currsize == info.maxsize == families.MAX_SHARED_TABLES
+    assert _shared_sizes() == [39, 40]
+    assert families._shared_letters == charged() == 87
     # A growing schedule builds its tables fresh, past the LRU.
+    kept = list(families._shared_tables.items())
     for ramp in (
         cycle_transposition_automaton(AlphabetSchedule.ramp(1)),
         word_order_automaton(AlphabetSchedule.ramp(0)),
         sym_diagonal_automaton(start=2),
     ):
         assert ramp.table_at(2) is not ramp.table_at(2)
-    assert families._shared_table.cache_info() == info
+    assert list(families._shared_tables.items()) == kept
+
+
+def test_the_shared_letter_count_holds_across_threads(monkeypatch):
+    # Four threads build over overlapping sizes under a budget of a few
+    # tables, with frequent thread switches: a lost update would leave
+    # the letter count apart from the tables it charges.
+    monkeypatch.setattr(families, "MAX_SHARED_LETTERS", 60)
+    errors = []
+
+    def build(offset):
+        try:
+            for i in range(300):
+                cycle_transposition_automaton(AlphabetSchedule.constant(3 + (i + offset) % 12))
+        except Exception as exc:  # reported below, with the thread's failure
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    charged = sum(size + families._TABLE_CHARGE for size in _shared_sizes())
+    assert families._shared_letters == charged <= 60
 
 
 def test_fixed_builtins_share_their_tables():

@@ -39,6 +39,13 @@ def test_permutation_check():
         perms.check_permutation((0, 0, 2))
 
 
+@pytest.mark.parametrize("p", [(True, 0), (0, True), (0.0, 1), (1, 0.0), ("0", 1), (None,)])
+def test_an_entry_that_is_not_an_int_is_no_permutation(p):
+    assert not perms.is_permutation(p)
+    with pytest.raises(ValueError, match=r"not a permutation of range"):
+        perms.check_permutation(p)
+
+
 def test_rotation_and_transposition_shapes():
     assert perms.rotation(4) == (1, 2, 3, 0)
     assert perms.transposition(4, 1, 3) == (0, 3, 2, 1)

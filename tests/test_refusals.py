@@ -39,7 +39,7 @@ from tvautomata import (
     word_order_perm_b,
     z2z4_automaton,
 )
-from tvautomata import cli
+from tvautomata import cli, perms
 from tvautomata.core import MAX_FOLD_LETTERS
 from tvautomata.schedule import MAX_ALPHABET_SIZE
 
@@ -52,6 +52,12 @@ def _explicit(doc):
     return build_from_config(
         {"schedule": BINARY.to_config(), "automaton": {"explicit": doc}}
     )
+
+
+def _named(names):
+    """An explicit two-state binary config that carries `names`."""
+    period = [LevelTable.identity(2, 2).to_config()]
+    return _explicit({"states": 2, "prefix": [], "period": period, "names": names})
 
 
 def _identity_rule(n_states):
@@ -273,7 +279,7 @@ REFUSALS = {
         lambda: GroupWord(((0, 1.0),)), ValueError, "sign must be an integer, got 1.0"
     ),
     "word expression with a stray symbol": (
-        lambda: GroupWord.parse("a$", ("a", "b")), ValueError, "cannot parse factor 'a$'"
+        lambda: GroupWord.parse("a$", z2z4_automaton()), ValueError, "cannot parse factor 'a$'"
     ),
     "run with a float letter": (
         lambda: z2z4_automaton().run(0, (1.0,)),
@@ -412,10 +418,42 @@ REFUSALS = {
         ValueError,
         "fold over levels 1 .. 101 samples 1010000 letters, past the budget of 1000000",
     ),
+    "explicit names that are not a list": (
+        lambda: _named("ab"),
+        ValueError,
+        "'names' must be a list of state name strings",
+    ),
+    "explicit names that are null": (
+        lambda: _named(None),
+        ValueError,
+        "'names' must be a list of state name strings",
+    ),
+    "explicit names with a number": (
+        lambda: _named(["a", 1]),
+        ValueError,
+        "'names' must be a list of state name strings",
+    ),
+    "explicit names one short": (
+        lambda: _named(["x"]),
+        ValueError,
+        "state names must be distinct, one per state",
+    ),
+    "explicit names repeated": (
+        lambda: _named(["x", "x"]),
+        ValueError,
+        "state names must be distinct, one per state",
+    ),
     "config of an untagged rule machine": (
         lambda: config_of(Automaton.from_rule(BINARY, 2, _identity_rule(2))),
         ValueError,
         "serializable",
+    ),
+    # perms
+    "permutation with a float entry": (
+        lambda: perms.check_permutation((0.0, 1)), ValueError, "not a permutation of range(2)"
+    ),
+    "permutation with a bool entry": (
+        lambda: perms.check_permutation((True, 0)), ValueError, "not a permutation of range(2)"
     ),
     # schedule
     "schedule shifted by -1": (
