@@ -14,18 +14,20 @@ downstream are exact; a bare rule is checked up to a depth unless the
 construction carries a guarantee.  A folded machine keeps its tables;
 every other table is built on request and kept only by the query that
 reads it.  A rule may hand out tables other machines hold too.  Every
-letter is stepped by `LevelTable.step`, which reads the table's cached
-signed rows: its own rows forward and the inverse transducer's rows
-backward.
+letter is stepped through a table's cached signed rows, its own rows
+forward and the inverse transducer's rows backward: by `_act`, one
+factor at a time over a whole word, or by `LevelTable.step`, one letter
+through every factor at once.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 import types
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import perms
 from .errors import (
@@ -68,13 +70,89 @@ def _columns_are_permutations(rows: Sequence[Sequence[int]]) -> bool:
     return min(map(len, map(set, zip(*rows)))) == len(rows)
 
 
+class _TwoStateCalculus:
+    """What the two-state calculus needs of one level: the root
+    permutation sigma of c = a b^-1 with its section exponents, and the
+    steering level's marked letter and partner.
+
+    c moves y to a[z], z being b's labeling undone at y, and its section
+    there is (t0[z], +)(t1[z], -), which is c, e or c^-1: c^eps with
+    eps = t1[z] - t0[z], t0 and t1 being the two transition rows.  The
+    cycles of sigma are kept once each, as (letters from the cycle's
+    first letter on, running sums of eps along them, one entry longer
+    than the cycle), and each letter knows its cycle (`home`) and its
+    place in it (`position`): O(alphabet) in all.
+
+    Steering needs the states to swap on exactly one letter, the marked
+    one, b's labeling to swap it with one partner and fix every other
+    letter, and a's labeling to cycle all letters, marked to partner.
+    `refusal` names the condition a level breaks, or is None; `marked`
+    and `partner` are set only when it is None.
+    """
+
+    __slots__ = ("home", "position", "cycles", "marked", "partner", "refusal")
+
+    def __init__(self, t: LevelTable):
+        out_a, swap = t.output
+        to_a, to_b = t.transition
+        undo_b, d = t.inverse_labeling(1), t.alphabet_size
+        home, position, cycles = [-1] * d, [0] * d, []
+        for first in range(d):
+            if home[first] >= 0:
+                continue
+            letters, sums, x = [], [0], first
+            while home[x] < 0:
+                home[x], position[x] = len(cycles), len(letters)
+                letters.append(x)
+                z = undo_b[x]
+                sums.append(sums[-1] + to_b[z] - to_a[z])
+                x = out_a[z]
+            cycles.append((array.array("i", letters), array.array("i", sums)))
+        self.home, self.position = array.array("i", home), array.array("i", position)
+        self.cycles = tuple(cycles)
+
+        self.marked = self.partner = self.refusal = None
+        flips = [x for x, q in enumerate(to_a) if q == 1]
+        if len(flips) != 1:
+            self.refusal = "states must swap on exactly one common letter"
+            return
+        marked = flips[0]
+        partner = swap[marked]
+        if partner == marked or any(swap[x] != x for x in range(d) if x not in (marked, partner)):
+            self.refusal = "second labeling must swap the marked letter with one partner"
+        elif perms.cycle_length_through(out_a, marked) != d or out_a[marked] != partner:
+            self.refusal = "first labeling must cycle all letters, marked to partner"
+        else:
+            self.marked, self.partner = marked, partner
+
+    def power(self, x: int, k: int) -> tuple[int, int]:
+        """c^k at letter x, for any integer k: (sigma^k(x), the exponent
+        of c^k's section there).
+
+        Sections of powers of c commute, so that exponent is the sum of
+        eps over x, sigma(x), ..., sigma^(k-1)(x).  With x at place p of
+        its cycle of length L and p + k = turns L + r, that sum is the
+        running sum to place r, plus `turns` times the cycle's sum, less
+        the running sum to place p; floor division keeps this true for
+        negative k.
+        """
+        letters, sums = self.cycles[self.home[x]]
+        p = self.position[x]
+        turns, r = divmod(p + k, len(letters))
+        return letters[r], turns * sums[-1] + sums[r] - sums[p]
+
+
 @dataclass(frozen=True)
 class LevelTable:
     """Transition and output tables for one level, indexed [state][letter].
 
     Tables compare by value.  The rows are frozen, so a table hashes
     them once, when it is made: the equality search's period memo hashes
-    tables in every key.
+    tables in every key.  What is derived from the rows is computed on
+    first use and kept on the table, outside its identity: the signed
+    rows, the `failure` verdict, the two-state calculus (`_calculus`) and
+    the equality search's memos.  A table object shared by several
+    machines thus shares them too.
     """
 
     transition: tuple[tuple[int, ...], ...]
@@ -157,6 +235,16 @@ class LevelTable:
             else:
                 backward.append(None)
         return {1: tuple(zip(self.output, self.transition)), -1: tuple(backward)}
+
+    @functools.cached_property
+    def _calculus(self) -> Optional[_TwoStateCalculus]:
+        """The per-level facts `engine`'s two-state calculus reads off a
+        two-state table, or None when a labeling is not a permutation.
+        Computed once per table, in O(alphabet), and not part of its
+        identity, so every machine sharing this table object shares it."""
+        if None in self.signed_rows[-1]:
+            return None
+        return _TwoStateCalculus(self)
 
     @functools.cached_property
     def proven_rows(self) -> dict[tuple[int, ...], dict[tuple[int, ...], tuple]]:
@@ -302,19 +390,43 @@ class LevelTable:
 
 
 def _act(
-    tables: Iterable[LevelTable], factors: Sequence[tuple[int, int]], word: Sequence[int]
+    tables: Sequence[LevelTable], factors: Sequence[tuple[int, int]], word: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Feed a word through a composite of (state, sign) factors, the
     rightmost applied first, on the tables of levels 1, 2, ... given one
     per letter; return (output word, end states).  Callers check the
-    word's letters and the factors' states."""
-    states = tuple(q for q, _ in factors)
-    signs = tuple(s for _, s in factors)
-    out = []
-    for level, (t, x) in enumerate(zip(tables, word, strict=True), start=1):
-        y, states = t.step(states, signs, x, level)
-        out.append(y)
-    return tuple(out), states
+    word's letters and the factors' states.
+
+    The factors run one at a time, rightmost first, each over the whole
+    word, reading the tables' signed rows.  The NotInvertibleError
+    raised is the one stepping letter by letter through all factors
+    would raise: it names the shallowest level where a negative factor's
+    row is not a permutation, and at that level the rightmost such
+    factor.  So a factor that fails at a level caps the levels the
+    factors to its left step at the ones above it.
+    """
+    if len(tables) != len(word):
+        raise ValueError(f"{len(tables)} tables for a word of {len(word)} letters")
+    out, ends, failed, by_sign = word, [q for q, _ in factors], None, {}
+    for i in range(len(factors) - 1, -1, -1):
+        q, s = factors[i]
+        rows = by_sign.get(s)
+        if rows is None:
+            rows = by_sign[s] = [t.signed_rows[s] for t in tables]
+        # After a failure `out` holds only the levels above it.
+        stepped = []
+        for level_rows, x in zip(rows, out):
+            row = level_rows[q]
+            if row is None:
+                failed = (len(stepped) + 1, q)
+                break
+            letters, nxt = row
+            stepped.append(letters[x])
+            q = nxt[x]
+        out, ends[i] = stepped, q
+    if failed is not None:
+        raise NotInvertibleError(*failed)
+    return tuple(out), tuple(ends)
 
 
 @dataclass(frozen=True)
@@ -626,11 +738,12 @@ class Automaton:
         """Feed a word through a composite of (state, sign) factors, the
         rightmost applied first; return (output word, end states).
 
-        The word is stepped letter by letter through all factors at once.
+        Each level's table is read once, and each factor steps the whole
+        word in turn, as `_act` does.
         """
         word = self.schedule.check_word(word)
         factors = [(self.state_index(q), s) for q, s in factors]
-        return _act(map(self.table_at, range(1, len(word) + 1)), factors, word)
+        return _act([self.table_at(i) for i in range(1, len(word) + 1)], factors, word)
 
     # -- level predicates ----------------------------------------------
 

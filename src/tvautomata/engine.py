@@ -975,50 +975,25 @@ def ratio_power_image(
     return _act(tables, ((0, -1),), image)[0]
 
 
-def _c_cycle(t: LevelTable, x: int) -> tuple[list[int], list[int]]:
-    """The cycle of c's root permutation through `x` at one level, from
-    `x` on, and the running sums of the section exponents along it (one
-    entry longer than the cycle: the last is the sum over the cycle).
-
-    c = (first state)(second state)^-1 moves y to a[z] with z the second
-    state's labeling undone at y, and its section there is
-    (t0[z], +)(t1[z], -), which is c, e or c^-1: c^eps with
-    eps = t1[z] - t0[z], t0 and t1 being the two transition rows.
-    """
-    undo_b, out_a = t.inverse_labeling(1), t.output[0]
-    to_a, to_b = t.transition
-    cycle, sums = [x], [0]
-    while True:
-        z = undo_b[cycle[-1]]
-        sums.append(sums[-1] + to_b[z] - to_a[z])
-        y = out_a[z]
-        if y == x:
-            return cycle, sums
-        cycle.append(y)
-
-
 def _c_power_image(tables: Iterable[LevelTable], n: int, letters: Sequence[int]) -> Word:
     """Image of a word under c^n, c = (first state)(second state)^-1,
-    computed positionally in O(length * alphabet) for any integer n.
+    computed positionally for any integer n: one lookup in each level's
+    cached calculus (`LevelTable._calculus`) and one `divmod` per letter.
 
-    Sections of powers of c commute, so c^k sends x to sigma^k(x), sigma
-    being c's root permutation, with section c^(sum_{j<k} eps(sigma^j x))
-    (see `_c_cycle`).  For k = q L + r, L the length of the sigma cycle
-    through x and 0 <= r < L, that exponent is q (sum over the cycle) +
-    sum_{j<r} eps(sigma^j x); floor division keeps this true for negative
-    k.  Every labeling must be a permutation; reversibility is not needed.
-    Callers check the letters and give two-state tables, one per letter.
+    c^k sends x to sigma^k(x), sigma being c's root permutation, with
+    section c^e, e the exponent `_TwoStateCalculus.power` gives; that
+    section moves the next letter.  Every labeling must be a
+    permutation; reversibility is not needed.  Callers check the letters
+    and give two-state tables, one per letter.
     """
     out = []
     k = n
     for i, (t, x) in enumerate(zip(tables, letters, strict=True), start=1):
-        q = t.first_noninvertible_state()
-        if q is not None:
-            raise NotInvertibleError(i, q)
-        cycle, sums = _c_cycle(t, x)
-        turns, r = divmod(k, len(cycle))
-        out.append(cycle[r])
-        k = turns * sums[-1] + sums[r]
+        calc = t._calculus
+        if calc is None:
+            raise NotInvertibleError(i, t.first_noninvertible_state())
+        x, k = calc.power(x, k)
+        out.append(x)
     return tuple(out)
 
 
@@ -1052,36 +1027,16 @@ def crt_solve(congruences: Sequence[tuple[int, int]]) -> int:
     return x % modulus
 
 
-@dataclass(frozen=True)
-class _SteeringLevel:
-    size: int
-    partner: int           # image of the marked letter under both labelings
-    swap: tuple[int, ...]
-    cycle: list[int]       # c's root cycle from the marked letter on
-    table: LevelTable      # the level's table, read once
-
-
-def _steering_level(automaton: Automaton, level: int) -> _SteeringLevel:
-    """A bi-reversible level flipping on one marked letter, labeled by a full
-    cycle sending it to its partner and by the transposition of the two."""
+def _steering_level(automaton: Automaton, level: int) -> LevelTable:
+    """The table of a bi-reversible level flipping on one marked letter,
+    labeled by a full cycle sending it to its partner and by the
+    transposition of the two.  The table's calculus holds the checked
+    marked letter and partner, or the condition the level breaks."""
     t = _bireversible_table(automaton, level)
-    flips = [x for x, q in enumerate(t.transition[0]) if q == 1]
-    if len(flips) != 1:
-        raise SteeringError(f"level {level}: states must swap on exactly one common letter")
-    marked = flips[0]
-    long_cycle, swap = t.output
-    partner, d = swap[marked], len(swap)
-    if partner == marked or any(
-        swap[x] != x for x in range(d) if x not in (marked, partner)
-    ):
-        raise SteeringError(
-            f"level {level}: second labeling must swap the marked letter with one partner"
-        )
-    if perms.cycle_length_through(long_cycle, marked) != d or long_cycle[marked] != partner:
-        raise SteeringError(
-            f"level {level}: first labeling must cycle all letters, marked to partner"
-        )
-    return _SteeringLevel(d, partner, swap, _c_cycle(t, marked)[0], t)
+    refusal = t._calculus.refusal
+    if refusal is not None:
+        raise SteeringError(f"level {level}: {refusal}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -1127,17 +1082,17 @@ def steer_to_word(automaton: Automaton, target: Sequence[int]) -> SteeringResult
     target = automaton.schedule.check_word(target)
     if not target:
         raise SteeringError("target word must be nonempty")
-    levels = [_steering_level(automaton, i) for i in range(1, len(target) + 1)]
-    for lv in levels:
-        if lv.size < 3:
-            raise SteeringError("steering needs every involved alphabet size >= 3")
-    moduli = [lv.size - 1 for lv in levels]
+    tables = [_steering_level(automaton, i) for i in range(1, len(target) + 1)]
+    moduli = [t.alphabet_size - 1 for t in tables]
+    if min(moduli) < 2:
+        raise SteeringError("steering needs every involved alphabet size >= 3")
     for i, m in enumerate(moduli):
         for m2 in moduli[i + 1 :]:
             if math.gcd(m, m2) != 1:
                 raise NonCoprimeModuliError(
                     f"cycle lengths {m} and {m2} are not coprime"
                 )
+    levels = [t._calculus for t in tables]
     base = tuple(lv.partner for lv in levels)
     on_target = [i for i, lv in enumerate(levels) if target[i] == lv.partner]
     off_target = [i for i in range(len(levels)) if target[i] != levels[i].partner]
@@ -1152,16 +1107,16 @@ def steer_to_word(automaton: Automaton, target: Sequence[int]) -> SteeringResult
     for i, lv in enumerate(levels):
         if target[i] != lv.partner:
             # After undoing the second state, this position holds the marked
-            # letter moved n0 times by c's root and swapped; walk c's cycle on.
-            reached = lv.swap[lv.cycle[n0 % moduli[i]]]
-            e = lv.cycle.index(target[i]) - lv.cycle.index(reached)
+            # letter moved n0 times by c's root and swapped; walk c's cycle
+            # on, whose length is the modulus.
+            reached = tables[i].output[1][lv.power(lv.marked, n0)[0]]
+            e = lv.position[target[i]] - lv.position[reached]
             congruences.append((sign * e % moduli[i], moduli[i]))
         else:
             sign = -sign
     n1 = crt_solve(congruences)
     # Verify c^n1 b^-1 c^n0 b factor by factor, the powers positionally,
     # on the tables the levels were read from.
-    tables = [lv.table for lv in levels]
     image = _act(tables, ((1, 1),), base)[0]
     image = _c_power_image(tables, n0, image)
     image = _act(tables, ((1, -1),), image)[0]

@@ -81,12 +81,14 @@ def _diagonal_rows(n_states: int, size: int) -> tuple[tuple[int, ...], ...]:
 
 
 # The most letters the shared size-keyed tables may hold, each charged
-# its alphabet size plus four letters for its own objects.  Under
-# tracemalloc a two-state table with its signed rows takes at most about
-# 181 bytes per charged letter (1.8 MB at 10,000 letters, 0.8 kB at 2),
-# so at worst they take about 29 MB, plus the search memos left on them.
+# its alphabet size plus ten letters for its own objects.  Under
+# tracemalloc (Python 3.11) a two-state table with its signed rows, its
+# `failure` verdict and its two-state calculus takes at most about 197
+# bytes per charged letter (2.0 MB at 10,000 letters, of which the
+# calculus is 0.16 MB; 2.3 kB at 2), so at worst they take about 32 MB,
+# plus the search memos left on them.
 MAX_SHARED_LETTERS = 16 * MAX_ALPHABET_SIZE
-_TABLE_CHARGE = 4
+_TABLE_CHARGE = 10
 
 # The shared tables by (builder, size, params), least recently used
 # first, the letters they are charged, and the lock that keeps the two in
@@ -128,9 +130,9 @@ def _size_builtin(
     keyed by (builder, size, params) that holds at most
     MAX_SHARED_LETTERS charged letters: every machine with those sizes
     holds the same table objects, with their cached signed rows,
-    `failure` verdicts and equality-search memos.  Over a growing
-    schedule there is no fold and every table is built fresh on request,
-    so a ramp keeps none."""
+    two-state calculus, `failure` verdicts and equality-search memos.
+    Over a growing schedule there is no fold and every table is built
+    fresh on request, so a ramp keeps none."""
     fold = schedule.aligned_fold(0, 1)
     make = build if fold is None else functools.partial(_shared_table, build)
     return Automaton(

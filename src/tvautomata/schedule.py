@@ -10,9 +10,10 @@ Letters of the level-i alphabet are 0 .. size_at(i) - 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidWordError
 
@@ -148,15 +149,21 @@ class AlphabetSchedule:
                 f"word of {len(word)} letters is longer than the supported "
                 f"{MAX_LEVEL} over a ramp schedule"
             )
-        for i, x in enumerate(word):
+        for i, (x, size) in enumerate(zip(word, self._level_sizes())):
             if not is_config_int(x):
                 raise InvalidWordError(f"letter {x!r} at position {i} is not an integer")
-            if not (0 <= x < self.size_at(i + 1)):
+            if not 0 <= x < size:
                 raise InvalidWordError(
-                    f"letter {x} at position {i} is outside alphabet of size "
-                    f"{self.size_at(i + 1)}"
+                    f"letter {x} at position {i} is outside alphabet of size {size}"
                 )
         return tuple(word)
+
+    def _level_sizes(self) -> Iterator[int]:
+        """The sizes at levels 1, 2, ..., without end."""
+        yield from self.prefix
+        for turns in itertools.count():
+            for base, slope in self.block:
+                yield base + slope * turns
 
     def leaf_count(self, level: int) -> int:
         """The product of the sizes at levels 1 .. level, in closed form:

@@ -292,6 +292,33 @@ def test_act_rejects_inverting_a_noninvertible_state(capsys, config):
     assert code == 0
 
 
+# a^-1 b^-1 over these tables: b, in state a from level 2 on, fails at
+# level 3, and a, in state b from level 2 on, fails at level 2.
+TWO_FAILING_LEVELS = {
+    "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 2}},
+    "automaton": {
+        "explicit": {
+            "states": 2,
+            "prefix": [
+                {"transition": [[1, 1], [0, 0]], "output": [[1, 0], [0, 1]]},
+                {"transition": [[0, 0], [1, 1]], "output": [[0, 1], [1, 1]]},
+                {"transition": [[0, 0], [1, 1]], "output": [[0, 0], [0, 1]]},
+            ],
+            "period": [{"transition": [[0, 0], [1, 1]], "output": [[0, 1], [0, 1]]}],
+        }
+    },
+}
+
+
+def test_act_names_the_shallowest_failing_level(capsys, config):
+    path = config(TWO_FAILING_LEVELS)
+    code, out, err = run(
+        capsys, "act", "--config", path, "--word-expr", "a^-1 b^-1", "--input", "0,0,0"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: labeling at level 2, state 1 is not a permutation\n"
+
+
 def test_act_rejects_bad_input(capsys, config):
     code, _, err = run(
         capsys, "act", "--config", config(Z2Z4), "--state", "a", "--input", "0,2"

@@ -1032,6 +1032,11 @@ def test_steering_and_the_two_word_witness_read_each_level_once():
     res = steer_to_word(m, (2, 3))
     assert (res.n0, res.n1) == (1, 4)
     assert calls == [1, 2]
+    # The word action steps its factors one by one over the tables it read.
+    m, calls = _counting_example2()
+    word = A * B.inverse() * A.inverse() * B * B
+    assert apply_word(m, word, (0, 1, 2)) == m.run_factors(word.factors, (0, 1, 2))[0]
+    assert calls == [1, 2, 3] * 2
     aba, bab = A * B * A, B * A * B
     for g, h in ((aba, bab), (aba * bab.inverse(), None)):
         m, calls = _counting_example2()

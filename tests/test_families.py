@@ -637,7 +637,7 @@ def test_the_shared_tables_stay_within_their_bound(monkeypatch):
     for size in range(3, 41):
         cycle_transposition_automaton(AlphabetSchedule.constant(size))
     assert _shared_sizes() == [39, 40]
-    assert families._shared_letters == charged() == 87
+    assert families._shared_letters == charged() == 99
     # A growing schedule builds its tables fresh, past the LRU.
     kept = list(families._shared_tables.items())
     for ramp in (

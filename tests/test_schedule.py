@@ -91,6 +91,70 @@ def test_check_word():
         s.check_word([2, 0])
 
 
+def _checked(schedule, word):
+    """What `check_word` returns, or the type and text of what it raises."""
+    try:
+        return schedule.check_word(word)
+    except InvalidWordError as exc:
+        return (type(exc), str(exc))
+
+
+def _checked_by_definition(prefix, kind, value, word):
+    """`_checked` read off the definition: a ramp takes at most MAX_LEVEL
+    letters, then the first letter that is not an integer, or not below
+    its level's size, is refused by position."""
+    if kind == "ramp" and len(word) > MAX_LEVEL:
+        return (
+            InvalidWordError,
+            f"word of {len(word)} letters is longer than the supported {MAX_LEVEL} "
+            "over a ramp schedule",
+        )
+    for i, x in enumerate(word):
+        if type(x) is not int:
+            return (InvalidWordError, f"letter {x!r} at position {i} is not an integer")
+        size = config_kind_size(prefix, kind, value, i + 1)
+        if not 0 <= x < size:
+            return (
+                InvalidWordError,
+                f"letter {x} at position {i} is outside alphabet of size {size}",
+            )
+    return tuple(word)
+
+
+@pytest.mark.parametrize(
+    "prefix, kind, value",
+    [
+        ((), "constant", 3),
+        ((2, 5), "constant", 3),
+        ((), "periodic", [2, 4, 3]),
+        ((4,), "periodic", [2, 3]),
+        ((), "ramp", 0),
+        ((2, 3), "ramp", 1),
+    ],
+)
+def test_check_word_refuses_the_first_bad_letter_by_position(prefix, kind, value):
+    doc = {
+        "prefix": list(prefix),
+        "tail": {"kind": kind, "value": {"offset": value} if kind == "ramp" else value},
+    }
+    schedule = AlphabetSchedule.from_config(doc)
+    top = [config_kind_size(prefix, kind, value, level) - 1 for level in range(1, 13)]
+    words = [(), tuple(top), (0,) * 12]
+    # The first, a middle and the last position, and both sides of the
+    # boundary between prefix and tail.
+    for i in sorted({0, 6, 11, len(prefix), max(len(prefix) - 1, 0)}):
+        for bad in (top[i] + 1, -1, True, False, 1.0, None, "0"):
+            word = list(top)
+            word[i] = bad
+            words.append(tuple(word))
+            word[9] = top[9] + 1
+            words.append(tuple(word))
+    words += [(0,) * MAX_LEVEL, (0,) * (MAX_LEVEL + 1), (-1,) * (MAX_LEVEL + 1)]
+    for word in words:
+        assert _checked(schedule, word) == _checked_by_definition(prefix, kind, value, word)
+        assert _checked(schedule, list(word)) == _checked_by_definition(prefix, kind, value, word)
+
+
 def test_words_at_level_lexicographic():
     s = AlphabetSchedule.periodic((2, 3))
     words = list(words_at_level(s, 2))

@@ -1,8 +1,10 @@
 """Constructive transitivity: reaching chosen words from the base word."""
 
+import collections
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -15,13 +17,15 @@ from tvautomata import (
     SteeringError,
     VerificationFailedError,
     apply_word,
+    build_from_config,
     cycle_transposition_automaton,
     lamplighter_automaton,
     steer_to_word,
     two_state_level,
     z2z4_automaton,
 )
-from tvautomata import engine
+from tvautomata import core, engine, families
+from tvautomata.schedule import MAX_ALPHABET_SIZE
 
 from reference import two_state_machines
 
@@ -133,9 +137,9 @@ def test_steering_levels_are_the_tables_the_definition_accepts():
     for m in two_state_machines((2, 3)):
         t = m.table_at(1)
         if _steerable_by_definition(t):
-            level = engine._steering_level(m, 1)
-            assert (level.size, level.swap) == (t.alphabet_size, t.output[1])
-            assert level.partner == t.output[0][t.transition[0].index(1)]
+            assert engine._steering_level(m, 1) is t
+            assert t._calculus.marked == t.transition[0].index(1)
+            assert t._calculus.partner == t.output[0][t._calculus.marked]
             steered += 1
         else:
             error = SteeringError if t.failure is None else NotBiReversibleError
@@ -178,6 +182,56 @@ def test_every_short_target_gets_a_word_of_the_stated_length():
         res = steer_to_word(a, target)
         assert res.word_length == res.word.length
         assert apply_word(a, res.word, res.base_word) == target
+
+
+def test_the_calculus_is_built_once_per_shared_table(monkeypatch):
+    # Fresh shared tables, so that no earlier query has built their calculus.
+    monkeypatch.setattr(families, "_shared_tables", collections.OrderedDict())
+    monkeypatch.setattr(families, "_shared_letters", 0)
+    built = []
+
+    class Counting(core._TwoStateCalculus):
+        __slots__ = ()
+
+        def __init__(self, t):
+            built.append(t.alphabet_size)
+            super().__init__(t)
+
+    monkeypatch.setattr(core, "_TwoStateCalculus", Counting)
+    sizes = (3, 4, 6, 8)
+    doc = {
+        "schedule": {"prefix": [], "tail": {"kind": "periodic", "value": list(sizes)}},
+        "automaton": {"builtin": "example2", "params": {}},
+    }
+    targets = [
+        target
+        for length in range(1, len(sizes) + 1)
+        for target in itertools.product(*(range(d) for d in sizes[:length]))
+    ]
+    assert len(targets) == 663
+    one, two = build_from_config(doc), build_from_config(doc)
+    assert [steer_to_word(one, t) for t in targets] == [steer_to_word(two, t) for t in targets]
+    assert sorted(built) == list(sizes)
+
+
+def test_the_calculus_of_the_widest_table_is_linear():
+    d = MAX_ALPHABET_SIZE
+    t = families._cycle_transposition_table(d, 0, 1)
+    t.signed_rows
+    tracemalloc.start()
+    try:
+        calc = t._calculus
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(calc.home) == len(calc.position) == d
+    assert sum(len(letters) for letters, _ in calc.cycles) == d
+    assert sum(len(sums) for _, sums in calc.cycles) == d + len(calc.cycles)
+    # Four integers per letter, 16 bytes under tracemalloc on Python 3.11.
+    assert kept < 24 * d
+    a = cycle_transposition_automaton(AlphabetSchedule.constant(d))
+    res = steer_to_word(a, (d - 1,))
+    assert apply_word(a, res.word, res.base_word) == (d - 1,)
 
 
 def test_seven_coprime_levels_steer_without_expanding_the_word():
