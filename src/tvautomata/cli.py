@@ -46,7 +46,7 @@ def _parse_letters(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError:
         raise ValueError(
             f"cannot parse letters {text!r}: need comma-separated integers"
@@ -62,15 +62,18 @@ def _yes(flag: Optional[bool]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (result, text lines, exit code)
+# subcommand handlers; each returns (result, renderer, exit code).  The
+# renderer takes no arguments and returns the text report's lines; `main`
+# calls it only for a text report.  It formats values the handler has
+# already computed and calls no library code, so it raises nothing a
+# handler would.
 
 
 def _cmd_check(args):
     a = _load_automaton(args)
     verdict = a.bireversibility(args.depth)
     rows = []
-    for i in range(1, args.depth + 1):
-        t = a.table_at(i)
+    for i, t in enumerate(a.level_tables(args.depth), 1):
         invertible = t.is_invertible()
         rows.append(
             {
@@ -89,19 +92,22 @@ def _cmd_check(args):
         "fails_at": verdict.level,
         "reason": verdict.reason,
     }
-    if verdict.holds:
-        scope = "exact, all levels" if verdict.exact else f"checked to level {verdict.checked_up_to}"
-        head = f"bi-reversible: holds ({scope})"
-    else:
-        head = f"bi-reversible: fails at level {verdict.level} ({verdict.reason})"
-    lines = [head]
-    for r in rows:
-        lines.append(
+
+    def render():
+        if not verdict.holds:
+            head = f"bi-reversible: fails at level {verdict.level} ({verdict.reason})"
+        elif verdict.exact:
+            head = "bi-reversible: holds (exact, all levels)"
+        else:
+            head = f"bi-reversible: holds (checked to level {verdict.checked_up_to})"
+        return [head] + [
             f"level {r['level']}: size {r['size']}  invertible {_yes(r['invertible'])}  "
             f"reversible {_yes(r['reversible'])}  inverse-reversible "
             f"{_yes(r['inverse_reversible'])}  diagonal {_yes(r['diagonal'])}"
-        )
-    return {"bireversible": summary, "levels": rows}, lines, (0 if verdict.holds else 1)
+            for r in rows
+        ]
+
+    return {"bireversible": summary, "levels": rows}, render, (0 if verdict.holds else 1)
 
 
 def _cmd_act(args):
@@ -116,10 +122,12 @@ def _cmd_act(args):
             "state": a.state_names[q],
             "end_state": a.state_names[end],
         }
-        lines = [
-            f"state {a.state_names[q]} on {_fmt_letters(letters)} -> "
-            f"{_fmt_letters(out)} (ends in {a.state_names[end]})"
-        ]
+
+        def render():
+            return [
+                f"state {result['state']} on {_fmt_letters(letters)} -> "
+                f"{_fmt_letters(out)} (ends in {result['end_state']})"
+            ]
     else:
         word = GroupWord.parse(args.word_expr, a)
         out = engine.apply_word(a, word, letters)
@@ -128,10 +136,10 @@ def _cmd_act(args):
             "output": list(out),
             "word": word.display(a.state_names),
         }
-        lines = [
-            f"word {word.display(a.state_names)} on {_fmt_letters(letters)} -> {_fmt_letters(out)}"
-        ]
-    return result, lines, 0
+
+        def render():
+            return [f"word {result['word']} on {_fmt_letters(letters)} -> {_fmt_letters(out)}"]
+    return result, render, 0
 
 
 def _cmd_levels(args):
@@ -145,13 +153,19 @@ def _cmd_levels(args):
             rows.append({"level": group.level, "order": group.order, "words": group.leaf_count})
     except OrderCapExceededError as exc:
         capped = {"level": len(rows) + 1, "cap": exc.cap, "reached": exc.reached}
-    lines = [f"level {r['level']}: group order {r['order']} on {r['words']} words" for r in rows]
-    if capped is not None:
-        lines.append(
-            f"level {capped['level']}: order cap {capped['cap']} exceeded, partial results"
-        )
+
+    def render():
+        lines = [
+            f"level {r['level']}: group order {r['order']} on {r['words']} words" for r in rows
+        ]
+        if capped is not None:
+            lines.append(
+                f"level {capped['level']}: order cap {capped['cap']} exceeded, partial results"
+            )
+        return lines
+
     result = {"orders": rows, "capped": capped}
-    return result, lines, (0 if capped is None else 1)
+    return result, render, (0 if capped is None else 1)
 
 
 def _cmd_classify(args):
@@ -162,10 +176,14 @@ def _cmd_classify(args):
         "group_order": kind.group_order,
         "exponent": kind.exponent,
     }
-    lines = [
-        f"classification: {kind.value} (order {kind.group_order}, exponent {kind.exponent})"
-    ]
-    return result, lines, 0
+
+    def render():
+        return [
+            f"classification: {result['kind']} (order {result['group_order']}, "
+            f"exponent {result['exponent']})"
+        ]
+
+    return result, render, 0
 
 
 def _cmd_relations(args):
@@ -175,20 +193,22 @@ def _cmd_relations(args):
     names = a.state_names
     relations = [w.display(names) for w in found.equal]
     unsettled = [w.display(names) for w in found.unknown]
-    lines = [
-        f"checked {found.checked} reduced words up to length {args.max_len}"
-    ]
-    if relations:
-        lines.append("trivial words found:")
-        lines.extend(f"  {w}" for w in relations)
-    if unsettled:
-        lines.append("not settled within depth budget:")
-        lines.extend(f"  {w}" for w in unsettled)
-    if not relations and not unsettled:
-        lines.append("none found")
+
+    def render():
+        lines = [f"checked {found.checked} reduced words up to length {args.max_len}"]
+        if relations:
+            lines.append("trivial words found:")
+            lines.extend(f"  {w}" for w in relations)
+        if unsettled:
+            lines.append("not settled within depth budget:")
+            lines.extend(f"  {w}" for w in unsettled)
+        if not relations and not unsettled:
+            lines.append("none found")
+        return lines
+
     result = {"checked": found.checked, "relations": relations, "unsettled": unsettled}
     code = 0 if not relations and not unsettled else 1
-    return result, lines, code
+    return result, render, code
 
 
 def _cmd_steer(args):
@@ -206,13 +226,17 @@ def _cmd_steer(args):
         "word_length": res.word_length,
         "verified": True,
     }
-    lines = [
-        f"base word {_fmt_letters(res.base_word)} -> target {_fmt_letters(res.target)}",
-        f"n0 = {res.n0}, n1 = {res.n1}",
-        f"g = {compact}  (c = {names[0]} {names[1]}^-1, {res.word_length} factors reduced)",
-        "verified: yes",
-    ]
-    return result, lines, 0
+
+    def render():
+        return [
+            f"base word {_fmt_letters(res.base_word)} -> target {_fmt_letters(res.target)}",
+            f"n0 = {res.n0}, n1 = {res.n1}",
+            f"g = {compact}  (c = {names[0]} {names[1]}^-1, "
+            f"{result['word_length']} factors reduced)",
+            "verified: yes",
+        ]
+
+    return result, render, 0
 
 
 def _cmd_orbit(args):
@@ -226,19 +250,25 @@ def _cmd_orbit(args):
         "words": leaves,
         "transitive": transitive,
     }
-    lines = [
-        f"orbit at level {args.level}: {len(orbit)}/{leaves} words reached - "
-        + ("transitive" if transitive else "not transitive")
-    ]
-    return result, lines, (0 if transitive else 1)
+
+    def render():
+        return [
+            f"orbit at level {args.level}: {result['orbit_size']}/{leaves} words reached - "
+            + ("transitive" if transitive else "not transitive")
+        ]
+
+    return result, render, (0 if transitive else 1)
 
 
 def _cmd_list_builtins(args):
     families = [
         {"id": fid, "summary": summary} for fid, (summary, _) in sorted(FAMILIES.items())
     ]
-    lines = [f"{f['id']}: {f['summary']}" for f in families]
-    return {"families": families}, lines, 0
+
+    def render():
+        return [f"{f['id']}: {f['summary']}" for f in families]
+
+    return {"families": families}, render, 0
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +353,7 @@ _NOT_OPTIONS = frozenset({"command", "handler", "format"})
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        result, lines, code = args.handler(args)
+        result, render, code = args.handler(args)
     except (BudgetExceededError, VerificationFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -338,7 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = {"command": args.command, "options": options, "result": result}
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
-            for line in lines:
+            for line in render():
                 print(line)
         sys.stdout.flush()
     except OSError as exc:

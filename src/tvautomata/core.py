@@ -27,7 +27,7 @@ import functools
 import math
 import types
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import perms
 from .errors import (
@@ -467,8 +467,9 @@ class Automaton:
     schedule's alphabet size at its level.  `from_periodic_tables` hands
     its explicit tables to that check as they are; a rule with a fold is
     sampled once, at levels 1 .. p + m, into the tuple and then dropped.
-    A deeper level reads the entry of its phase, and `periodic_tables`
-    is a (prefix, period) view of the tuple.  From `identity_from` on
+    A deeper level reads the entry of its phase, `periodic_tables` is a
+    (prefix, period) view of the tuple, and `level_tables` gives the
+    tables of a word's levels in one walk.  From `identity_from` on
     every state acts trivially and the rule is not consulted.  The tuple
     is the only table store a machine keeps: an identity-tail table past
     it, and every table of a machine without a fold, is built each time
@@ -686,6 +687,30 @@ class Automaton:
             raise ValueError(f"levels start at 1, got {level}")
         return self._phase_table(level)
 
+    def level_tables(self, count: int) -> Iterable[LevelTable]:
+        """The tables of levels 1 .. `count`, in order, as `table_at`
+        gives them.
+
+        On a fold (p, m) without an identity tail they are one tuple of
+        three slices of the kept tables: the prefix, the period repeated
+        and a partial period, so no level goes through `phase`.  On a
+        bare rule or an identity tail they are `table_at`'s, asked for
+        one level at a time as the reader reaches it, so a reader that
+        stops early asks a rule for no deeper level.  Built per call and
+        never kept.
+        """
+        if count < 0:
+            raise ValueError(f"level count must be nonnegative, got {count}")
+        tables = self._tables
+        if tables is None or self.identity_from is not None:
+            return map(self.table_at, range(1, count + 1))
+        p = self.fold[0]
+        if count <= p:
+            return tables[1 : count + 1]
+        period = tables[p + 1 :]
+        turns, part = divmod(count - p, len(period))
+        return tables[1 : p + 1] + period * turns + period[:part]
+
     def _phase_table(self, level: int) -> LevelTable:
         """The table of `level`'s phase: a fresh identity table in the
         trivial tail, a fold's entry, or else the rule's table, checked
@@ -738,12 +763,13 @@ class Automaton:
         """Feed a word through a composite of (state, sign) factors, the
         rightmost applied first; return (output word, end states).
 
-        Each level's table is read once, and each factor steps the whole
-        word in turn, as `_act` does.
+        The word's tables come from one `level_tables` walk, so each
+        level's table is read once, and each factor steps the whole word
+        in turn, as `_act` does.
         """
         word = self.schedule.check_word(word)
         factors = [(self.state_index(q), s) for q, s in factors]
-        return _act([self.table_at(i) for i in range(1, len(word) + 1)], factors, word)
+        return _act(tuple(self.level_tables(len(word))), factors, word)
 
     # -- level predicates ----------------------------------------------
 
@@ -767,8 +793,8 @@ class Automaton:
             last = min(depth, _SANITY_DEPTH)
         else:
             last, exact = depth, False
-        for i in range(1, last + 1):
-            reason = self.table_at(i).failure
+        for i, table in enumerate(self.level_tables(last), 1):
+            reason = table.failure
             if reason is not None:
                 return BiReversibilityVerdict(False, i, reason, exact=True)
         return BiReversibilityVerdict(

@@ -919,14 +919,18 @@ def _require_two_states(automaton: Automaton) -> None:
         )
 
 
+def _bireversible_level(t: LevelTable, level: int) -> LevelTable:
+    """`t`, the table of `level`, refused unless it is bi-reversible."""
+    if t.failure is not None:
+        raise NotBiReversibleError(f"level {level} fails: {t.failure}")
+    return t
+
+
 def _bireversible_table(automaton: Automaton, level: int) -> LevelTable:
     """The table of `level` on a two-state machine, refused unless that
     level is bi-reversible."""
     _require_two_states(automaton)
-    t = automaton.table_at(level)
-    if t.failure is not None:
-        raise NotBiReversibleError(f"level {level} fails: {t.failure}")
-    return t
+    return _bireversible_level(automaton.table_at(level), level)
 
 
 def letter_partition(automaton: Automaton, level: int) -> tuple[Word, Word]:
@@ -962,14 +966,14 @@ def ratio_power_image(
     With c = (first state)(second state)^-1, the ratio is a^-1 c^-1 a, so
     its n-th power is a^-1 c^-n a: the word is fed through the first
     state, moved by c^-n as `_c_power_image` does, and fed back through
-    the first state undone.  The word is checked first, and each level's
-    table is read once for all three.  Every labeling must be a
-    permutation.
+    the first state undone.  The word is checked first, and its tables
+    come from one `Automaton.level_tables` walk, read by all three.
+    Every labeling must be a permutation.
     """
     _require_two_states(automaton)
     _check_ints((n,), "exponent")
     letters = automaton.schedule.check_word(letters)
-    tables = [automaton.table_at(i) for i in range(1, len(letters) + 1)]
+    tables = tuple(automaton.level_tables(len(letters)))
     image = _act(tables, ((0, 1),), letters)[0]
     image = _c_power_image(tables, -n, image)
     return _act(tables, ((0, -1),), image)[0]
@@ -1027,12 +1031,13 @@ def crt_solve(congruences: Sequence[tuple[int, int]]) -> int:
     return x % modulus
 
 
-def _steering_level(automaton: Automaton, level: int) -> LevelTable:
-    """The table of a bi-reversible level flipping on one marked letter,
-    labeled by a full cycle sending it to its partner and by the
-    transposition of the two.  The table's calculus holds the checked
-    marked letter and partner, or the condition the level breaks."""
-    t = _bireversible_table(automaton, level)
+def _steering_level(t: LevelTable, level: int) -> LevelTable:
+    """`t`, the two-state table of `level`, refused unless it is
+    bi-reversible, flips on one marked letter, and is labeled by a full
+    cycle sending it to its partner and by the transposition of the two.
+    The table's calculus holds the checked marked letter and partner, or
+    the condition the level breaks."""
+    _bireversible_level(t, level)
     refusal = t._calculus.refusal
     if refusal is not None:
         raise SteeringError(f"level {level}: {refusal}")
@@ -1082,7 +1087,10 @@ def steer_to_word(automaton: Automaton, target: Sequence[int]) -> SteeringResult
     target = automaton.schedule.check_word(target)
     if not target:
         raise SteeringError("target word must be nonempty")
-    tables = [_steering_level(automaton, i) for i in range(1, len(target) + 1)]
+    tables = [
+        _steering_level(t, level)
+        for level, t in enumerate(automaton.level_tables(len(target)), 1)
+    ]
     moduli = [t.alphabet_size - 1 for t in tables]
     if min(moduli) < 2:
         raise SteeringError("steering needs every involved alphabet size >= 3")

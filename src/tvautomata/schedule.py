@@ -143,14 +143,18 @@ class AlphabetSchedule:
     def check_word(self, word: Sequence[int]) -> tuple[int, ...]:
         """Return `word` as a tuple, raising InvalidWordError on a letter
         that is not an integer (nor a bool) or not in its level's
-        alphabet, or on a word longer than MAX_LEVEL over a growing tail."""
+        alphabet, or on a word longer than MAX_LEVEL over a growing tail.
+
+        One pass pairs each letter with its level's size from
+        `_level_sizes`; the first bad letter is refused, and a plain int
+        skips the subclass test."""
         if self._sizes is None and len(word) > MAX_LEVEL:
             raise InvalidWordError(
                 f"word of {len(word)} letters is longer than the supported "
                 f"{MAX_LEVEL} over a ramp schedule"
             )
         for i, (x, size) in enumerate(zip(word, self._level_sizes())):
-            if not is_config_int(x):
+            if type(x) is not int and not is_config_int(x):
                 raise InvalidWordError(f"letter {x!r} at position {i} is not an integer")
             if not 0 <= x < size:
                 raise InvalidWordError(
@@ -159,11 +163,14 @@ class AlphabetSchedule:
         return tuple(word)
 
     def _level_sizes(self) -> Iterator[int]:
-        """The sizes at levels 1, 2, ..., without end."""
-        yield from self.prefix
-        for turns in itertools.count():
-            for base, slope in self.block:
-                yield base + slope * turns
+        """The sizes at levels 1, 2, ..., without end: on a bounded tail
+        the prefix and then the block's sizes cycled."""
+        if self._sizes is not None:
+            return itertools.chain(self.prefix, itertools.cycle(self._sizes))
+        return itertools.chain(
+            self.prefix,
+            (base + slope * turns for turns in itertools.count() for base, slope in self.block),
+        )
 
     def leaf_count(self, level: int) -> int:
         """The product of the sizes at levels 1 .. level, in closed form:

@@ -201,6 +201,28 @@ def test_act_by_word_expression(capsys, config):
     assert report["result"]["output"][0] == 0
 
 
+def test_act_formats_its_letters_only_for_a_text_report(capsys, config, monkeypatch):
+    path = config(Z2Z4)
+    cases = (
+        (("--word-expr", "a b^-1 a", "--input", "1,0,1"), "word a b^-1 a on 1,0,1 -> 0,1,0\n"),
+        (("--state", "a", "--input", "0,0"), "state a on 0,0 -> 1,1 (ends in a)\n"),
+    )
+    reports = [
+        run(capsys, "act", "--config", path, *argv, "--format", "json") for argv, _ in cases
+    ]
+
+    def refuse(letters):
+        raise AssertionError("letters formatted for a JSON report")
+
+    monkeypatch.setattr(cli, "_fmt_letters", refuse)
+    for (argv, _), report in zip(cases, reports):
+        assert report[0] == 0
+        assert run(capsys, "act", "--config", path, *argv, "--format", "json") == report
+    monkeypatch.undo()
+    for argv, line in cases:
+        assert run(capsys, "act", "--config", path, *argv) == (0, line, "")
+
+
 def test_act_word_expression_takes_state_aliases(capsys, config):
     dual = {
         "schedule": {"prefix": [], "tail": {"kind": "constant", "value": 3}},

@@ -37,6 +37,7 @@ from tvautomata import perms
 from tvautomata.core import MAX_LEVEL
 
 from reference import tables_equal
+from test_families import all_builtin_machines
 
 FLIP = (1, 0)
 IDENT = (0, 1)
@@ -664,6 +665,58 @@ def test_folded_tables_read_by_level_match_their_rule():
             tuple(ref(i) for i in range(1, p + 1)),
             tuple(ref(i) for i in range(p + 1, p + m + 1)),
         )
+
+
+def _walk_cases():
+    """Machines with every kind of table store: every builtin, explicit
+    folds with and without a prefix, identity tails and bare rules."""
+    yield from all_builtin_machines()
+    yield from (machine for machine, _ in _fold_cases())
+    e2 = cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4), prefix=(5,)))
+    yield e2
+    yield e2.restricted(3)
+    yield e2.restricted(9)
+    three, four = e2.table_at(2), e2.table_at(3)
+    for prefix in ((), (three,), (three, four, three)):
+        schedule = AlphabetSchedule.periodic((3, 4), prefix=[t.alphabet_size for t in prefix])
+        yield Automaton.from_periodic_tables(schedule, prefix, (three, four))
+    # A schedule prefix longer than the table prefix unrolls the block.
+    yield Automaton.from_periodic_tables(
+        AlphabetSchedule.periodic((4, 3), prefix=(3, 4, 3)), (), (three, four)
+    )
+    yield Automaton.from_periodic_tables(
+        AlphabetSchedule.periodic((3, 4), prefix=(4,)), (four,), (three, four)
+    )
+    ramp = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
+    yield Automaton.from_rule(ramp.schedule, 2, ramp.table_at)
+    yield Automaton.from_rule(ramp.schedule, 2, ramp.table_at, identity_from=4)
+
+
+def test_level_tables_are_the_tables_by_level():
+    for machine in _walk_cases():
+        p, m = machine.fold or (2, 3)
+        for count in range(3 * (p + m) + 2):
+            walk = list(machine.level_tables(count))
+            assert walk == [machine.table_at(i) for i in range(1, count + 1)]
+            if machine.fold is not None and machine.identity_from is None:
+                assert all(t is machine.table_at(i) for i, t in enumerate(walk, 1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        z2z4_automaton().level_tables(-1)
+
+
+def test_a_rule_s_level_tables_ask_for_each_level_as_it_is_read():
+    inner = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
+    calls = []
+
+    def rule(level):
+        calls.append(level)
+        return inner.table_at(level)
+
+    walk = iter(Automaton.from_rule(inner.schedule, 2, rule).level_tables(5))
+    assert calls == []
+    next(walk)
+    next(walk)
+    assert calls == [1, 2]
 
 
 def test_derived_folds_do_not_keep_their_source_alive():

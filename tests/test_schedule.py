@@ -1,3 +1,4 @@
+import enum
 import itertools
 import json
 import math
@@ -89,6 +90,38 @@ def test_check_word():
     assert s.check_word([0, 2]) == (0, 2)
     with pytest.raises(InvalidWordError):
         s.check_word([2, 0])
+
+
+def test_check_word_takes_int_subclasses_but_not_bools_past_three_periods():
+    class Letter(enum.IntEnum):
+        ONE = 1
+        TWO = 2
+
+    s = AlphabetSchedule.periodic((3, 4), prefix=(5,))
+    word = [0] * 9 + [Letter.TWO]
+    assert s.check_word(word) == (0,) * 9 + (2,)
+    assert type(s.check_word(word)[9]) is Letter
+    word[9] = True
+    with pytest.raises(InvalidWordError, match="^letter True at position 9 is not an integer$"):
+        s.check_word(word)
+    # A bad letter before a bool is refused first.
+    word[7] = 3
+    with pytest.raises(
+        InvalidWordError, match="^letter 3 at position 7 is outside alphabet of size 3$"
+    ):
+        s.check_word(word)
+
+
+def test_check_word_on_a_bounded_tail_takes_a_word_of_the_level_budget():
+    s = AlphabetSchedule.periodic((3, 4), prefix=(5,))
+    word = tuple(s.size_at(i) - 1 for i in range(1, MAX_LEVEL + 1))
+    assert s.check_word(word) == word
+    bad = word[:-1] + (4,)
+    # Level 450 is the tail's 449th, a size-3 level.
+    with pytest.raises(
+        InvalidWordError, match="^letter 4 at position 449 is outside alphabet of size 3$"
+    ):
+        s.check_word(bad)
 
 
 def _checked(schedule, word):

@@ -137,14 +137,14 @@ def test_steering_levels_are_the_tables_the_definition_accepts():
     for m in two_state_machines((2, 3)):
         t = m.table_at(1)
         if _steerable_by_definition(t):
-            assert engine._steering_level(m, 1) is t
+            assert engine._steering_level(t, 1) is t
             assert t._calculus.marked == t.transition[0].index(1)
             assert t._calculus.partner == t.output[0][t._calculus.marked]
             steered += 1
         else:
             error = SteeringError if t.failure is None else NotBiReversibleError
             with pytest.raises(error):
-                engine._steering_level(m, 1)
+                engine._steering_level(t, 1)
     assert steered == 2 + 6
 
 
