@@ -10,8 +10,8 @@ Every transducer has one representation: a rule giving the table at a
 level, an optional fold saying that levels past p repeat with period m,
 and an optional level from which on every state acts trivially.  A fold
 or an identity tail leaves finitely many distinct levels, so decisions
-downstream are exact; a bare rule is checked up to a depth unless the
-construction carries a guarantee.  A folded machine keeps its tables;
+downstream are exact; a bare rule is checked up to a depth, unless a
+builder's lemma proves every level.  A folded machine keeps its tables;
 every other table is built on request and kept only by the query that
 reads it.  A rule may hand out tables other machines hold too.  Every
 letter is stepped through a table's cached signed rows, its own rows
@@ -433,9 +433,10 @@ def _act(
 class BiReversibilityVerdict:
     """Outcome of a bi-reversibility check.
 
-    `holds` with `exact` means the property holds at every level.  With
-    `exact` False it only means no failure up to `checked_up_to`.  A
-    failure reports the first bad level and one of the reason strings.
+    `holds` with `exact` means the property holds at every level, by a
+    fold, an identity tail or a builder's lemma.  With `exact` False it
+    only means no failure up to `checked_up_to`.  A failure reports the
+    first bad level and one of the reason strings.
     """
 
     holds: bool
@@ -484,6 +485,10 @@ class Automaton:
     trivial tail.  A fold or an identity tail leaves finitely many
     phases; without either a level is its own phase.
     `phase(level + 1)` is the phase after `phase(level)`.
+
+    `bireversibility()` is exact by a fold, an identity tail or a
+    builder's lemma.  No constructor takes the lemma's mark: only
+    `families._size_builtin` sets it, and `_derive` copies it.
     """
 
     __slots__ = (
@@ -492,8 +497,8 @@ class Automaton:
         "state_names",
         "_table_fn",
         "fold",
-        "exact_bireversible",
         "identity_from",
+        "_lemma_bireversible",
         "family",
         "_tables",
     )
@@ -506,7 +511,6 @@ class Automaton:
         *,
         state_names: Optional[Sequence[str]] = None,
         fold: Optional[tuple[int, int]] = None,
-        exact_bireversible: bool = False,
         identity_from: Optional[int] = None,
     ):
         _check_ints((n_states,), "state count")
@@ -522,8 +526,9 @@ class Automaton:
                 raise ValueError("state names must be distinct, one per state")
         self._table_fn: Optional[Callable[[int], LevelTable]] = table_fn
         self.fold = fold
-        self.exact_bireversible = exact_bireversible
         self.identity_from = identity_from
+        # Every level is bi-reversible by a builder's lemma.
+        self._lemma_bireversible = False
         # A builtin's (family id, params), set only by `families`.
         self.family: Optional[tuple[str, dict]] = None
         self._tables: Optional[tuple[Optional[LevelTable], ...]] = None
@@ -619,22 +624,12 @@ class Automaton:
         table_fn: Callable[[int], LevelTable],
         *,
         state_names: Optional[Sequence[str]] = None,
-        exact_bireversible: bool = False,
         identity_from: Optional[int] = None,
     ) -> "Automaton":
-        """A machine given by a bare rule, with no fold.
-
-        `exact_bireversible=True` is the caller's claim that every level
-        is bi-reversible; `bireversibility()` then checks only levels
-        1 .. `_SANITY_DEPTH` (8) and reports the verdict as exact.
-        """
+        """A machine given by a bare rule, with no fold.  Its
+        bi-reversibility is exact only by an identity tail."""
         return Automaton(
-            schedule,
-            n_states,
-            table_fn,
-            state_names=state_names,
-            exact_bireversible=exact_bireversible,
-            identity_from=identity_from,
+            schedule, n_states, table_fn, state_names=state_names, identity_from=identity_from
         )
 
     def __repr__(self) -> str:
@@ -691,10 +686,12 @@ class Automaton:
         """The tables of levels 1 .. `count`, in order, as `table_at`
         gives them.
 
-        On a fold (p, m) without an identity tail they are one tuple of
-        three slices of the kept tables: the prefix, the period repeated
-        and a partial period, so no level goes through `phase`.  On a
-        bare rule or an identity tail they are `table_at`'s, asked for
+        On a fold (p, m) they are one tuple of three slices of the kept
+        tables: the prefix, the period repeated and a partial period, so
+        no level goes through `phase`.  An identity tail from level p + 1
+        or before leaves identity tables in every kept entry it covers,
+        so the slices hold for it too.  On a bare rule, or a fold whose
+        identity tail starts past p + 1, they are `table_at`'s, asked for
         one level at a time as the reader reaches it, so a reader that
         stops early asks a rule for no deeper level.  Built per call and
         never kept.
@@ -702,7 +699,7 @@ class Automaton:
         if count < 0:
             raise ValueError(f"level count must be nonnegative, got {count}")
         tables = self._tables
-        if tables is None or self.identity_from is not None:
+        if tables is None or (self.identity_from or 0) > self.fold[0] + 1:
             return map(self.table_at, range(1, count + 1))
         p = self.fold[0]
         if count <= p:
@@ -776,11 +773,11 @@ class Automaton:
     def bireversibility(self, up_to: Optional[int] = None) -> BiReversibilityVerdict:
         """Check invertibility, reversibility, and inverse reversibility.
 
-        A folded representation is checked exactly over levels 1 .. p + m,
-        and one with an identity tail over the levels before it.  A bare
-        rule is checked up to a depth, unless the construction guarantees
-        the property, in which case a short sanity window is verified.
-        `up_to` counts levels from 1 to MAX_LEVEL.
+        A fold is checked exactly over levels 1 .. p + m, and an identity
+        tail over the levels before it.  A rule a builder's lemma proves
+        bi-reversible is checked over levels 1 .. min(`up_to`,
+        `_SANITY_DEPTH`) and reported exact; any other rule up to `up_to`,
+        with `exact` False.  `up_to` counts levels from 1 to MAX_LEVEL.
         """
         depth = _DEFAULT_CHECK_DEPTH if up_to is None else up_to
         _check_count(depth, "check depth", level=True)
@@ -789,7 +786,7 @@ class Automaton:
             last = sum(self.fold)
         elif self.identity_from is not None:
             last = self.identity_from - 1
-        elif self.exact_bireversible:
+        elif self._lemma_bireversible:
             last = min(depth, _SANITY_DEPTH)
         else:
             last, exact = depth, False
@@ -803,17 +800,23 @@ class Automaton:
 
     # -- derived transducers -------------------------------------------
 
+    def _derive(self, schedule, table_fn, fold, identity_from) -> "Automaton":
+        """A machine with this one's states and lemma mark: the one way a
+        transducer is derived from another."""
+        derived = Automaton(
+            schedule,
+            self.n_states,
+            table_fn,
+            state_names=self.state_names,
+            fold=fold,
+            identity_from=identity_from,
+        )
+        derived._lemma_bireversible = self._lemma_bireversible
+        return derived
+
     def inverse(self) -> "Automaton":
         """The inverse transducer; each state undoes its namesake."""
-        return Automaton(
-            self.schedule,
-            self.n_states,
-            self._inverted_table,
-            state_names=self.state_names,
-            fold=self.fold,
-            exact_bireversible=self.exact_bireversible,
-            identity_from=self.identity_from,
-        )
+        return self._derive(self.schedule, self._inverted_table, self.fold, self.identity_from)
 
     def _inverted_table(self, level: int) -> LevelTable:
         t = self.table_at(level)
@@ -835,14 +838,8 @@ class Automaton:
         identity_from = None
         if self.identity_from is not None:
             identity_from = max(1, self.identity_from - count)
-        return Automaton(
-            self.schedule.shifted(count),
-            self.n_states,
-            lambda i: self.table_at(i + count),
-            state_names=self.state_names,
-            fold=fold,
-            exact_bireversible=self.exact_bireversible,
-            identity_from=identity_from,
+        return self._derive(
+            self.schedule.shifted(count), lambda i: self.table_at(i + count), fold, identity_from
         )
 
     def restricted(self, depth: int) -> "Automaton":
@@ -853,14 +850,8 @@ class Automaton:
         ident = depth + 1
         if self.identity_from is not None:
             ident = min(ident, self.identity_from)
-        return Automaton(
-            self.schedule,
-            self.n_states,
-            self.table_at,
-            state_names=self.state_names,
-            fold=self.schedule.aligned_fold(depth, 1),
-            identity_from=ident,
-        )
+        fold = self.schedule.aligned_fold(depth, 1)
+        return self._derive(self.schedule, self.table_at, fold, ident)
 
     def mealy_table(self) -> LevelTable:
         """The single level table of a level-independent transducer."""
@@ -935,12 +926,4 @@ def embed_on_subsequence(
     identity_from = None
     if inner.identity_from is not None:
         identity_from = start + (inner.identity_from - 1) * step
-    return Automaton(
-        host,
-        inner.n_states,
-        fn,
-        state_names=inner.state_names,
-        fold=fold,
-        exact_bireversible=inner.exact_bireversible,
-        identity_from=identity_from,
-    )
+    return inner._derive(host, fn, fold, identity_from)

@@ -124,25 +124,28 @@ def _size_builtin(
     *params)` for the level's alphabet size: example 1, example 2 and gi.
 
     Each builder's table is bi-reversible at every size it is built for,
-    by the lemma in its docstring, so the machine claims exactness at
-    every level.  Over a bounded schedule the machine gets the aligned
-    fold, and exactly then its tables come from one process-wide LRU
-    keyed by (builder, size, params) that holds at most
-    MAX_SHARED_LETTERS charged letters: every machine with those sizes
-    holds the same table objects, with their cached signed rows,
-    two-state calculus, `failure` verdicts and equality-search memos.
-    Over a growing schedule there is no fold and every table is built
-    fresh on request, so a ramp keeps none."""
+    by the lemma in its docstring.  That lemma is the finite argument
+    behind an exact verdict over a ramp, where no fold or identity tail
+    bounds the levels, so the machine is marked through the private
+    slot `_lemma_bireversible`, which no constructor takes.  Over a
+    bounded schedule the machine gets the aligned fold, and exactly then
+    its tables come from one process-wide LRU keyed by (builder, size,
+    params) that holds at most MAX_SHARED_LETTERS charged letters: every
+    machine with those sizes holds the same table objects, with their
+    cached signed rows, two-state calculus, `failure` verdicts and
+    equality-search memos.  Over a growing schedule there is no fold and
+    every table is built fresh on request, so a ramp keeps none."""
     fold = schedule.aligned_fold(0, 1)
     make = build if fold is None else functools.partial(_shared_table, build)
-    return Automaton(
+    machine = Automaton(
         schedule,
         2,
         lambda level: make(schedule.size_at(level), *params),
         fold=fold,
-        exact_bireversible=True,
         identity_from=identity_from,
     )
+    machine._lemma_bireversible = True
+    return machine
 
 
 def _order_preserving_labeling(formula: Callable[[int], int], size: int) -> tuple[int, ...]:

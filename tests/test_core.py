@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import inspect
 import itertools
 import random
 import sys
@@ -265,6 +266,50 @@ def test_depth_bounded_verdict_without_any_structure():
     assert verdict.holds
     assert not verdict.exact
     assert verdict.checked_up_to == 10
+
+
+def test_a_user_rule_cannot_claim_exactness():
+    # Bi-reversible at levels 1-8, not invertible at level 9.
+    collapse = LevelTable(((0, 0), (1, 1)), ((0, 0), IDENT))
+    rule = Automaton.from_rule(
+        AlphabetSchedule.constant(2), 2, lambda i: collapse if i == 9 else EVEN
+    )
+    verdict = rule.bireversibility()
+    assert (verdict.holds, verdict.level, verdict.reason) == (False, 9, "not_invertible")
+    verdict = rule.bireversibility(8)
+    assert (verdict.holds, verdict.exact, verdict.checked_up_to) == (True, False, 8)
+    # No constructor takes a claim of exactness, public or private.
+    for constructor, options in (
+        (Automaton, ["state_names", "fold", "identity_from"]),
+        (Automaton.from_rule, ["state_names", "identity_from"]),
+    ):
+        parameters = list(inspect.signature(constructor).parameters)
+        assert parameters == ["schedule", "n_states", "table_fn", *options]
+        with pytest.raises(TypeError):
+            constructor(rule.schedule, 2, rule.table_at, _lemma_bireversible=True)
+
+
+def test_machines_derived_from_a_size_builtin_keep_its_exact_verdict():
+    # Over a ramp no fold or identity tail bounds the levels; only the
+    # builders' lemma makes the verdict exact, and every derivation keeps it.
+    for machine in (
+        word_order_automaton(AlphabetSchedule.ramp(0)),
+        cycle_transposition_automaton(AlphabetSchedule.ramp(1)),
+        sym_diagonal_automaton(start=3),
+    ):
+        # Host level 2j has the size of inner level j.
+        host = AlphabetSchedule((), ((2, 0), *machine.schedule.block))
+        for derived in (
+            machine.inverse(),
+            machine.shifted(1),
+            machine.shifted(5),
+            embed_on_subsequence(machine, host, 2, 2),
+        ):
+            assert not derived.has_finite_phases
+            verdict = derived.bireversibility()
+            assert (verdict.holds, verdict.exact, verdict.checked_up_to) == (True, True, None)
+        verdict = Automaton.from_rule(machine.schedule, 2, machine.table_at).bireversibility()
+        assert (verdict.holds, verdict.exact, verdict.checked_up_to) == (True, False, 20)
 
 
 def test_shift():
@@ -690,6 +735,8 @@ def _walk_cases():
     ramp = cycle_transposition_automaton(AlphabetSchedule.ramp(1))
     yield Automaton.from_rule(ramp.schedule, 2, ramp.table_at)
     yield Automaton.from_rule(ramp.schedule, 2, ramp.table_at, identity_from=4)
+    # An identity tail past p + 1: the kept period still holds a live table.
+    yield Automaton(AlphabetSchedule.constant(2), 2, lambda i: ODD, fold=(0, 2), identity_from=3)
 
 
 def test_level_tables_are_the_tables_by_level():
@@ -702,6 +749,19 @@ def test_level_tables_are_the_tables_by_level():
                 assert all(t is machine.table_at(i) for i, t in enumerate(walk, 1))
     with pytest.raises(ValueError, match="nonnegative"):
         z2z4_automaton().level_tables(-1)
+
+
+def test_an_early_identity_tail_is_walked_by_slices(monkeypatch):
+    e2 = cycle_transposition_automaton(AlphabetSchedule.periodic((3, 4), prefix=(5,)))
+    cut = e2.restricted(3)
+    expected = [cut.table_at(i) for i in range(1, 301)]
+    built = []
+    real = LevelTable.identity
+    monkeypatch.setattr(
+        LevelTable, "identity", staticmethod(lambda *a: built.append(a) or real(*a))
+    )
+    assert list(cut.level_tables(300)) == expected
+    assert built == []
 
 
 def test_a_rule_s_level_tables_ask_for_each_level_as_it_is_read():
@@ -747,9 +807,7 @@ def test_restricting_a_ramp_rule_checks_every_kept_level():
     def rule(i):
         return collapse if i == 10 else LevelTable.identity(2, i + 1)
 
-    machine = Automaton.from_rule(
-        AlphabetSchedule.ramp(1), 2, rule, exact_bireversible=True
-    )
+    machine = Automaton.from_rule(AlphabetSchedule.ramp(1), 2, rule)
     verdict = machine.restricted(12).bireversibility()
     assert not verdict.holds
     assert verdict.exact

@@ -580,9 +580,10 @@ def test_shared_tables_answer_as_fresh_tables_do():
 
 
 def test_each_size_recipe_is_bireversible_at_every_size():
-    # The lemmas in the builders' docstrings, which back the one
-    # `exact_bireversible=True` of `families`: every size up to 200 and
-    # the widest sizes a schedule config may give.
+    # The lemmas in the builders' docstrings, the finite argument behind
+    # the exact verdict of a size-keyed builtin over a ramp, where no fold
+    # or identity tail bounds the levels: every size up to 200 and the
+    # widest sizes a schedule config may give.
     sizes = [*range(2, 201), *range(MAX_ALPHABET_SIZE - 2, MAX_ALPHABET_SIZE + 1)]
     for size in [1] + sizes:
         assert families._word_order_table(size).failure is None, size
