@@ -21,7 +21,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import engine
-from .core import Automaton, _check_count
+from .core import Automaton
 from .engine import Budget, GroupWord
 from .errors import (
     AutomatonError,
@@ -30,6 +30,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .families import FAMILIES, build_from_config
+from .schedule import _check_count
 
 
 def _load_automaton(args) -> Automaton:

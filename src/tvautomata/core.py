@@ -35,7 +35,7 @@ from .errors import (
     NotMealyError,
     ScheduleMismatchError,
 )
-from .schedule import MAX_LEVEL, AlphabetSchedule, _check_ints, is_config_int
+from .schedule import MAX_LEVEL, AlphabetSchedule, _check_count, _check_ints, is_config_int
 
 NOT_INVERTIBLE = "not_invertible"
 NOT_REVERSIBLE = "not_reversible"
@@ -52,15 +52,12 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 MAX_FOLD_LETTERS = 1_000_000
 
 
-def _check_count(value: int, what: str, least: int = 1, level: bool = False) -> None:
-    """Refuse a count that is not an integer (true and false included),
-    one below `least` and, when it names a level, one past MAX_LEVEL,
-    with a ValueError."""
-    _check_ints((value,), what)
-    if value < least:
-        raise ValueError(f"{what} must be at least {least}, got {value}")
-    if level and value > MAX_LEVEL:
-        raise ValueError(f"{what} {value} is deeper than the supported {MAX_LEVEL}")
+def _diagonal_rows(n_states: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """The transition of a diagonal table: every state keeps itself on
+    every letter.  Its letter columns, and those of its inverse (which
+    also keeps each state), list every state once, so a diagonal table
+    whose labelings are permutations is bi-reversible."""
+    return tuple(tuple(q for _ in range(size)) for q in range(n_states))
 
 
 def _columns_are_permutations(rows: Sequence[Sequence[int]]) -> bool:
@@ -192,11 +189,7 @@ class LevelTable:
     @staticmethod
     def identity(n_states: int, size: int) -> "LevelTable":
         _check_ints((n_states, size), "identity table size")
-        row = tuple(range(size))
-        return LevelTable(
-            tuple(tuple(q for _ in range(size)) for q in range(n_states)),
-            tuple(row for _ in range(n_states)),
-        )
+        return LevelTable(_diagonal_rows(n_states, size), (perms.identity(size),) * n_states)
 
     def inverse_labeling(self, state: int) -> Optional[tuple[int, ...]]:
         """The output row of one state inverted, or None when it is not a
@@ -462,10 +455,11 @@ class Automaton:
     It is given by a rule `table_fn` from levels to tables, an optional
     `fold=(p, m)` and an optional `identity_from`.  The fold says that
     every level past p repeats the level m below it; it must line up
-    with the schedule's own prefix and period.  A folded machine keeps
-    one tuple of its tables at levels 0 .. p + m (None at 0), and every
-    table in it passes one check, against the state count and the
-    schedule's alphabet size at its level.  `from_periodic_tables` hands
+    with the schedule's own prefix and period, with p at least 0 and m
+    at least 1.  `identity_from` is a level, at least 1.  A folded
+    machine keeps one tuple of its tables at levels 0 .. p + m (None at
+    0), and every table in it passes one check, against the state count
+    and the schedule's alphabet size at its level.  `from_periodic_tables` hands
     its explicit tables to that check as they are; a rule with a fold is
     sampled once, at levels 1 .. p + m, into the tuple and then dropped.
     A deeper level reads the entry of its phase, `periodic_tables` is a
@@ -513,9 +507,7 @@ class Automaton:
         fold: Optional[tuple[int, int]] = None,
         identity_from: Optional[int] = None,
     ):
-        _check_ints((n_states,), "state count")
-        if n_states < 1:
-            raise ValueError("need at least one state")
+        _check_count(n_states, "state count")
         self.schedule = schedule
         self.n_states = n_states
         if state_names is None:
@@ -533,13 +525,12 @@ class Automaton:
         self.family: Optional[tuple[str, dict]] = None
         self._tables: Optional[tuple[Optional[LevelTable], ...]] = None
         if identity_from is not None:
-            _check_ints((identity_from,), "identity level")
+            _check_count(identity_from, "identity level")
         if fold is None:
             return
         p, m = fold
-        _check_ints(fold, "fold length")
-        if p < 0 or m < 1:
-            raise ValueError("a fold needs p >= 0 and m >= 1")
+        _check_count(p, "fold length", least=0)
+        _check_count(m, "fold length")
         if schedule.aligned_fold(p, m) != (p, m):
             raise ScheduleMismatchError(
                 f"fold {fold} does not line up with {schedule}"
@@ -696,8 +687,7 @@ class Automaton:
         stops early asks a rule for no deeper level.  Built per call and
         never kept.
         """
-        if count < 0:
-            raise ValueError(f"level count must be nonnegative, got {count}")
+        _check_count(count, "level count", least=0)
         tables = self._tables
         if tables is None or (self.identity_from or 0) > self.fold[0] + 1:
             return map(self.table_at, range(1, count + 1))
@@ -827,8 +817,7 @@ class Automaton:
 
     def shifted(self, count: int) -> "Automaton":
         """Drop the first `count` levels; level i becomes old level i + count."""
-        if count < 0:
-            raise ValueError("shift count must be nonnegative")
+        _check_count(count, "shift count", least=0)
         if count == 0:
             return self
         fold = None
@@ -844,9 +833,7 @@ class Automaton:
 
     def restricted(self, depth: int) -> "Automaton":
         """Keep the first `depth` levels, act trivially beyond them."""
-        _check_ints((depth,), "restriction depth")
-        if depth < 0:
-            raise ValueError("restriction depth must be nonnegative")
+        _check_count(depth, "restriction depth", least=0)
         ident = depth + 1
         if self.identity_from is not None:
             ident = min(ident, self.identity_from)
@@ -900,10 +887,8 @@ def embed_on_subsequence(
     lengths, and on each residue class mod T each size is affine in the
     inner level; so levels 1 .. first + 2T - 1 settle every level.
     """
-    _check_ints((start,), "embedding start")
-    _check_ints((step,), "embedding step")
-    if start < 1 or step < 1:
-        raise ValueError("start and step must be at least 1")
+    _check_count(start, "embedding start")
+    _check_count(step, "embedding step")
     own = inner.schedule
     first = max(len(own.prefix) + 1, (len(host.prefix) - start) // step + 2)
     for j in range(1, first + 2 * math.lcm(len(own.block), len(host.block))):

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import perms
-from .core import Automaton, LevelTable, _act, _check_count
+from .core import Automaton, LevelTable, _act
 from .errors import (
     BudgetExceededError,
     NonCoprimeModuliError,
@@ -39,7 +39,7 @@ from .errors import (
     UnboundedScheduleError,
     VerificationFailedError,
 )
-from .schedule import _check_ints
+from .schedule import _check_count, _check_ints
 
 Word = tuple[int, ...]
 
@@ -1018,11 +1018,12 @@ def torsion_exponent_bound(automaton: Automaton) -> int:
 
 def crt_solve(congruences: Sequence[tuple[int, int]]) -> int:
     """Smallest nonnegative solution of simultaneous congruences
-    (residue, modulus) with pairwise coprime moduli."""
+    (residue, modulus) with pairwise coprime moduli: integer residues and
+    integer moduli of at least 1, true and false refused."""
     x, modulus = 0, 1
     for residue, m in congruences:
-        if m < 1:
-            raise ValueError("moduli must be positive")
+        _check_ints((residue,), "residue")
+        _check_count(m, "modulus")
         if math.gcd(modulus, m) != 1:
             raise NonCoprimeModuliError(f"moduli are not pairwise coprime at {m}")
         delta = (residue - x) % m

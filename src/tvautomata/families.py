@@ -15,9 +15,9 @@ import threading
 from typing import Callable, Optional, Sequence
 
 from . import perms
-from .core import Automaton, LevelTable, _default_names, embed_on_subsequence
+from .core import Automaton, LevelTable, _default_names, _diagonal_rows, embed_on_subsequence
 from .errors import ScheduleMismatchError
-from .schedule import MAX_ALPHABET_SIZE, AlphabetSchedule, _check_ints, is_config_int
+from .schedule import MAX_ALPHABET_SIZE, AlphabetSchedule, _check_count, _check_ints, is_config_int
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +70,6 @@ def _tagged(automaton: Automaton, family: str, params: Optional[dict] = None) ->
     parameters: the tag `config_of` writes back as a builtin config."""
     automaton.family = (family, {} if params is None else params)
     return automaton
-
-
-def _diagonal_rows(n_states: int, size: int) -> tuple[tuple[int, ...], ...]:
-    """The transition of a diagonal table: every state keeps itself on
-    every letter.  Its letter columns, and those of its inverse (which
-    also keeps each state), list every state once, so a diagonal table
-    whose labelings are permutations is bi-reversible."""
-    return tuple(tuple(q for _ in range(size)) for q in range(n_states))
 
 
 # The most letters the shared size-keyed tables may hold, each charged
@@ -194,11 +186,10 @@ def cycle_transposition_automaton(
     remaining letters in ascending order; state q2 by the transposition
     (x0 x1).  Needs every level alphabet to contain both letters.
     """
-    _check_ints((x0, x1), "marked letter")
+    _check_count(x0, "marked letter", least=0)
+    _check_count(x1, "marked letter", least=0)
     if x0 == x1:
         raise ValueError("the marked letters must differ")
-    if min(x0, x1) < 0:
-        raise ValueError("letters are nonnegative")
     # Tail slopes are nonnegative, so a slot is smallest in its first turn.
     low = min((*schedule.prefix, *(base for base, _ in schedule.block)))
     if low <= max(x0, x1):
@@ -277,21 +268,21 @@ def sym_diagonal_automaton(
     (state q2) at every listed level.
 
     `indices` is a finite list of sizes, each at least 2; `start` adds an
-    arithmetic tail start, start+1, ... after the list.  Beyond a finite
+    arithmetic tail start, start+1, ... after the list, with start at
+    least 2 and at least its level len(indices) + 1.  Beyond a finite
     list without tail the automaton acts as the identity on 1-letter
     alphabets.
     """
     listed = tuple(indices) if indices is not None else ()
-    sizes = listed if start is None else listed + (start,)
-    _check_ints(sizes, "gi index")
-    if any(i < 2 for i in sizes):
+    _check_ints(listed, "gi index")
+    if any(i < 2 for i in listed):
         raise ValueError("indices must be at least 2")
     params: dict = {}
     if listed:
         params["indices"] = list(listed)
     if start is not None:
-        if start < len(listed) + 1:
-            raise ValueError("arithmetic tail must not lag behind the level number")
+        # The tail's first size must not lag behind its level.
+        _check_count(start, "gi index", least=max(2, len(listed) + 1))
         params["start"] = start
         schedule = AlphabetSchedule.ramp(start - len(listed) - 1, prefix=listed)
         identity_from = None
@@ -435,8 +426,11 @@ def random_bireversible_automaton(
     period_len: int = 1,
 ) -> Automaton:
     """Random bi-reversible two-state automaton over a bounded schedule,
-    with explicit tables drawn level by level."""
-    _check_ints((prefix_len, period_len), "block length")
+    with explicit tables drawn level by level.  Its fold is the least one
+    at or past (prefix_len, period_len) that lines up with the schedule,
+    for integers prefix_len >= 0 and period_len >= 1."""
+    _check_count(prefix_len, "block length", least=0)
+    _check_count(period_len, "block length")
     fold = schedule.aligned_fold(prefix_len, period_len)
     if fold is None:
         raise ScheduleMismatchError("needs a constant or periodic schedule tail")
@@ -453,9 +447,9 @@ def random_bir22_automaton(
 ) -> Automaton:
     """Seeded random binary machine built from the 12 admissible level
     types; identical seeds give identical tables."""
-    _check_ints((seed, prefix_len, period_len), "random_bir22 parameter")
-    if prefix_len < 0 or period_len < 1:
-        raise ValueError("need prefix_len >= 0 and period_len >= 1")
+    _check_ints((seed,), "random_bir22 parameter")
+    _check_count(prefix_len, "random_bir22 parameter", least=0)
+    _check_count(period_len, "random_bir22 parameter")
     rng = random.Random(seed)
     types = _binary_level_types()
     prefix = tuple(rng.choice(types) for _ in range(prefix_len))

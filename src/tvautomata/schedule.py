@@ -46,6 +46,19 @@ def _check_ints(values: Sequence, what: str) -> None:
             raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
+def _check_count(value: int, what: str, least: int = 1, level: bool = False) -> None:
+    """Refuse a count that is not an integer (true and false included),
+    one below `least` and, when it names a level, one past MAX_LEVEL,
+    with a ValueError naming it as `what`."""
+    if type(value) is not int:
+        _check_ints((value,), what)
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, got {value}")
+    if level and value > MAX_LEVEL:
+        raise ValueError(f"{what} {value} is deeper than the supported {MAX_LEVEL}")
+
+
 @dataclass(frozen=True)
 class AlphabetSchedule:
     prefix: tuple[int, ...]
@@ -80,9 +93,7 @@ class AlphabetSchedule:
     @staticmethod
     def ramp(offset: int = 0, prefix: Sequence[int] = ()) -> "AlphabetSchedule":
         """Sizes past the prefix are level + offset."""
-        _check_ints((offset,), "ramp offset")
-        if offset < 0:
-            raise ValueError("ramp offset must be nonnegative")
+        _check_count(offset, "ramp offset", least=0)
         return AlphabetSchedule(prefix, ((len(prefix) + 1 + offset, 1),))
 
     def size_at(self, level: int) -> int:
@@ -124,9 +135,7 @@ class AlphabetSchedule:
 
     def shifted(self, count: int) -> "AlphabetSchedule":
         """The schedule with the first `count` levels dropped."""
-        _check_ints((count,), "shift count")
-        if count < 0:
-            raise ValueError("shift count must be nonnegative")
+        _check_count(count, "shift count", least=0)
         if count == 0:
             return self
         if count <= len(self.prefix):

@@ -680,6 +680,101 @@ def test_json_reports_are_deterministic(capsys, config):
     assert first == second
 
 
+def _yes(flag):
+    return "n/a" if flag is None else ("yes" if flag else "no")
+
+
+def _text_from_json(report):
+    """The lines of a text report, read off the JSON report of the same
+    command: its `result`, and its `options` for what the result does
+    not echo."""
+    command, r = report["command"], report["result"]
+    if command == "check":
+        v = r["bireversible"]
+        if not v["holds"]:
+            head = f"bi-reversible: fails at level {v['fails_at']} ({v['reason']})"
+        elif v["exact"]:
+            head = "bi-reversible: holds (exact, all levels)"
+        else:
+            head = f"bi-reversible: holds (checked to level {v['checked_up_to']})"
+        return [head] + [
+            f"level {row['level']}: size {row['size']}  invertible {_yes(row['invertible'])}  "
+            f"reversible {_yes(row['reversible'])}  inverse-reversible "
+            f"{_yes(row['inverse_reversible'])}  diagonal {_yes(row['diagonal'])}"
+            for row in r["levels"]
+        ]
+    if command == "levels":
+        lines = [
+            f"level {o['level']}: group order {o['order']} on {o['words']} words"
+            for o in r["orders"]
+        ]
+        if r["capped"] is not None:
+            c = r["capped"]
+            lines.append(f"level {c['level']}: order cap {c['cap']} exceeded, partial results")
+        return lines
+    if command == "classify":
+        return [
+            f"classification: {r['kind']} (order {r['group_order']}, exponent {r['exponent']})"
+        ]
+    if command == "relations":
+        max_len = report["options"]["max_len"]
+        lines = [f"checked {r['checked']} reduced words up to length {max_len}"]
+        if r["relations"]:
+            lines += ["trivial words found:"] + [f"  {w}" for w in r["relations"]]
+        if r["unsettled"]:
+            lines += ["not settled within depth budget:"] + [f"  {w}" for w in r["unsettled"]]
+        if not r["relations"] and not r["unsettled"]:
+            lines.append("none found")
+        return lines
+    if command == "orbit":
+        reach = "transitive" if r["transitive"] else "not transitive"
+        return [
+            f"orbit at level {r['level']}: {r['orbit_size']}/{r['words']} words reached - {reach}"
+        ]
+    assert command == "list-builtins"
+    return [f"{f['id']}: {f['summary']}" for f in r["families"]]
+
+
+def _bare_rule(doc):
+    """A rule without fold, identity tail or lemma: no config builds one,
+    and only its check is reported as checked to a level."""
+    binary = tvautomata.AlphabetSchedule.constant(2)
+    return tvautomata.Automaton.from_rule(
+        binary, 2, lambda level: tvautomata.LevelTable.identity(2, 2)
+    )
+
+
+# Each text report branch: (config, arguments, exit code).  None stands
+# for a bare rule machine.
+_TEXT_REPORTS = {
+    "check_fails": (LAMP, ("check", "--depth", "3"), 1),
+    "check_exact": (Z2Z4, ("check", "--depth", "3"), 0),
+    "check_checked_to_level": (None, ("check", "--depth", "3"), 0),
+    "levels_capped": (Z2Z4, ("levels", "--max-level", "3", "--order-cap", "3"), 1),
+    "levels": (E2_34, ("levels", "--max-level", "2"), 0),
+    "classify": (Z2Z4, ("classify",), 0),
+    "relations_found": (Z2Z4, ("relations", "--max-len", "4"), 1),
+    "relations_none_found": (E2_34, ("relations", "--max-len", "3"), 0),
+    "orbit_transitive": (E2_34, ("orbit", "--level", "2"), 0),
+    "orbit_not_transitive": (E2_22, ("orbit", "--level", "2"), 1),
+    "list_builtins": (Z2Z4, ("list-builtins",), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TEXT_REPORTS))
+def test_every_text_line_agrees_with_the_json_report(capsys, config, monkeypatch, case):
+    doc, argv, status = _TEXT_REPORTS[case]
+    if doc is None:
+        monkeypatch.setattr(cli, "build_from_config", _bare_rule)
+    if argv[0] != "list-builtins":
+        argv += ("--config", config(doc or Z2Z4))
+    code, report, err = run_json(capsys, *argv)
+    assert (code, err) == (status, "")
+    code, out, err = run(capsys, *argv, "--format", "text")
+    assert (code, err) == (status, "")
+    assert out.splitlines() == _text_from_json(report)
+
+
 def test_malformed_config_files(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -756,6 +851,25 @@ def test_a_builtin_name_that_is_not_a_string_exits_2(capsys, config):
     code, out, err = run(capsys, "check", "--config", config(doc))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Configs of the wrong shape, each refused by the key it names.
+_MISSHAPEN = {
+    "automaton_list": ({"schedule": _C2, "automaton": []}, "'automaton' must be an object"),
+    "example2_string_letter": (
+        _builtin("example2", _C2, {"x0": "0"}), "parameter 'x0' must be an integer"
+    ),
+    "random_bir22_float_seed": (
+        _builtin("random_bir22", _C2, {"seed": 1.5}), "parameter 'seed' must be an integer"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSHAPEN))
+def test_a_misshapen_config_exits_2_naming_its_key(capsys, config, case):
+    doc, message = _MISSHAPEN[case]
+    code, out, err = run(capsys, "check", "--config", config(doc))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_an_embedding_that_mismatches_past_the_eager_window_exits_2(capsys, config):

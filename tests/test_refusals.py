@@ -19,6 +19,7 @@ from tvautomata import (
     apply_word,
     build_from_config,
     config_of,
+    crt_solve,
     cycle_transposition_automaton,
     diagonal_automaton,
     decide_equal,
@@ -46,6 +47,7 @@ from tvautomata.schedule import MAX_ALPHABET_SIZE
 BINARY = AlphabetSchedule.constant(2)
 IDENT = (0, 1)
 P34 = AlphabetSchedule.periodic((3, 4))
+C3 = AlphabetSchedule.constant(3)
 
 
 def _explicit(doc):
@@ -74,7 +76,9 @@ REFUSALS = {
         lambda: LevelTable((), ()), ValueError, "at least one state"
     ),
     "automaton without states": (
-        lambda: Automaton(BINARY, 0, _identity_rule(0)), ValueError, "at least one state"
+        lambda: Automaton(BINARY, 0, _identity_rule(0)),
+        ValueError,
+        "state count must be at least 1",
     ),
     "duplicate state names": (
         lambda: Automaton.from_periodic_tables(
@@ -86,7 +90,7 @@ REFUSALS = {
     "fold with negative p": (
         lambda: Automaton(BINARY, 2, _identity_rule(2), fold=(-1, 1)),
         ValueError,
-        "p >= 0",
+        "fold length must be nonnegative",
     ),
     "empty period": (
         lambda: Automaton.from_periodic_tables(BINARY, (), ()),
@@ -501,6 +505,138 @@ def test_malformed_input_is_refused(case):
     with pytest.raises(error) as info:
         make()
     assert fragment in str(info.value)
+
+
+# Every count argument, by site: (call taking the count, the name its
+# refusals give it, its least value, or None where any integer goes).
+COUNTS = {
+    # core
+    "state count": (lambda v: Automaton(BINARY, v, _identity_rule(2)), "state count", 1),
+    "identity level": (
+        lambda v: Automaton.from_rule(BINARY, 2, _identity_rule(2), identity_from=v),
+        "identity level",
+        1,
+    ),
+    "fold prefix": (
+        lambda v: Automaton(BINARY, 2, _identity_rule(2), fold=(v, 1)), "fold length", 0
+    ),
+    "fold period": (
+        lambda v: Automaton(BINARY, 2, _identity_rule(2), fold=(0, v)), "fold length", 1
+    ),
+    "level tables": (lambda v: z2z4_automaton().level_tables(v), "level count", 0),
+    "bare rule level tables": (
+        lambda v: Automaton.from_rule(BINARY, 2, _unreachable_rule).level_tables(v),
+        "level count",
+        0,
+    ),
+    "machine shift": (lambda v: z2z4_automaton().shifted(v), "shift count", 0),
+    "restriction": (lambda v: z2z4_automaton().restricted(v), "restriction depth", 0),
+    "check depth": (lambda v: z2z4_automaton().bireversibility(v), "check depth", 1),
+    "embedding start": (
+        lambda v: embed_on_subsequence(z2z4_automaton(), BINARY, start=v), "embedding start", 1
+    ),
+    "embedding step": (
+        lambda v: embed_on_subsequence(z2z4_automaton(), BINARY, step=v), "embedding step", 1
+    ),
+    # schedule
+    "ramp offset": (lambda v: AlphabetSchedule.ramp(v), "ramp offset", 0),
+    "schedule shift": (lambda v: BINARY.shifted(v), "shift count", 0),
+    # engine
+    "congruence residue": (lambda v: crt_solve([(v, 2)]), "residue", None),
+    "congruence modulus": (lambda v: crt_solve([(0, 2), (1, v)]), "modulus", 1),
+    "depth budget": (lambda v: Budget(max_depth=v), "depth budget", 1),
+    "state budget": (lambda v: Budget(max_states=v), "state budget", 1),
+    "max order": (
+        lambda v: element_order(z2z4_automaton(), GroupWord.generator(0), max_order=v),
+        "max order",
+        1,
+    ),
+    "relation word length": (lambda v: relation_search(z2z4_automaton(), v), "word length", 0),
+    "level group": (lambda v: level_group(z2z4_automaton(), v), "level", 1),
+    "order cap": (lambda v: level_group(z2z4_automaton(), 2, order_cap=v), "order cap", 1),
+    "level sweep": (lambda v: level_groups(z2z4_automaton(), v), "max level", 1),
+    "orbit level": (lambda v: orbit_at_level(z2z4_automaton(), v), "level", 0),
+    # families
+    "first marked letter": (
+        lambda v: cycle_transposition_automaton(P34, x0=v, x1=1), "marked letter", 0
+    ),
+    "second marked letter": (
+        lambda v: cycle_transposition_automaton(P34, x0=0, x1=v), "marked letter", 0
+    ),
+    "gi start": (lambda v: sym_diagonal_automaton(start=v), "gi index", 2),
+    "gi start after a list": (
+        lambda v: sym_diagonal_automaton([2, 3, 4], start=v), "gi index", 4
+    ),
+    "random prefix length": (
+        lambda v: random_bireversible_automaton(random.Random(1), BINARY, v, 1),
+        "block length",
+        0,
+    ),
+    "random period length": (
+        lambda v: random_bireversible_automaton(random.Random(1), BINARY, 0, v),
+        "block length",
+        1,
+    ),
+    "random_bir22 seed": (lambda v: random_bir22_automaton(v), "random_bir22 parameter", None),
+    "random_bir22 prefix length": (
+        lambda v: random_bir22_automaton(1, v), "random_bir22 parameter", 0
+    ),
+    "random_bir22 period length": (
+        lambda v: random_bir22_automaton(1, 0, v), "random_bir22 parameter", 1
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(COUNTS))
+def test_a_count_that_is_no_integer_is_refused_by_name(site):
+    make, what, least = COUNTS[site]
+    valid = 1 if least is None else least
+    # The str and the float each equal or parse to a valid count, and
+    # true passes a range check wherever 1 is valid.
+    for value in (str(valid), float(valid), True):
+        with pytest.raises(ValueError) as info:
+            make(value)
+        assert str(info.value) == f"{what} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("site", sorted(site for site in COUNTS if COUNTS[site][2] is not None))
+def test_a_count_one_below_its_least_is_refused_by_name(site):
+    make, what, least = COUNTS[site]
+    bound = "nonnegative" if least == 0 else f"at least {least}"
+    with pytest.raises(ValueError) as info:
+        make(least - 1)
+    assert str(info.value) == f"{what} must be {bound}, got {least - 1}"
+
+
+# Counts that were once taken: a negative period that the fold's lcm
+# made positive, a negative prefix, a float residue returned as the
+# solution, true taken as modulus 1, identity level 0 (refused only
+# later, as a level count), and a str or float count that fell through
+# to a TypeError.
+ONCE_TAKEN = {
+    "random period of -2": (
+        lambda: random_bireversible_automaton(random.Random(1), C3, 0, -2), "block length"
+    ),
+    "random prefix of -1": (
+        lambda: random_bireversible_automaton(random.Random(1), C3, -1, 1), "block length"
+    ),
+    "residue 1.5": (lambda: crt_solve([(1.5, 2)]), "residue"),
+    "modulus true": (lambda: crt_solve([(1, True)]), "modulus"),
+    "identity from level 0": (
+        lambda: Automaton.from_rule(BINARY, 2, _unreachable_rule, identity_from=0),
+        "identity level",
+    ),
+    "shift by '2'": (lambda: z2z4_automaton().shifted("2"), "shift count"),
+    "level tables of '2'": (lambda: z2z4_automaton().level_tables("2"), "level count"),
+    "level tables of 1.5": (lambda: z2z4_automaton().level_tables(1.5), "level count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONCE_TAKEN))
+def test_a_bad_count_is_refused_at_the_call(case):
+    make, what = ONCE_TAKEN[case]
+    with pytest.raises(ValueError, match=what):
+        make()
 
 
 def test_a_fold_past_the_letter_budget_exits_2_before_building(capsys, tmp_path):
