@@ -45,11 +45,27 @@ _DEFAULT_CHECK_DEPTH = 20
 _SANITY_DEPTH = 8
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
-# The most letters a rule's fold may sample: the sum of the alphabet
-# sizes over its levels 1 .. p + m.  Explicit tables are not sampled and
-# not counted.  A long period of wide alphabets would otherwise build
-# table after table until memory runs out.
+# The most letters a rule's fold may sample, or a random builder draw
+# tables for: the sum of the alphabet sizes over its levels 1 .. p + m.
+# Explicit tables are not sampled and not counted.  A long period of
+# wide alphabets would otherwise build table after table until memory
+# runs out.
 MAX_FOLD_LETTERS = 1_000_000
+
+
+def _check_fold_letters(schedule: AlphabetSchedule, p: int, m: int) -> None:
+    """Refuse a fold (p, m) that lines up with `schedule` when its levels
+    1 .. p + m hold more than MAX_FOLD_LETTERS letters.  The sum comes in
+    closed form from the schedule's prefix and size block, so a deep fold
+    is refused as fast as a shallow one."""
+    start, block = schedule.periodic_structure()
+    turns, part = divmod(p + m - start, len(block))
+    letters = sum(schedule.prefix) + turns * sum(block) + sum(block[:part])
+    if letters > MAX_FOLD_LETTERS:
+        raise ValueError(
+            f"fold over levels 1 .. {p + m} samples {letters} letters, "
+            f"past the budget of {MAX_FOLD_LETTERS}"
+        )
 
 
 def _diagonal_rows(n_states: int, size: int) -> tuple[tuple[int, ...], ...]:
@@ -513,7 +529,12 @@ class Automaton:
         if state_names is None:
             self.state_names = _default_names(n_states)
         else:
-            self.state_names = tuple(state_names)
+            try:
+                self.state_names = tuple(state_names)
+            except TypeError:
+                raise ValueError(
+                    f"state names must be a sequence, got {state_names!r}"
+                ) from None
             if len(self.state_names) != n_states or len(set(self.state_names)) != n_states:
                 raise ValueError("state names must be distinct, one per state")
         self._table_fn: Optional[Callable[[int], LevelTable]] = table_fn
@@ -528,6 +549,8 @@ class Automaton:
             _check_count(identity_from, "identity level")
         if fold is None:
             return
+        if not isinstance(fold, (tuple, list)) or len(fold) != 2:
+            raise ValueError(f"fold must be a pair (p, m), got {fold!r}")
         p, m = fold
         _check_count(p, "fold length", least=0)
         _check_count(m, "fold length")
@@ -535,12 +558,7 @@ class Automaton:
             raise ScheduleMismatchError(
                 f"fold {fold} does not line up with {schedule}"
             )
-        letters = sum(map(schedule.size_at, range(1, p + m + 1)))
-        if letters > MAX_FOLD_LETTERS:
-            raise ValueError(
-                f"fold over levels 1 .. {p + m} samples {letters} letters, "
-                f"past the budget of {MAX_FOLD_LETTERS}"
-            )
+        _check_fold_letters(schedule, p, m)
         # From `identity_from` on the rule is not consulted.
         live = p + m + 1 if identity_from is None else identity_from
         tables = tuple(

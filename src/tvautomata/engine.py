@@ -240,9 +240,12 @@ class _Context:
     orbits read hash-consed portraits (root permutation, child ids),
     shared by every level: id 0 is the identity at every level and equal
     actions intern to equal ids, so no closure materializes permutations
-    of a full leaf set.  A context lives for one public call (a query, a
-    classification, a scan, a level sweep, an orbit); machines never
-    keep one.
+    of a full leaf set.  `state_portraits` builds the states' portraits
+    bottom-up over `levels`, the walk's levels top-down with the states
+    reachable at each, kept as far as a query has gone; only `compose`
+    and `inverse` recurse.  A context lives for one public call (a
+    query, a classification, a scan, a level sweep, an orbit); machines
+    never keep one.
     """
 
     def __init__(self, automaton: Automaton):
@@ -256,12 +259,17 @@ class _Context:
             self.entry = self.period_key = None
         self.start = automaton.phase(1)
         self.walk: dict[int, tuple[LevelTable, int]] = {}
+        # Levels 1, 2, ... down to the identity tail, as far as a query has
+        # gone: each level's table and the states reachable there from
+        # every state at level 1 (None for all of them); then the phase
+        # and reachable states of the next level.
+        self.levels: list[tuple[LevelTable, Optional[tuple[int, ...]]]] = []
+        self._next_level: tuple[int, Optional[tuple[int, ...]]] = (self.start, None)
         # Id 0, the identity: no letter to move and no child to visit.
         self.nodes: list[tuple] = [((), ())]
         self.intern: dict = {}
         self._compose_memo: dict = {}
         self._inverse_memo: dict = {}
-        self._state_memo: dict = {}
 
     def step(self, phase: int) -> tuple[LevelTable, int]:
         """The table at a phase (not 0) and the phase after it, kept in `walk`."""
@@ -289,25 +297,70 @@ class _Context:
             self.intern[key] = pid
         return pid
 
-    def from_state(self, phase: int, level: int, q: int, span: int) -> int:
-        """Portrait of state q over `span` levels from `phase`, the phase of
-        `level`: kept per phase, as levels of one phase share tables from
-        there on, and 0 in the identity tail; `level` names a failing level."""
-        if span == 0 or phase == 0:
-            return 0
-        key = (phase, span, q)
-        pid = self._state_memo.get(key)
-        if pid is None:
+    def levels_to(self, level: int) -> list[tuple[LevelTable, Optional[tuple[int, ...]]]]:
+        """`levels`, walked on to `level` or to the identity tail.  Raises
+        NotInvertibleError at the shallowest new level where a reachable
+        state's labeling is not a permutation, for the lowest such state.
+        While every state is reachable, a bi-reversible level needs no
+        check and keeps every state reachable."""
+        levels = self.levels
+        n = self.automaton.n_states
+        phase, reach = self._next_level
+        for i in range(len(levels) + 1, level + 1):
+            if phase == 0:
+                break
             t, next_phase = self.walk.get(phase) or self.step(phase)
-            if t.signed_rows[-1][q] is None:
-                raise NotInvertibleError(level, q)
-            kids = tuple(
-                self.from_state(next_phase, level + 1, r, span - 1)
-                for r in t.transition[q]
-            )
-            pid = self.mk(t.output[q], kids)
-            self._state_memo[key] = pid
-        return pid
+            if reach is not None or t.failure is not None:
+                states = range(n) if reach is None else reach
+                inverse_rows = t.signed_rows[-1]
+                for q in states:
+                    if inverse_rows[q] is None:
+                        self._next_level = (phase, reach)
+                        raise NotInvertibleError(i, q)
+                levels.append((t, reach))
+                targets = sorted({r for q in states for r in t.transition[q]})
+                reach = None if len(targets) == n else tuple(targets)
+            else:
+                levels.append((t, None))
+            phase = next_phase
+        self._next_level = (phase, reach)
+        return levels
+
+    def state_portraits(self, level: int, carried: Optional[dict] = None) -> tuple[int, ...]:
+        """Portraits of every state over levels 1 .. `level`, built in one
+        bottom-up pass: each level is one `mk` per reachable state, with
+        kids read from the row below, and the identity tail is the row of
+        zeros.  Errors are `levels_to`'s.
+
+        A sweep over a fold (p, m) with no identity tail passes one
+        `carried` dict to every level: it keeps each level k's row at
+        level p + 1, and level k + m, whose levels past p + m repeat them,
+        starts from that row, so it builds only levels 1 .. p + m."""
+        automaton = self.automaton
+        levels = self.levels_to(level)
+        top = min(level, len(levels))
+        below: Sequence[Optional[int]] = (0,) * automaton.n_states
+        keep = -1
+        if carried is not None and automaton.fold is not None and automaton.identity_from is None:
+            p, m = automaton.fold
+            keep = p
+            start = carried.pop(level - m, None)
+            if start is not None:
+                reach = levels[p + m][1]
+                if None not in (start if reach is None else map(start.__getitem__, reach)):
+                    top, below = p + m, start
+        every = range(len(below))
+        mk = self.mk
+        for i in range(top - 1, -1, -1):
+            t, reach = levels[i]
+            out, nxt = t.output, t.transition
+            row: list[Optional[int]] = [None] * len(below)
+            for q in every if reach is None else reach:
+                row[q] = mk(out[q], tuple([below[r] for r in nxt[q]]))
+            if i == keep:
+                carried[level] = row
+            below = row
+        return tuple(below)
 
     def compose(self, u: int, v: int) -> int:
         """Portrait of u applied after v."""
@@ -819,10 +872,12 @@ def level_group(
     read, up to MAX_GROUP_ELEMENTS elements.  Raises
     OrderCapExceededError as soon as the chain shows the order exceeds
     `order_cap`, carrying the lower bound on the order it had reached then;
-    NotInvertibleError when some state does not act invertibly down to
-    that level; and ValueError for a level outside 1 .. MAX_LEVEL, an
-    order cap below 1, or either of them not an integer.  Levels past
-    MAX_LEVEL are refused before any portrait is built, since portraits
+    NotInvertibleError at the shallowest level, down to this one, where a
+    state reachable from the states at level 1 has a labeling that is not
+    a permutation, naming the lowest such state; and ValueError for a
+    level outside 1 .. MAX_LEVEL, an order cap below 1, or either of them
+    not an integer.  Levels past MAX_LEVEL are refused before any
+    portrait is built, since compositions and inverses of portraits
     recurse two frames per level.
     """
     _check_count(level, "level", level=True)
@@ -835,8 +890,9 @@ def level_groups(
 ) -> Iterator[LevelGroup]:
     """`level_group` for levels 1 .. max_level in turn, on one context:
     a level reuses the portraits and compositions of the levels before
-    it, so on a folded machine a sweep costs about as much as its
-    deepest level.
+    it.  On a fold (p, m) with no identity tail, level k + m starts from
+    level k's portraits at level p + 1 and builds only p + m levels, so a
+    sweep costs about as much as its deepest level.
 
     Arguments are checked when called, as in `level_group`; the errors a
     level raises come when that level is reached.
@@ -844,12 +900,15 @@ def level_groups(
     _check_count(max_level, "max level", level=True)
     _check_count(order_cap, "order cap")
     ctx = _Context(automaton)
-    return (_level_group(ctx, level, order_cap) for level in range(1, max_level + 1))
+    carried: dict = {}
+    return (_level_group(ctx, level, order_cap, carried) for level in range(1, max_level + 1))
 
 
-def _level_group(ctx: _Context, level: int, order_cap: int) -> LevelGroup:
+def _level_group(
+    ctx: _Context, level: int, order_cap: int, carried: Optional[dict] = None
+) -> LevelGroup:
     automaton = ctx.automaton
-    gens = tuple(ctx.from_state(ctx.start, 1, q, level) for q in range(automaton.n_states))
+    gens = ctx.state_portraits(level, carried)
     # Up to about 16 elements, listing products of generators is cheaper
     # than building a chain; past that, or past the cap, the chain counts.
     elements = _elements(ctx, gens, min(order_cap, 16))
@@ -887,7 +946,7 @@ def orbit_at_level(
         q = t.first_noninvertible_state()
         if q is not None:
             raise NotInvertibleError(i, q)
-    moves = [ctx.from_state(ctx.start, 1, q, level) for q in range(automaton.n_states)]
+    moves = ctx.state_portraits(level)
     seen = {seed_word}
     queue = deque([seed_word])
     while queue:

@@ -15,7 +15,14 @@ import threading
 from typing import Callable, Optional, Sequence
 
 from . import perms
-from .core import Automaton, LevelTable, _default_names, _diagonal_rows, embed_on_subsequence
+from .core import (
+    Automaton,
+    LevelTable,
+    _check_fold_letters,
+    _default_names,
+    _diagonal_rows,
+    embed_on_subsequence,
+)
 from .errors import ScheduleMismatchError
 from .schedule import MAX_ALPHABET_SIZE, AlphabetSchedule, _check_count, _check_ints, is_config_int
 
@@ -273,7 +280,10 @@ def sym_diagonal_automaton(
     list without tail the automaton acts as the identity on 1-letter
     alphabets.
     """
-    listed = tuple(indices) if indices is not None else ()
+    try:
+        listed = tuple(indices) if indices is not None else ()
+    except TypeError:
+        raise ValueError(f"gi indices must be a sequence, got {indices!r}") from None
     _check_ints(listed, "gi index")
     if any(i < 2 for i in listed):
         raise ValueError("indices must be at least 2")
@@ -435,6 +445,7 @@ def random_bireversible_automaton(
     if fold is None:
         raise ScheduleMismatchError("needs a constant or periodic schedule tail")
     p, m = fold
+    _check_fold_letters(schedule, p, m)
     prefix = tuple(random_admissible_level(rng, schedule.size_at(i)) for i in range(1, p + 1))
     period = tuple(
         random_admissible_level(rng, schedule.size_at(i)) for i in range(p + 1, p + m + 1)
@@ -447,9 +458,10 @@ def random_bir22_automaton(
 ) -> Automaton:
     """Seeded random binary machine built from the 12 admissible level
     types; identical seeds give identical tables."""
-    _check_ints((seed,), "random_bir22 parameter")
-    _check_count(prefix_len, "random_bir22 parameter", least=0)
-    _check_count(period_len, "random_bir22 parameter")
+    _check_ints((seed,), "random_bir22 parameter 'seed'")
+    _check_count(prefix_len, "random_bir22 parameter 'prefix_len'", least=0)
+    _check_count(period_len, "random_bir22 parameter 'period_len'")
+    _check_fold_letters(_BINARY, prefix_len, period_len)
     rng = random.Random(seed)
     types = _binary_level_types()
     prefix = tuple(rng.choice(types) for _ in range(prefix_len))

@@ -24,10 +24,10 @@ MAX_ALPHABET_SIZE = 10_000
 
 # The level budget: the deepest level a check depth, an orbit level, an
 # equality search's depth budget or a level group may name, and the
-# longest word a schedule with a growing tail accepts.  Portraits, which
-# level groups and orbits both build, recurse two frames per level, so a
-# much deeper level overflows the default interpreter stack (under
-# pytest, levels up to about 475 run); over a growing tail, tables this
+# longest word a schedule with a growing tail accepts.  Compositions and
+# inverses of portraits, which level groups build, recurse two frames per
+# level, so a much deeper level overflows the default interpreter stack
+# (under pytest, levels up to about 475 run); over a growing tail, tables this
 # deep already hold hundreds of letters, and stepping a word builds one
 # table per letter.
 MAX_LEVEL = 450

@@ -862,6 +862,15 @@ _MISSHAPEN = {
     "random_bir22_float_seed": (
         _builtin("random_bir22", _C2, {"seed": 1.5}), "parameter 'seed' must be an integer"
     ),
+    "random_bir22_negative_prefix": (
+        _builtin("random_bir22", _C2, {"seed": 1, "prefix_len": -1}),
+        "random_bir22 parameter 'prefix_len' must be nonnegative, got -1",
+    ),
+    "random_bir22_prefix_past_the_letter_budget": (
+        _builtin("random_bir22", _C2, {"seed": 1, "prefix_len": 10**9}),
+        "fold over levels 1 .. 1000000001 samples 2000000002 letters, "
+        "past the budget of 1000000",
+    ),
 }
 
 

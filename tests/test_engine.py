@@ -35,6 +35,7 @@ from tvautomata import (
     level_groups,
     orbit_at_level,
     NonCoprimeModuliError,
+    admissible_binary_level_types,
     random_admissible_level,
     random_bir22_automaton,
     ratio_power_image,
@@ -57,6 +58,7 @@ from reference import (
     element_leaf_permutations,
     is_bireversible_table,
     leaf_permutation,
+    raw_image,
     two_state_machines,
     words_at_level,
 )
@@ -260,12 +262,22 @@ def test_stepping_backward_through_a_noninvertible_row_names_level_and_state():
     calls = [
         lambda: decide_equal(m, A.inverse()),
         lambda: apply_word(m, A.inverse(), (0, 1, 0, 0)),
-        lambda: level_group(m, 4),
     ]
     for call in calls:
         with pytest.raises(NotInvertibleError) as err:
             call()
         assert (err.value.level, err.value.state) == (4, 1)
+    # A level group's generators include b, which reaches the bad row
+    # itself at level 2: the shallowest level reached is the one named.
+    calls = [
+        lambda: level_group(m, 4),
+        lambda: list(level_groups(m, 4)),
+        lambda: orbit_at_level(m, 4),
+    ]
+    for call in calls:
+        with pytest.raises(NotInvertibleError) as err:
+            call()
+        assert (err.value.level, err.value.state) == (2, 1)
 
 
 # -- equality ---------------------------------------------------------
@@ -601,7 +613,7 @@ def _chain_outcome(a: Automaton, level: int, cap: int):
     """A level's order, or the cap error's bound and message, from the
     stabilizer chain alone."""
     ctx = engine._Context(a)
-    gens = tuple(ctx.from_state(ctx.start, 1, q, level) for q in range(a.n_states))
+    gens = ctx.state_portraits(level)
     try:
         return engine._chain_order(ctx, gens, cap)
     except OrderCapExceededError as err:
@@ -807,6 +819,93 @@ def test_a_sweep_to_the_level_budget_grows_its_context_linearly(monkeypatch):
     ctx = groups[0].context
     assert all(lg.context is ctx for lg in groups)
     assert len(ctx.nodes) < 20 * MAX_LEVEL
+
+
+def test_a_sweep_builds_each_level_of_a_fold_from_the_one_before(monkeypatch):
+    # z2z4 folds as (0, 2): level k + 2 starts from level k's portraits,
+    # so each level makes 2 * 2 state portraits, and its closure about 30
+    # compositions and inverses.  Built afresh, the state portraits alone
+    # take about MAX_LEVEL**2 calls.
+    made = []
+    mk = engine._Context.mk
+    monkeypatch.setattr(
+        engine._Context, "mk", lambda ctx, root, kids: made.append(root) or mk(ctx, root, kids)
+    )
+    assert sum(lg.order for lg in level_groups(z2z4_automaton(), MAX_LEVEL)) > 0
+    assert len(made) < 40 * MAX_LEVEL
+
+
+def _three_state_fold(period_transition):
+    """Level 1 sends every state to state 0; the period's one table moves
+    the states along `period_transition` on both letters, so some states
+    are never reached."""
+    flip = ((1, 0),) * 3
+    first = LevelTable(((0, 0),) * 3, flip)
+    period = LevelTable(tuple((q, q) for q in period_transition), ((0, 1), (1, 0), (1, 0)))
+    return Automaton.from_periodic_tables(AlphabetSchedule.constant(2), (first,), (period,))
+
+
+def _invertible_binary_tables():
+    perms2 = ((0, 1), (1, 0))
+    pairs = tuple(itertools.product(range(2), repeat=2))
+    return tuple(
+        LevelTable(transition, output)
+        for transition in itertools.product(pairs, repeat=2)
+        for output in itertools.product(perms2, repeat=2)
+    )
+
+
+def test_generator_portraits_move_every_leaf_as_raw_tables_do():
+    folds = _binary_folds(50) + _binary_folds(50, seed=3, types=_invertible_binary_tables())
+    machines = catalog() + [
+        Automaton.from_periodic_tables(AlphabetSchedule.constant(2), prefix, period)
+        for prefix, period in folds
+    ]
+    types = admissible_binary_level_types()
+    machines += [
+        z2z4_automaton().restricted(3),
+        Automaton.from_rule(
+            AlphabetSchedule.constant(2), 2, lambda i: types[i * i % 12], identity_from=5
+        ),
+        Automaton.from_rule(AlphabetSchedule.constant(2), 2, lambda i: types[i * i % 12]),
+        _three_state_fold((1, 2, 0)),
+        _three_state_fold((0, 0, 1)),
+    ]
+    for a in machines:
+        # As `level_groups` and `level_group` build them, with and without
+        # the rows a sweep carries, but without closing groups too large
+        # to list.
+        sweep, carried = engine._Context(a), {}
+        for k in range(1, 6):
+            alone = engine._Context(a)
+            words = list(words_at_level(a.schedule, k))
+            index = {w: i for i, w in enumerate(words)}
+            for ctx, gens in (
+                (sweep, sweep.state_portraits(k, carried)),
+                (alone, alone.state_portraits(k)),
+            ):
+                for q in range(a.n_states):
+                    raw = [index[raw_image(a.table_at, ((q, 1),), w)] for w in words]
+                    assert [index[ctx.image(gens[q], w)] for w in words] == raw, (a, k, q)
+
+
+def test_a_level_group_names_the_shallowest_level_a_state_fails():
+    # State b's labeling is not a permutation at any level, and state a
+    # reaches b at level 2: every call names level 1, where b is first
+    # reached.
+    m = Automaton.from_periodic_tables(
+        AlphabetSchedule.constant(2), (), (LevelTable(((1, 1), (1, 1)), ((0, 1), (0, 0))),)
+    )
+    calls = [
+        lambda: level_group(m, 2),
+        lambda: list(level_groups(m, 2)),
+        lambda: orbit_at_level(m, 2),
+        lambda: decide_equal(m, B.inverse()),
+    ]
+    for call in calls:
+        with pytest.raises(NotInvertibleError) as err:
+            call()
+        assert (err.value.level, err.value.state) == (1, 1)
 
 
 def test_a_state_failing_at_a_repeated_phase_names_the_level_reached():

@@ -390,7 +390,7 @@ REFUSALS = {
     "random_bir22 with a float prefix length": (
         lambda: random_bir22_automaton(1, 1.5),
         ValueError,
-        "random_bir22 parameter must be an integer, got 1.5",
+        "random_bir22 parameter 'prefix_len' must be an integer, got 1.5",
     ),
     "random machine with a float period length": (
         lambda: random_bireversible_automaton(random.Random(1), BINARY, 0, 1.0),
@@ -421,6 +421,41 @@ REFUSALS = {
         ),
         ValueError,
         "fold over levels 1 .. 101 samples 1010000 letters, past the budget of 1000000",
+    ),
+    "restriction past the letter budget": (
+        lambda: z2z4_automaton().restricted(10**30),
+        ValueError,
+        "past the budget of 1000000",
+    ),
+    "random_bir22 prefix past the letter budget": (
+        lambda: random_bir22_automaton(1, 10**9),
+        ValueError,
+        "fold over levels 1 .. 1000000001 samples 2000000002 letters, past the budget",
+    ),
+    "random machine period past the letter budget": (
+        lambda: random_bireversible_automaton(random.Random(1), C3, 0, 10**9),
+        ValueError,
+        "fold over levels 1 .. 1000000000 samples 3000000000 letters, past the budget",
+    ),
+    "fold that is no pair": (
+        lambda: Automaton(BINARY, 2, _unreachable_rule, fold=5),
+        ValueError,
+        "fold must be a pair (p, m), got 5",
+    ),
+    "fold of three counts": (
+        lambda: Automaton(BINARY, 2, _unreachable_rule, fold=(0, 1, 2)),
+        ValueError,
+        "fold must be a pair (p, m), got (0, 1, 2)",
+    ),
+    "state names that are a number": (
+        lambda: Automaton(BINARY, 2, _unreachable_rule, state_names=5),
+        ValueError,
+        "state names must be a sequence, got 5",
+    ),
+    "gi indices that are a number": (
+        lambda: sym_diagonal_automaton(5),
+        ValueError,
+        "gi indices must be a sequence, got 5",
     ),
     "explicit names that are not a list": (
         lambda: _named("ab"),
@@ -577,12 +612,14 @@ COUNTS = {
         "block length",
         1,
     ),
-    "random_bir22 seed": (lambda v: random_bir22_automaton(v), "random_bir22 parameter", None),
+    "random_bir22 seed": (
+        lambda v: random_bir22_automaton(v), "random_bir22 parameter 'seed'", None
+    ),
     "random_bir22 prefix length": (
-        lambda v: random_bir22_automaton(1, v), "random_bir22 parameter", 0
+        lambda v: random_bir22_automaton(1, v), "random_bir22 parameter 'prefix_len'", 0
     ),
     "random_bir22 period length": (
-        lambda v: random_bir22_automaton(1, 0, v), "random_bir22 parameter", 1
+        lambda v: random_bir22_automaton(1, 0, v), "random_bir22 parameter 'period_len'", 1
     ),
 }
 
@@ -637,6 +674,31 @@ def test_a_bad_count_is_refused_at_the_call(case):
     make, what = ONCE_TAKEN[case]
     with pytest.raises(ValueError, match=what):
         make()
+
+
+def test_a_fold_past_the_letter_budget_is_refused_before_any_level_is_read(monkeypatch):
+    # The letters are summed in closed form, and a random builder draws
+    # nothing: a sum level by level took 0.16 s to refuse
+    # restricted(10**6), and random_bir22 drew every table first.
+    machine = z2z4_automaton()
+    sizes_read, drawn = [], []
+    size_at = AlphabetSchedule.size_at
+    monkeypatch.setattr(
+        AlphabetSchedule, "size_at", lambda s, level: sizes_read.append(level) or size_at(s, level)
+    )
+    monkeypatch.setattr(random.Random, "choice", lambda rng, seq: drawn.append(seq))
+    monkeypatch.setattr(random.Random, "random", lambda rng: drawn.append(rng))
+    calls = [
+        lambda: machine.restricted(10**6),
+        lambda: machine.restricted(10**30),
+        lambda: random_bir22_automaton(1, 10**9),
+        lambda: random_bir22_automaton(1, 0, 10**9),
+        lambda: random_bireversible_automaton(random.Random(1), C3, 10**9),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="past the budget of 1000000"):
+            call()
+    assert (sizes_read, drawn) == ([], [])
 
 
 def test_a_fold_past_the_letter_budget_exits_2_before_building(capsys, tmp_path):
