@@ -8,7 +8,9 @@ order sweep, an exhausted search budget, a certificate that failed its
 check), 2 for usage, config, or precondition errors: every other
 AutomatonError, ValueError or OSError.  An error prints one `error:`
 line.  A report that cannot be written, as on a closed stdout pipe, is
-an OSError too.
+an OSError too.  A `--format json` report is the bytes of
+`json.dumps(report, indent=2, sort_keys=True)` plus a newline; its keys
+are strings.
 """
 
 from __future__ import annotations
@@ -60,6 +62,29 @@ def _fmt_letters(letters: Sequence[int]) -> str:
 
 def _yes(flag: Optional[bool]) -> str:
     return "n/a" if flag is None else ("yes" if flag else "no")
+
+
+_encode = json.JSONEncoder().encode
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for a value whose dict
+    keys are strings, byte for byte; `indent` is the newline and spaces
+    that precede the value's closing bracket.  With an indent,
+    `json.dumps` cannot use its C encoder, so this recurses only over
+    non-empty dicts and lists (or tuples) and hands every key and scalar
+    to it; a list of plain ints (no bools) is joined in one step."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = (_encode(k) + ": " + _json_text(value[k], inner) for k in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if all(type(x) is int for x in value):
+            items = map(int.__repr__, value)
+        else:
+            items = (_json_text(x, inner) for x in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return _encode(value)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +392,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 k: v for k, v in vars(args).items() if v is not None and k not in _NOT_OPTIONS
             }
             report = {"command": args.command, "options": options, "result": result}
-            print(json.dumps(report, indent=2, sort_keys=True))
+            print(_json_text(report))
         else:
             for line in render():
                 print(line)

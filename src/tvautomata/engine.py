@@ -922,13 +922,14 @@ def orbit_at_level(
 ) -> frozenset:
     """Orbit of one word of the given length under the generated group.
 
-    `level` runs from 0, the root, to MAX_LEVEL.  The first level
-    1 .. `level` with a labeling that is not a permutation raises
-    NotInvertibleError for its first such state.  Words move by the
-    states' portraits; as each state permutes the words of one length,
-    its powers reach its inverse.  Raises OrbitTooLargeError once more
-    than MAX_ORBIT_WORDS words, or more than MAX_ORBIT_LETTERS letters in
-    them, are reached.
+    `level` runs from 0, the root, to MAX_LEVEL.  As for `level_group`,
+    NotInvertibleError names the shallowest level 1 .. `level` where a
+    state reachable from the states at level 1 has a labeling that is
+    not a permutation, and the lowest such state; a state that no word
+    reaches there is not checked.  Words move by the states' portraits;
+    as each state permutes the words of one length, its powers reach its
+    inverse.  Raises OrbitTooLargeError once more than MAX_ORBIT_WORDS
+    words, or more than MAX_ORBIT_LETTERS letters in them, are reached.
     """
     _check_count(level, "level", least=0, level=True)
     if seed is None:
@@ -938,14 +939,6 @@ def orbit_at_level(
         if len(seed_word) != level:
             raise ValueError(f"seed word must have length {level}")
     ctx = _Context(automaton)
-    phase = ctx.start
-    for i in range(1, level + 1):
-        if phase == 0:
-            break
-        t, phase = ctx.walk.get(phase) or ctx.step(phase)
-        q = t.first_noninvertible_state()
-        if q is not None:
-            raise NotInvertibleError(i, q)
     moves = ctx.state_portraits(level)
     seen = {seed_word}
     queue = deque([seed_word])

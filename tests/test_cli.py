@@ -89,7 +89,10 @@ def run(capsys, *argv):
 
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
-    return code, json.loads(out), err
+    report = json.loads(out)
+    # The byte contract: every JSON report reads as json.dumps writes it.
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return code, report, err
 
 
 # -- check ------------------------------------------------------------
@@ -678,6 +681,34 @@ def test_json_reports_are_deterministic(capsys, config):
     _, first, _ = run(capsys, "levels", "--config", path, "--format", "json")
     _, second, _ = run(capsys, "levels", "--config", path, "--format", "json")
     assert first == second
+
+
+def test_json_text_writes_the_bytes_of_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.integers(min_value=-(10**40), max_value=10**40)
+        | st.floats()
+        | st.text()
+    )
+    trees = st.recursive(
+        scalars,
+        lambda kids: st.lists(kids, max_size=5)
+        | st.lists(kids, max_size=5).map(tuple)
+        | st.lists(st.integers(), max_size=5)
+        | st.dictionaries(st.text(max_size=4), kids, max_size=5),
+        max_leaves=30,
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(trees)
+    def check(tree):
+        assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    check()
 
 
 def _yes(flag):

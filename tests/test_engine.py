@@ -925,6 +925,12 @@ def test_a_state_failing_at_a_repeated_phase_names_the_level_reached():
             swept.append(lg.order)
     assert swept == [2, 4, 4]
     assert (err.value.level, err.value.state) == (4, 1)
+    # Orbits refuse by the same rule: b fails at level 2, but no word
+    # reaches it there.
+    assert [len(orbit_at_level(m, k)) for k in (1, 2, 3)] == [2, 4, 4]
+    with pytest.raises(NotInvertibleError) as err:
+        orbit_at_level(m, 4)
+    assert (err.value.level, err.value.state) == (4, 1)
 
 
 def _counting_example2(offset=1):
@@ -1003,14 +1009,17 @@ def test_an_orbit_at_the_level_budget_is_answered():
 
 def _reference_orbit(automaton, level):
     """The orbit of the zero word through `apply_word`, moving by every
-    state and its inverse, after the first level 1 .. `level` with a
-    labeling that is not a permutation is refused for its first such
-    state."""
+    state and its inverse.  Read over raw tables first: the shallowest
+    level 1 .. `level` where a state reachable from every state at level
+    1 has a labeling that is not a permutation is refused, naming the
+    lowest such state."""
+    reach = range(automaton.n_states)
     for i in range(1, level + 1):
         t = automaton.table_at(i)
-        for q, row in enumerate(t.output):
-            if sorted(row) != list(range(t.alphabet_size)):
+        for q in reach:
+            if sorted(t.output[q]) != list(range(t.alphabet_size)):
                 raise NotInvertibleError(i, q)
+        reach = sorted({r for q in reach for r in t.transition[q]})
     moves = [GroupWord.generator(q, s) for q in range(automaton.n_states) for s in (1, -1)]
     seen = {(0,) * level}
     frontier = list(seen)
@@ -1051,6 +1060,15 @@ def test_orbits_match_a_search_through_apply_word():
             expected = _orbit_or_error(_reference_orbit, m, level)
             assert _orbit_or_error(orbit_at_level, m, level) == expected, (m, level)
             refused += isinstance(expected, tuple)
+            if level:
+                # Orbits and level groups refuse by the one rule; a cap
+                # passed comes after every level's labelings are checked.
+                try:
+                    group = _orbit_or_error(level_group, m, level)
+                except OrderCapExceededError:
+                    group = None
+                assert isinstance(group, tuple) == isinstance(expected, tuple), (m, level)
+                assert not isinstance(group, tuple) or group == expected, (m, level)
     assert refused > 100
 
 
