@@ -159,13 +159,11 @@ class _TwoStateCalculus:
 class LevelTable:
     """Transition and output tables for one level, indexed [state][letter].
 
-    Tables compare by value.  The rows are frozen, so a table hashes
-    them once, when it is made: the equality search's period memo hashes
-    tables in every key.  What is derived from the rows is computed on
-    first use and kept on the table, outside its identity: the signed
-    rows, the `failure` verdict, the two-state calculus (`_calculus`) and
-    the equality search's memos.  A table object shared by several
-    machines thus shares them too.
+    Tables compare and hash by value.  What is derived from the rows is
+    computed on first use and kept on the table, outside its identity:
+    the signed rows, the `failure` verdict, the two-state calculus
+    (`_calculus`) and the equality search's proven rows.  A table object
+    shared by several machines thus shares them too.
     """
 
     transition: tuple[tuple[int, ...], ...]
@@ -189,10 +187,6 @@ class LevelTable:
             _check_ints(row, "output entry")
             if len(row) != d or min(row) < 0 or max(row) >= d:
                 raise ValueError("output entries must be letters")
-        object.__setattr__(self, "_hash", hash((self.transition, self.output)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def n_states(self) -> int:
@@ -262,18 +256,6 @@ class LevelTable:
         of a node whose every letter is emitted unchanged.  Filled only by
         `engine.decide_equal` closures that end "equal", and shared by
         every machine that uses this table object."""
-        return {}
-
-    @functools.cached_property
-    def period_closures(self) -> dict[tuple, tuple]:
-        """Outcomes of the equality search's period stage on folds whose
-        period starts with this table, keyed by (the period's other
-        tables, factor signs, ordered factor states of the layer that
-        enters the period).  An outcome is (node count,) for a closure
-        that ends "equal", or (node count, index of an entering node,
-        letters from it to the first mismatch).  Filled only by
-        `engine.decide_equal` searches that do not raise, and shared by
-        every machine whose period starts with this table object."""
         return {}
 
     def step(

@@ -39,6 +39,7 @@ from .errors import (
     UnboundedScheduleError,
     VerificationFailedError,
 )
+from .families import _binary_level_types
 from .schedule import _check_count, _check_ints
 
 Word = tuple[int, ...]
@@ -232,31 +233,22 @@ class _Context:
     """What every query on one machine reads, worked out once.
 
     The equality search reads whether the machine has finitely many
-    phases, the phase `entry` = p + 1 at which a fold (p, m) with p >= 1
-    and no identity tail first reaches its period, the period's other
-    tables (the table part of every `period_closures` key) and the first
-    phase.  Every reader steps through one `walk` from each phase to its
-    table and the next phase, filled on first use.  Level groups and
-    orbits read hash-consed portraits (root permutation, child ids),
-    shared by every level: id 0 is the identity at every level and equal
-    actions intern to equal ids, so no closure materializes permutations
-    of a full leaf set.  `state_portraits` builds the states' portraits
-    bottom-up over `levels`, the walk's levels top-down with the states
-    reachable at each, kept as far as a query has gone; only `compose`
-    and `inverse` recurse.  A context lives for one public call (a
-    query, a classification, a scan, a level sweep, an orbit); machines
-    never keep one.
+    phases and the first phase.  Every reader steps through one `walk`
+    from each phase to its table and the next phase, filled on first
+    use.  Level groups and orbits read hash-consed portraits (root
+    permutation, child ids), shared by every level: id 0 is the identity
+    at every level and equal actions intern to equal ids, so no closure
+    materializes permutations of a full leaf set.  `state_portraits`
+    builds the states' portraits bottom-up over `levels`, the walk's
+    levels top-down with the states reachable at each, kept as far as a
+    query has gone; only `compose` and `inverse` recurse.  A context
+    lives for one public call (a query, a classification, a scan, a
+    level sweep, an orbit); machines never keep one.
     """
 
     def __init__(self, automaton: Automaton):
         self.automaton = automaton
         self.finite = automaton.has_finite_phases
-        fold = automaton.fold
-        if fold is not None and fold[0] and automaton.identity_from is None:
-            self.entry = fold[0] + 1
-            self.period_key = automaton.periodic_tables[1][1:]
-        else:
-            self.entry = self.period_key = None
         self.start = automaton.phase(1)
         self.walk: dict[int, tuple[LevelTable, int]] = {}
         # Levels 1, 2, ... down to the identity tail, as far as a query has
@@ -448,16 +440,8 @@ def decide_equal(
     stepped otherwise.  Only a closure that ends "equal" stores the rows
     it stepped, on each table it used, so the stored rows are exactly
     rows of proven identities; a machine without finitely many phases
-    never closes "equal" and keeps nothing.
-
-    On a fold (p, m) with p >= 1 and no identity tail, the period's
-    phases are first reached by one layer, at phase p + 1, when no node
-    of theirs has been seen.  What the search does from there on depends
-    only on the period's tables, the signs and that layer's ordered
-    states, so its outcome is kept in the first period table's
-    `period_closures` and recalled by any machine with the same period,
-    whatever its prefix: the verdict, the node count it adds and the
-    letters from an entering node down to the first mismatch.
+    never closes "equal" and keeps nothing.  Every verdict comes from
+    the query's own search: no outcome is recalled from another query.
 
     A "not_equal" verdict carries a mismatch witness.  The search finds a
     shortest word that g h^-1 moves and checks it level by level.  With
@@ -497,8 +481,7 @@ def _search(ctx: _Context, word: GroupWord, budget: Budget) -> _Outcome:
     states, signs = word._states_signs
     if not states:
         return _TRIVIAL_WORD
-    finite, entry, walk = ctx.finite, ctx.entry, ctx.walk
-    closure = None  # (memo, key, nodes before the period, entering layer)
+    finite, walk = ctx.finite, ctx.walk
     phase, level = ctx.start, 1
     # A node is (states, parent node, letter from the parent); each phase
     # keeps its own dict of the nodes found at it, keyed by states.
@@ -512,23 +495,6 @@ def _search(ctx: _Context, word: GroupWord, budget: Budget) -> _Outcome:
         if not finite and phase > budget.max_depth:
             return ("unknown", None, "depth_bounded", explored, budget.max_depth)
         t, next_phase = walk.get(phase) or ctx.step(phase)
-        if phase == entry:
-            entry = None
-            memo = t.period_closures
-            key = (ctx.period_key, signs, tuple([node[0] for node in layer]))
-            outcome = memo.get(key)
-            if outcome is not None:
-                # The node count only grows, so the search would have
-                # raised exactly when its total passes the budget.
-                explored += outcome[0]
-                if explored > max_states:
-                    raise BudgetExceededError("states", max_states)
-                if len(outcome) == 1:
-                    break
-                raw = _path(layer[outcome[1]]) + outcome[2]
-                witness = _mismatch_witness(ctx, states, signs, raw)
-                return ("not_equal", witness, "periodic_bfs", explored, None)
-            closure = (memo, key, explored, layer)
         found = found_at.get(next_phase)
         if found is None:
             found = found_at[next_phase] = {}
@@ -551,23 +517,12 @@ def _search(ctx: _Context, word: GroupWord, budget: Budget) -> _Outcome:
                         raise BudgetExceededError("states", max_states)
                     next_layer.append(child)
             if mismatch is not None:
-                raw = _path(node) + (mismatch,)
-                if closure is not None:
-                    # The entering node on this path sits p levels down.
-                    memo, key, before, entering = closure
-                    p = ctx.entry - 1
-                    for _ in range(len(raw) - 1 - p):
-                        node = node[1]
-                    memo[key] = (explored - before, entering.index(node), raw[p:])
-                witness = _mismatch_witness(ctx, states, signs, raw)
+                witness = _mismatch_witness(ctx, states, signs, _path(node) + (mismatch,))
                 method = "periodic_bfs" if finite else "depth_bounded"
                 return ("not_equal", witness, method, explored, None)
         layer, phase, level = next_layer, next_phase, level + 1
     for t, row_states, row in stepped:
         t.proven_rows.setdefault(signs, {})[row_states] = row
-    if closure is not None:
-        memo, key, before, _ = closure
-        memo[key] = (explored - before,)
     return ("equal", None, "periodic_bfs", explored, None)
 
 
@@ -1221,14 +1176,48 @@ _C_A = _A_INV_B * _GEN_A.inverse()
 _C_AA = _A_INV_B * _AA.inverse()
 
 
+def _relations_hold(types: Sequence[LevelTable]) -> bool:
+    """Whether ab = ba, a^2 = b^2 and a^4 = e hold on every two-state
+    machine whose levels are drawn from `types`, in any order.
+
+    Each relation's section state tuples (signs fixed) are closed under
+    stepping through every type; a relation holds on all such machines
+    iff no type moves a letter at any tuple reached.  A word of k
+    factors reaches at most 2^k tuples.
+    """
+    for word in (_COMMUTATOR, _SQUARES, _A4):
+        states, signs = word._states_signs
+        seen, todo = {states}, [states]
+        while todo:
+            states = todo.pop()
+            for t in types:
+                row, mismatch = t.step_row(states, signs, 1)
+                if mismatch is not None:
+                    return False
+                for new_states in row:
+                    if new_states not in seen:
+                        seen.add(new_states)
+                        todo.append(new_states)
+    return True
+
+
+@functools.cache
+def _binary_relations_proved() -> bool:
+    """`_relations_hold` over the 12 admissible binary level types,
+    proved once per process."""
+    return _relations_hold(_binary_level_types())
+
+
 def classify_two_state_binary(automaton: Automaton) -> GroupKind:
     """Identify the group generated by a two-state all-binary
     bi-reversible transducer.
 
     Such groups satisfy commutativity, equal generator squares, and
     fourth powers trivial, which pins them to one of five kinds.  The
-    decision runs exact equality queries, so the representation must
-    have finitely many phases.
+    three relations are proved once per process, over the 12 admissible
+    binary level types: every level of such a machine equals one of
+    them.  The kind then comes from two to four exact equality queries,
+    so the representation must have finitely many phases.
     """
     _require_two_states(automaton)
     structure = automaton.schedule.periodic_structure()
@@ -1249,17 +1238,16 @@ def classify_two_state_binary(automaton: Automaton) -> GroupKind:
             f"bi-reversibility fails at level {verdict.level}: {verdict.reason}"
         )
 
+    # Every level equals one of the 12 types, so their proof covers this
+    # machine; a failure here would mean the type list is wrong.
+    if not _binary_relations_proved():
+        raise VerificationFailedError("defining relations failed to hold")
     ctx = _Context(automaton)
 
     # The machine has finitely many phases, so no query answers "unknown".
     def trivial(word: GroupWord) -> bool:
         return _search(ctx, word, _DEFAULT_BUDGET)[0] == "equal"
 
-    # The three relations every such machine satisfies (ab = ba,
-    # a^2 = b^2, a^4 = e); a failure here means the preconditions were
-    # not really met.
-    if not (trivial(_COMMUTATOR) and trivial(_SQUARES) and trivial(_A4)):
-        raise VerificationFailedError("defining relations failed to hold")
     # With c = a^-1 b: is a trivial, is a^2, is c, and is c equal to a
     # or to a^2?
     c = _A_INV_B

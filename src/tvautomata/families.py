@@ -85,7 +85,7 @@ def _tagged(automaton: Automaton, family: str, params: Optional[dict] = None) ->
 # `failure` verdict and its two-state calculus takes at most about 197
 # bytes per charged letter (2.0 MB at 10,000 letters, of which the
 # calculus is 0.16 MB; 2.3 kB at 2), so at worst they take about 32 MB,
-# plus the search memos left on them.
+# plus the proven rows the equality search leaves on them.
 MAX_SHARED_LETTERS = 16 * MAX_ALPHABET_SIZE
 _TABLE_CHARGE = 10
 
@@ -132,8 +132,9 @@ def _size_builtin(
     params) that holds at most MAX_SHARED_LETTERS charged letters: every
     machine with those sizes holds the same table objects, with their
     cached signed rows, two-state calculus, `failure` verdicts and
-    equality-search memos.  Over a growing schedule there is no fold and
-    every table is built fresh on request, so a ramp keeps none."""
+    equality-search proven rows.  Over a growing schedule there is no
+    fold and every table is built fresh on request, so a ramp keeps
+    none."""
     fold = schedule.aligned_fold(0, 1)
     make = build if fold is None else functools.partial(_shared_table, build)
     machine = Automaton(
@@ -402,7 +403,8 @@ def two_state_level(
 def _binary_level_types() -> tuple[LevelTable, ...]:
     """The 12 of the 16 candidate binary two-state levels, by flip set
     and then labelings, that `LevelTable.failure` passes: built on first
-    use and shared by every `random_bir22` machine."""
+    use and shared by every `random_bir22` machine and by the
+    classifier's proof of the binary relations."""
     labelings = ((0, 1), (1, 0))
     candidates = itertools.product(((), (0, 1), (0,), (1,)), labelings, labelings)
     return tuple(t for t in itertools.starmap(two_state_level, candidates) if t.failure is None)

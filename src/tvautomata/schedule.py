@@ -10,6 +10,7 @@ Letters of the level-i alphabet are 0 .. size_at(i) - 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -57,6 +58,14 @@ def _check_count(value: int, what: str, least: int = 1, level: bool = False) -> 
         raise ValueError(f"{what} must be {bound}, got {value}")
     if level and value > MAX_LEVEL:
         raise ValueError(f"{what} {value} is deeper than the supported {MAX_LEVEL}")
+
+
+@functools.lru_cache(maxsize=256)
+def _shared_fold(p: int, m: int) -> tuple[int, int]:
+    """One tuple per recent fold, so that machines built with one fold
+    hold one tuple: the classification sweep builds 20,736 machines over
+    9 folds, and a tuple each took 1.1 MB."""
+    return p, m
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,7 @@ class AlphabetSchedule:
         which no fold lines up with."""
         if self._sizes is None:
             return None
-        return max(p, len(self.prefix)), math.lcm(m, len(self._sizes))
+        return _shared_fold(max(p, len(self.prefix)), math.lcm(m, len(self._sizes)))
 
     def shifted(self, count: int) -> "AlphabetSchedule":
         """The schedule with the first `count` levels dropped."""

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tvautomata import (
@@ -20,6 +22,9 @@ from tvautomata import (
     z2z4_automaton,
     z4_automaton,
 )
+from tvautomata import engine
+
+from reference import is_bireversible_table
 
 FLIP = (1, 0)
 IDENT = (0, 1)
@@ -96,3 +101,55 @@ def test_preconditions():
     )
     with pytest.raises(UndecidableRepresentationError):
         classify_two_state_binary(rule_only)
+
+
+def test_the_relations_are_proved_over_every_bireversible_binary_table(monkeypatch):
+    # Every two-state binary table, enumerated apart from the library.
+    rows = list(itertools.product(range(2), repeat=2))
+    tables = {
+        LevelTable(transition, output)
+        for transition in itertools.product(rows, repeat=2)
+        for output in itertools.product(rows, repeat=2)
+    }
+    admissible = {t for t in tables if is_bireversible_table(t)}
+    assert len(tables) == 256 and len(admissible) == 12
+    # The proof, run afresh, steps exactly these tables.
+    stepped = []
+    step_row = LevelTable.step_row
+
+    def spy(table, *args):
+        stepped.append(table)
+        return step_row(table, *args)
+
+    monkeypatch.setattr(LevelTable, "step_row", spy)
+    assert engine._binary_relations_proved.__wrapped__() is True
+    assert set(stepped) == admissible
+
+
+def test_the_relations_proof_fails_once_lamplighter_joins_the_types():
+    types = admissible_binary_level_types()
+    assert engine._relations_hold(types) is True
+    lamp = lamplighter_automaton().table_at(1)
+    assert engine._relations_hold(types + (lamp,)) is False
+
+
+def test_a_classification_asks_at_most_four_searches(monkeypatch):
+    calls = []
+    search = engine._search
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(engine, "_search", counting)
+    types = admissible_binary_level_types()
+    schedule = AlphabetSchedule.constant(2)
+    counts, kinds = set(), set()
+    # Every fold (0, 2) and (1, 1) of the 12 types.
+    for x, y in itertools.product(types, repeat=2):
+        for prefix, period in (((), (x, y)), ((x,), (y,))):
+            calls.clear()
+            machine = Automaton.from_periodic_tables(schedule, prefix, period)
+            kinds.add(classify_two_state_binary(machine))
+            counts.add(len(calls))
+    assert kinds == set(GroupKind) and max(counts) == 4

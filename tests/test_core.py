@@ -151,7 +151,7 @@ def test_tables_built_apart_from_equal_rows_are_equal_and_hash_equal():
     assert hash(ODD) == hash((ODD.transition, ODD.output))
     assert {t: None for t in built} == {ODD: None}
     assert ODD != EVEN and LevelTable(rows[0], [[1, 0], [0, 1]]) != ODD
-    # The hash is kept off the fields, so the table's shape is unchanged.
+    # The dataclass hash reads the two row fields and nothing else.
     assert [f.name for f in dataclasses.fields(LevelTable)] == ["transition", "output"]
     assert repr(ODD) == "LevelTable(transition=((0, 1), (1, 0)), output=((1, 0), (1, 0)))"
 
